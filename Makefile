@@ -2,7 +2,7 @@
 # The parallel segmentary query phase and the signature-program cache are
 # exercised concurrently by the tests, so -race is part of the gate.
 # check also builds every command so CLI-only breakage cannot slip past.
-.PHONY: check build test bench bench-smoke bench-diff lint fuzz fuzz-smoke chaos serve-smoke crash profile-smoke
+.PHONY: check build test bench bench-smoke bench-diff lint fuzz fuzz-smoke chaos serve-smoke crash profile-smoke xrperf-test
 
 check: fuzz-smoke crash profile-smoke
 	go build ./cmd/...
@@ -30,6 +30,14 @@ bench-smoke:
 # the default gate is generous).
 bench-diff:
 	go run ./cmd/xrbench -compare BENCH_S3.json -profile S3 -scale 0.1 -threshold 100
+
+# xrperf-test vets and tests the xrperf benchmark module. It is a module of
+# its own (replace repro => ../), so the root go build and go test skip it,
+# yet it imports internal packages: this target catches an internal API
+# change that would break the benchmark. Kept out of check so check does
+# not get slower.
+xrperf-test:
+	cd xrperf && go vet ./... && go test ./...
 
 # fuzz runs each fuzzer for 30s (go's engine takes one fuzzer per
 # invocation). fuzz-smoke is the 10s CI variant wired into check.

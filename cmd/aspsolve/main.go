@@ -169,18 +169,12 @@ func solve(w io.Writer, gp *asp.GroundProgram, cfg config, newSolver func() *asp
 // created (cautious and brave each use their own) in clingo's statistics
 // spirit: one comment line, stable field order.
 func printStats(w io.Writer, solvers []*asp.StableSolver) {
-	var decisions, conflicts, propagations, restarts, assumptionSolves, reductions, deleted int64
+	var st asp.Stats
 	for _, s := range solvers {
-		decisions += s.SatDecisions()
-		conflicts += s.SatConflicts()
-		propagations += s.SatPropagations()
-		restarts += s.SatRestarts()
-		assumptionSolves += s.SatAssumptionSolves()
-		reductions += s.SatReductions()
-		deleted += s.SatClausesDeleted()
+		st = st.Add(s.Stats())
 	}
 	fmt.Fprintf(w, "%% stats: decisions=%d conflicts=%d propagations=%d restarts=%d assumption_solves=%d reductions=%d clauses_deleted=%d\n",
-		decisions, conflicts, propagations, restarts, assumptionSolves, reductions, deleted)
+		st.Decisions, st.Conflicts, st.Propagations, st.Restarts, st.AssumptionSolves, st.Reductions, st.ClausesDeleted)
 }
 
 func printAtoms(w io.Writer, gp *asp.GroundProgram, atoms []asp.AtomID) {

@@ -87,7 +87,8 @@ type StableSolver struct {
 	// excluding an acceptable model). Build literals with AtomLit.
 	Acceptor func(m []bool) [][]Lit
 
-	// Stats
+	// Stable-model layer counters; Stats reports them together with the
+	// CDCL core's.
 	CandidatesTested int
 	StabilityFails   int
 	LoopsLearned     int
@@ -120,13 +121,6 @@ func (s *StableSolver) SetBudget(maxDecisions, maxConflicts int64) {
 
 // Exhausted reports whether the SetBudget limit was reached (sticky).
 func (s *StableSolver) Exhausted() bool { return s.sat.Exhausted() }
-
-// AddTheoryClause adds a clause over program atoms (built with AtomLit) to
-// the solver before or between searches. The clause must be sound for the
-// caller's theory — it must never exclude a model the caller would accept.
-// Used to replay clauses learned by an Acceptor in an earlier solver over
-// the same program.
-func (s *StableSolver) AddTheoryClause(clause []Lit) { s.sat.AddClause(clause...) }
 
 // AtomLit returns the solver literal for an atom, for use in Acceptor
 // clauses.
@@ -1123,30 +1117,64 @@ func (ss *Session) Close() {
 	}
 }
 
-// SatConflicts returns the underlying SAT solver's conflict count.
-func (s *StableSolver) SatConflicts() int64 { return s.sat.Conflicts }
+// Stats is one solve's work counters: the stable-model layer's model
+// accounting followed by the CDCL core's search effort. Field names, types,
+// order and JSON tags are part of the xr TraceEvent wire format, which
+// embeds this struct.
+type Stats struct {
+	CandidatesTested int   `json:"candidates_tested"` // classical models tested for stability
+	StabilityFails   int   `json:"stability_fails"`
+	LoopsLearned     int   `json:"loops_learned"`
+	TheoryRejects    int   `json:"theory_rejects"` // models rejected by the Acceptor
+	Conflicts        int64 `json:"conflicts"`
+	Decisions        int64 `json:"decisions"`
+	Propagations     int64 `json:"propagations"`
+	Restarts         int64 `json:"restarts"`          // SAT search restarts (Luby budget renewals)
+	AssumptionSolves int64 `json:"assumption_solves"` // SAT searches run under assumption literals
+	Reductions       int64 `json:"reductions"`        // clause-database reductions performed
+	ClausesDeleted   int64 `json:"clauses_deleted"`   // learnt clauses deleted by reductions
+}
 
-// SatPropagations returns the underlying SAT solver's propagation count.
-func (s *StableSolver) SatPropagations() int64 { return s.sat.Propagations }
+// Stats returns the solver's cumulative work counters.
+func (s *StableSolver) Stats() Stats {
+	return Stats{
+		CandidatesTested: s.CandidatesTested,
+		StabilityFails:   s.StabilityFails,
+		LoopsLearned:     s.LoopsLearned,
+		TheoryRejects:    s.TheoryRejects,
+		Conflicts:        s.sat.Conflicts,
+		Decisions:        s.sat.Decisions,
+		Propagations:     s.sat.Propagations,
+		Restarts:         s.sat.Restarts,
+		AssumptionSolves: s.sat.AssumptionSolves,
+		Reductions:       s.sat.Reductions,
+		ClausesDeleted:   s.sat.ClausesDeleted,
+	}
+}
 
-// SatDecisions returns the underlying SAT solver's decision count.
-func (s *StableSolver) SatDecisions() int64 { return s.sat.Decisions }
+// Add returns the field-wise sum a + b.
+func (a Stats) Add(b Stats) Stats { return a.plus(b, 1) }
 
-// SatRestarts returns the underlying SAT solver's restart count (Luby
-// budget renewals beyond the first of each search).
-func (s *StableSolver) SatRestarts() int64 { return s.sat.Restarts }
+// Sub returns the field-wise difference a - b: the work done between two
+// Stats snapshots of one solver.
+func (a Stats) Sub(b Stats) Stats { return a.plus(b, -1) }
 
-// SatAssumptionSolves returns how many SAT searches ran under at least
-// one assumption literal.
-func (s *StableSolver) SatAssumptionSolves() int64 { return s.sat.AssumptionSolves }
-
-// SatReductions returns how many clause-database reductions the
-// underlying SAT solver performed.
-func (s *StableSolver) SatReductions() int64 { return s.sat.Reductions }
-
-// SatClausesDeleted returns how many learnt clauses the underlying SAT
-// solver deleted during clause-database reductions.
-func (s *StableSolver) SatClausesDeleted() int64 { return s.sat.ClausesDeleted }
+func (a Stats) plus(b Stats, k int) Stats {
+	k64 := int64(k)
+	return Stats{
+		CandidatesTested: a.CandidatesTested + k*b.CandidatesTested,
+		StabilityFails:   a.StabilityFails + k*b.StabilityFails,
+		LoopsLearned:     a.LoopsLearned + k*b.LoopsLearned,
+		TheoryRejects:    a.TheoryRejects + k*b.TheoryRejects,
+		Conflicts:        a.Conflicts + k64*b.Conflicts,
+		Decisions:        a.Decisions + k64*b.Decisions,
+		Propagations:     a.Propagations + k64*b.Propagations,
+		Restarts:         a.Restarts + k64*b.Restarts,
+		AssumptionSolves: a.AssumptionSolves + k64*b.AssumptionSolves,
+		Reductions:       a.Reductions + k64*b.Reductions,
+		ClausesDeleted:   a.ClausesDeleted + k64*b.ClausesDeleted,
+	}
+}
 
 // PreferTrue sets the decision polarity of the given atoms to true-first.
 // Useful when models are expected to be near-maximal on these atoms (e.g.

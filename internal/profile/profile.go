@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/asp"
 	"repro/internal/telemetry"
 )
 
@@ -97,23 +98,16 @@ func New(cfg Config) *Profiler {
 }
 
 // Solve is one signature solve's contribution: the values of the
-// TraceEvent emitted at the same instrumentation point. On the solver-
-// reuse path the work counters are per-session deltas, which is exactly
-// what should accumulate.
+// TraceEvent emitted at the same instrumentation point. The work counters
+// are per-session deltas on the signature's persistent solver, which is
+// exactly what should accumulate. LoopsLearned and TheoryRejects are not
+// accumulated.
 type Solve struct {
-	Wall             time.Duration
-	Candidates       int
-	CandidatesTested int
-	StabilityFails   int
-	Decisions        int64
-	Conflicts        int64
-	Propagations     int64
-	Restarts         int64
-	AssumptionSolves int64
-	Reductions       int64
-	ClausesDeleted   int64
-	CacheHit         bool
-	SolverReused     bool
+	Wall       time.Duration
+	Candidates int
+	asp.Stats
+	CacheHit     bool
+	SolverReused bool
 }
 
 // counters is the atomic accumulator shared by signature and cluster

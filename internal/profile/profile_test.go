@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/asp"
 	"repro/internal/telemetry"
 )
 
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
-	p.RecordSolve("1", Solve{Wall: time.Millisecond, Decisions: 5})
+	p.RecordSolve("1", Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 5}})
 	p.RecordRetry("1")
 	p.RecordDegraded("1")
 	p.RecordBudgetExhausted("1")
@@ -39,14 +40,17 @@ func TestRecordSolveAggregatesAndAttributesClusters(t *testing.T) {
 	p.SeedCluster(1, 2, 10, 20)
 	p.SeedCluster(2, 3, 30, 40)
 	s := Solve{
-		Wall: 2 * time.Millisecond, Candidates: 4, CandidatesTested: 3,
-		StabilityFails: 1, Decisions: 100, Conflicts: 7, Propagations: 900,
-		Restarts: 2, AssumptionSolves: 5, Reductions: 1, ClausesDeleted: 12,
+		Wall: 2 * time.Millisecond, Candidates: 4,
+		Stats: asp.Stats{
+			CandidatesTested: 3, StabilityFails: 1, Decisions: 100, Conflicts: 7,
+			Propagations: 900, Restarts: 2, AssumptionSolves: 5, Reductions: 1,
+			ClausesDeleted: 12,
+		},
 		CacheHit: true, SolverReused: true,
 	}
 	p.RecordSolve("1,2", s)
-	p.RecordSolve("1,2", Solve{Wall: time.Millisecond, Decisions: 10})
-	p.RecordSolve("2", Solve{Wall: time.Millisecond, Conflicts: 1})
+	p.RecordSolve("1,2", Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 10}})
+	p.RecordSolve("2", Solve{Wall: time.Millisecond, Stats: asp.Stats{Conflicts: 1}})
 	p.RecordRetry("1,2")
 	p.RecordDegraded("2")
 	p.RecordBudgetExhausted("1,2")
@@ -90,7 +94,7 @@ func TestSnapshotMarshalDeterministic(t *testing.T) {
 		p := New(Config{})
 		p.SeedCluster(3, 1, 2, 3)
 		for _, k := range order {
-			p.RecordSolve(k, Solve{Wall: time.Millisecond, Decisions: 7})
+			p.RecordSolve(k, Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 7}})
 		}
 		b, err := p.Snapshot().MarshalIndent()
 		if err != nil {
@@ -111,11 +115,11 @@ func TestMergeRoundTripByteIdentical(t *testing.T) {
 	p.SeedCluster(4, 1, 3, 5)
 	for i := 0; i < 40; i++ {
 		p.RecordSolve("0,4", Solve{
-			Wall:      time.Duration(i%7) * 100 * time.Microsecond,
-			Decisions: int64(i), Conflicts: int64(i % 3), Propagations: int64(10 * i),
+			Wall:     time.Duration(i%7) * 100 * time.Microsecond,
+			Stats:    asp.Stats{Decisions: int64(i), Conflicts: int64(i % 3), Propagations: int64(10 * i)},
 			CacheHit: i%2 == 0, SolverReused: i%5 == 0,
 		})
-		p.RecordSolve("4", Solve{Wall: time.Duration(i) * time.Microsecond, Restarts: 1})
+		p.RecordSolve("4", Solve{Wall: time.Duration(i) * time.Microsecond, Stats: asp.Stats{Restarts: 1}})
 	}
 	p.RecordRetry("0,4")
 	p.RecordDegraded("4")
@@ -203,7 +207,7 @@ func TestConcurrentRecordingIsExact(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				k := keys[(w+i)%len(keys)]
-				p.RecordSolve(k, Solve{Wall: time.Microsecond, Decisions: 2, Conflicts: 1})
+				p.RecordSolve(k, Solve{Wall: time.Microsecond, Stats: asp.Stats{Decisions: 2, Conflicts: 1}})
 				if i%50 == 0 {
 					p.RecordRetry(k)
 					_ = p.Snapshot() // concurrent reads must not race

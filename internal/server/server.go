@@ -514,8 +514,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	inflight := mt.Gauge(telemetry.Labeled("xr_server_inflight", "scenario", scenario))
 	inflight.Add(1)
 	defer inflight.Add(-1)
-	span := telemetry.StartSpan(mt.Histogram(telemetry.Labeled("xr_server_query_seconds", "scenario", scenario)))
-	defer span.End()
+	start := time.Now()
+	defer func() {
+		mt.Histogram(telemetry.Labeled("xr_server_query_seconds", "scenario", scenario)).Observe(time.Since(start))
+	}()
 
 	var ans *repro.Answers
 	if mode == "possible" {

@@ -226,31 +226,6 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sumNs.Load())
 }
 
-// Span times one phase into a histogram. The zero Span is a no-op, so a
-// nil registry yields spans that cost one time.Time comparison to End.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartSpan begins timing into h. A nil histogram yields a no-op span.
-func StartSpan(h *Histogram) Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: time.Now()}
-}
-
-// End records the elapsed time and returns it (0 for a no-op span).
-func (s Span) End() time.Duration {
-	if s.h == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.h.Observe(d)
-	return d
-}
-
 // Labeled builds an instrument name carrying Prometheus-style labels:
 // Labeled("xr_server_queries_total", "scenario", "genome") yields
 // `xr_server_queries_total{scenario="genome"}`. The labeled name is an

@@ -134,9 +134,9 @@ func assertSoundPartial(t *testing.T, full []string, partial *Result) {
 func TestBudgetDegradePartial(t *testing.T) {
 	w, _, full := degradeExchange(t, 4)
 	q := w.queryT()
-	// A fresh exchange: replaying the learned clauses cached by the full
-	// run would let the solver finish by propagation alone, and a budget
-	// counted in decisions would never exhaust.
+	// A fresh exchange: the persistent solvers of the full run keep their
+	// learned clauses, which would let them finish by propagation alone,
+	// and a budget counted in decisions would never exhaust.
 	ex, err := NewExchange(w.m, w.src)
 	if err != nil {
 		t.Fatal(err)
@@ -299,6 +299,72 @@ func TestPanicContainmentParallel(t *testing.T) {
 			t.Fatalf("sibling answer %q lost", s)
 		}
 	}
+}
+
+// TestPoisonedSolverPanicRebuilds drives the poison path: a panic inside
+// one signature's session on its persistent solver fails a strict query
+// with ErrInternal and degrades the signature with cause "panic" under
+// Partial. Either way the solver is discarded, and the next query rebuilds
+// exactly that one and answers like a fresh Exchange.
+func TestPoisonedSolverPanicRebuilds(t *testing.T) {
+	w, _ := conflictFarm(8)
+	q := w.queryT()
+	reg := telemetry.NewRegistry()
+	ex, err := NewExchangeOpts(w.m, w.src, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewExchange(w.m, w.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Parallelism: 8, Partial: true}
+	want, err := fresh.AnswerOpts(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.AnswerOpts(q, opts); err != nil { // build every solver
+		t.Fatal(err)
+	}
+	const key = "0"
+	sabotage := func() {
+		sp, _ := ex.sigProgramFor(key)
+		sp.incMu.Lock()
+		sp.inc.solver = nil // the next session on this signature panics
+		sp.incMu.Unlock()
+	}
+	builds := reg.Counter("xr_solver_reuse_builds_total")
+	requireRebuilt := func(label string) {
+		t.Helper()
+		before := builds.Value()
+		res, err := ex.AnswerOpts(q, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got := builds.Value() - before; got != 1 {
+			t.Fatalf("%s: rebuilt %d solvers, want 1", label, got)
+		}
+		if len(res.Degraded) != 0 || join(tupleStrings(res)) != join(tupleStrings(want)) {
+			t.Fatalf("%s: answers %v (degraded %v), want %v", label, tupleStrings(res), res.Degraded, tupleStrings(want))
+		}
+		requireSameUnknown(t, label, want, res)
+	}
+
+	sabotage()
+	if _, err := ex.AnswerOpts(q, Options{Parallelism: 8}); !errors.Is(err, ErrInternal) {
+		t.Fatalf("strict query after a session panic returned %v, want ErrInternal", err)
+	}
+	requireRebuilt("after strict")
+
+	sabotage()
+	res, err := ex.AnswerOpts(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degraded) != 1 || res.Degraded[0].Signature != key || res.Degraded[0].Cause() != "panic" {
+		t.Fatalf("degraded = %+v, want signature {%s} with cause panic", res.Degraded, key)
+	}
+	requireRebuilt("after partial")
 }
 
 // TestMonolithicPanicContainment: the monolithic engine converts a

@@ -1,6 +1,7 @@
 package xr
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/asp"
@@ -424,10 +425,11 @@ func (x *maxIndex) derivableWith(e *encoder, kept map[chase.FactID]bool, restore
 }
 
 // acceptorWithIndex wires the maximality check onto a solver using a
-// prebuilt derivation index (nil index means nothing to check). learn,
-// when non-nil, receives each learned clause as positive base atoms so the
-// caller can replay it on later solvers over the same base program.
-func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, learn func([]asp.AtomID)) func(m []bool) [][]asp.Lit {
+// prebuilt derivation index (nil index means nothing to check). onLearn,
+// when non-nil, is called once per distinct clause a rejection learns: two
+// deleted facts that could each be restored alone yield the same clause
+// twice, and both copies still go to the solver.
+func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, onLearn func()) func(m []bool) [][]asp.Lit {
 	if x == nil {
 		return nil
 	}
@@ -512,15 +514,14 @@ func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, learn func
 			}
 			// Sort: sup is a map, and clause literal order steers the
 			// solver's watches — sorted clauses keep solver effort (and so
-			// the telemetry counters) deterministic run to run, matching
-			// the order addLearned stores for replay.
+			// the telemetry counters) deterministic run to run.
 			sort.Slice(atoms, func(i, j int) bool { return atoms[i] < atoms[j] })
-			if learn != nil {
-				learn(atoms)
-			}
 			clause := make([]asp.Lit, len(atoms))
 			for i, a := range atoms {
 				clause[i] = s.AtomLit(a, true)
+			}
+			if onLearn != nil && !slices.ContainsFunc(learned, func(c []asp.Lit) bool { return slices.Equal(c, clause) }) {
+				onLearn()
 			}
 			learned = append(learned, clause)
 		}

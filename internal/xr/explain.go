@@ -27,18 +27,17 @@ import (
 // Determinism: the pass builds ONE fresh solver per signature group — a
 // fresh specialization of the frozen base program with every group
 // candidate wired in — and decides the candidates in order, each as an
-// incremental session under its own qa assumption (DESIGN.md §17). There
-// is NO learned-clause replay and NO write into the shared signature
-// cache: replayed clauses arrive in a parallelism-dependent order and
-// steer the SAT search, which would change *which* witness model is
-// found first. Starting every group from the identical clause database,
-// with candidate order fixed by collection order, makes the witnesses —
-// and with them the rendered output — byte-identical at any Parallelism,
-// across cache warm/cold states, and across solver-reuse modes. Within a
-// group, knowledge the solver accumulates (loop formulas, maximality
-// clauses, CDCL learnt clauses) legally carries from one candidate's
-// session to the next, which is what makes the pass cheap enough to
-// serve routinely.
+// incremental session under its own qa assumption (DESIGN.md §17). It
+// never uses the signature's persistent solver: the clauses that solver
+// learned depend on the exchange's query history and steer the SAT
+// search, which would change *which* witness model is found first.
+// Starting every group from the identical clause database, with candidate
+// order fixed by collection order, makes the witnesses — and with them the
+// rendered output — byte-identical at any Parallelism and whatever the
+// exchange answered before. Within a group, knowledge the solver
+// accumulates (loop formulas, maximality clauses, CDCL learnt clauses)
+// legally carries from one candidate's session to the next, which is what
+// makes the pass cheap enough to serve routinely.
 
 // explainGroup explains every candidate of one signature group. A degraded
 // group (out.degraded != nil) yields Unknown explanations without solving;

@@ -8,10 +8,10 @@ import (
 )
 
 // This file implements the persistent per-signature solver behind the
-// default query path (DESIGN.md §17): one StableSolver per cached
+// segmentary query path (DESIGN.md §17): one StableSolver per cached
 // signature program answers every candidate of every query over that
-// signature by swapping incremental sessions, instead of rebuilding a
-// solver and replaying the learned-clause cache per query.
+// signature by swapping incremental sessions, instead of building a
+// solver per query.
 //
 // Why reuse is sound: candidate wiring is a conservative, stratified
 // program extension — each query atom qa is fresh, heads only its own
@@ -41,9 +41,8 @@ type incSolver struct {
 	spec   *encoder          // persistent specialization; its program grows with memoized candidates
 	solver *asp.StableSolver // persistent solver over spec.gp
 
-	cands     map[string]asp.AtomID // candidate body-structure key -> wired query atom
-	installed map[string]bool       // learned-clause keys already on the solver
-	sessions  int64                 // query sessions served so far
+	cands    map[string]asp.AtomID // candidate body-structure key -> wired query atom
+	sessions int64                 // query sessions served so far
 }
 
 // incSolverLocked returns the signature's persistent solver, building it
@@ -55,40 +54,19 @@ func (sp *sigProgram) incSolverLocked(mt *meters) *incSolver {
 	}
 	spec := sp.enc.specialize()
 	sp.inc = &incSolver{
-		spec:      spec,
-		solver:    asp.NewStableSolver(spec.gp),
-		cands:     make(map[string]asp.AtomID),
-		installed: make(map[string]bool),
+		spec:   spec,
+		solver: asp.NewStableSolver(spec.gp),
+		cands:  make(map[string]asp.AtomID),
 	}
 	mt.recordReuseBuild()
 	return sp.inc
 }
 
 // poison discards the persistent solver so the next query rebuilds it
-// from the immutable base program. Called (under incMu) when a panic
-// escapes a reuse solve and the solver state can no longer be trusted.
+// from the immutable base program, without the clauses the old one
+// learned. Called (under incMu) when a panic escapes a session and the
+// solver state can no longer be trusted.
 func (sp *sigProgram) poison() { sp.inc = nil }
-
-// syncLearned installs every recorded maximality clause the solver does
-// not have yet. Clauses learned by the fresh-solve path (or by other
-// exchanges' queries between this signature's solves) become part of the
-// persistent clause database exactly once.
-func (inc *incSolver) syncLearned(sp *sigProgram) {
-	sp.mu.Lock()
-	snapshot := sp.learned[:len(sp.learned):len(sp.learned)]
-	sp.mu.Unlock()
-	for _, lc := range snapshot {
-		if inc.installed[lc.key] {
-			continue
-		}
-		inc.installed[lc.key] = true
-		lits := make([]asp.Lit, len(lc.atoms))
-		for i, a := range lc.atoms {
-			lits[i] = inc.solver.AtomLit(a, true)
-		}
-		inc.solver.AddTheoryClause(lits)
-	}
-}
 
 // wireCandidates resolves each group candidate to its query atom, wiring
 // unseen body structures into the persistent program and extending the

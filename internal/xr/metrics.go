@@ -264,8 +264,8 @@ func (m *meters) recordReuseSession(reused bool) {
 	m.reuseSessions.Inc()
 }
 
-// recordLearned counts one maximality clause newly added to a signature
-// program's learned set (duplicates are not counted).
+// recordLearned counts one distinct maximality clause learned by one
+// acceptor rejection (see acceptorWithIndex).
 func (m *meters) recordLearned() {
 	if m == nil {
 		return

@@ -2,10 +2,12 @@ package xr
 
 import (
 	"encoding/json"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/asp"
 	"repro/internal/logic"
 	"repro/internal/telemetry"
 )
@@ -106,9 +108,7 @@ func TestMetricsMatchTraceEvents(t *testing.T) {
 			snap.Histograms["xr_program_seconds"].Count, res.Stats.Programs)
 	}
 
-	// A second identical query adds only cache hits, never misses, and the
-	// learned-clause counter stays in lockstep with the cache's actual
-	// contents (replayed duplicates are not re-counted).
+	// A second identical query adds only cache hits, never misses.
 	if _, err := ex.AnswerOpts(q, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +116,39 @@ func TestMetricsMatchTraceEvents(t *testing.T) {
 	if got := snap.Counters["xr_sigcache_misses_total"]; got != int64(res.Stats.Programs-res.Stats.CacheHits) {
 		t.Fatalf("second run added cache misses: %d", got)
 	}
-	var totalLearned int64
-	ex.progMu.Lock()
-	for _, sp := range ex.progCache {
-		sp.mu.Lock()
-		totalLearned += int64(len(sp.learned))
-		sp.mu.Unlock()
+}
+
+// TestLearnedClausesCountedOncePerRejection pins what
+// xr_sigcache_learned_clauses_total counts: distinct clauses per acceptor
+// rejection. Deleting both facts of a key conflict makes each restorable
+// alone, so one rejection learns the same clause twice; the solver gets
+// both copies, the counter one.
+func TestLearnedClausesCountedOncePerRejection(t *testing.T) {
+	w := keyConflictWorld()
+	aRel, _ := w.cat.ByName("A")
+	w.add(aRel, "t1", "5")
+	w.add(aRel, "t1", "7")
+	ex, err := NewExchange(w.m, w.src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ex.progMu.Unlock()
-	if got := snap.Counters["xr_sigcache_learned_clauses_total"]; got != totalLearned {
-		t.Fatalf("learned-clause counter = %d, cache holds %d", got, totalLearned)
+	sp, _ := ex.sigProgramFor("0")
+	sp.ensure(ex, []int{0})
+	e := sp.enc
+	if len(e.deletable) != 2 {
+		t.Fatalf("deletable facts = %d, want 2", len(e.deletable))
+	}
+	m := make([]bool, e.gp.NumAtoms())
+	for _, f := range e.deletable {
+		m[e.d[f]] = true
+	}
+	counted := 0
+	clauses := e.acceptorWithIndex(sp.idx, asp.NewStableSolver(e.gp), func() { counted++ })(m)
+	if len(clauses) != 2 || !slices.Equal(clauses[0], clauses[1]) {
+		t.Fatalf("acceptor learned %v, want the same clause twice", clauses)
+	}
+	if counted != 1 {
+		t.Fatalf("counted %d learned clauses, want 1", counted)
 	}
 }
 
@@ -143,7 +166,7 @@ func TestMetricsCounterDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // repeat: cache hits and replay must agree too
+	for i := 0; i < 3; i++ { // repeat: cache hits and warm sessions must agree too
 		if _, err := exSeq.AnswerOpts(q, Options{Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}

@@ -163,24 +163,14 @@ func solveProgram(ctx context.Context, prov *chase.Provenance, rq *logic.UCQ, st
 	kept, hasModel := solver.Cautious(atoms)
 	if trace != nil || mt != nil {
 		ev := TraceEvent{
-			Engine:           "monolithic",
-			Query:            qname,
-			RequestID:        telemetry.RequestIDFromContext(ctx),
-			Candidates:       len(atoms),
-			Atoms:            enc.gp.NumAtoms(),
-			Rules:            len(enc.gp.Rules),
-			CandidatesTested: solver.CandidatesTested,
-			StabilityFails:   solver.StabilityFails,
-			LoopsLearned:     solver.LoopsLearned,
-			TheoryRejects:    solver.TheoryRejects,
-			Conflicts:        solver.SatConflicts(),
-			Decisions:        solver.SatDecisions(),
-			Propagations:     solver.SatPropagations(),
-			Restarts:         solver.SatRestarts(),
-			AssumptionSolves: solver.SatAssumptionSolves(),
-			Reductions:       solver.SatReductions(),
-			ClausesDeleted:   solver.SatClausesDeleted(),
-			Duration:         time.Since(start),
+			Engine:     "monolithic",
+			Query:      qname,
+			RequestID:  telemetry.RequestIDFromContext(ctx),
+			Candidates: len(atoms),
+			Atoms:      enc.gp.NumAtoms(),
+			Rules:      len(enc.gp.Rules),
+			Stats:      solver.Stats(),
+			Duration:   time.Since(start),
 		}
 		mt.recordProgram(ev)
 		if trace != nil {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/asp"
 	"repro/internal/telemetry"
 )
 
@@ -203,24 +204,13 @@ type Options struct {
 	// and must be nil in production use.
 	FaultHook func(site, key string) error
 
-	// DisableSolverReuse selects the fresh-solve query path (segmentary
-	// engines only): every signature group builds a throwaway solver and
-	// replays the signature cache's learned maximality clauses, instead of
-	// running as an incremental session on the signature's persistent
-	// solver (DESIGN.md §17). Answers, Unknown sets, and explanations are
-	// identical either way; the flag exists as an escape hatch and so the
-	// two paths can be compared. The zero value — reuse enabled — is the
-	// fast path.
-	DisableSolverReuse bool
-
 	// Explain makes the segmentary engines attach one Explanation per
 	// candidate tuple to the Result (see internal/explain and DESIGN.md
 	// §13). Explanations are computed in a dedicated deterministic pass —
-	// one fresh solver per signature group, no learned-clause replay, no
-	// persistent-solver reuse — so the output is byte-identical at any
-	// Parallelism, across signature-cache states, and across solver-reuse
-	// modes. The pass costs one witness solve per non-safe candidate;
-	// leave it off (the default) on hot paths.
+	// one fresh solver per signature group, never the persistent one — so
+	// the output is byte-identical at any Parallelism and whatever the
+	// exchange answered before. The pass costs one witness solve per
+	// non-safe candidate; leave it off (the default) on hot paths.
 	Explain bool
 	// Tracer, when non-nil, collects a hierarchical span tree over the call
 	// (exchange sub-phases, the query phase, one child span per signature
@@ -277,21 +267,13 @@ type TraceEvent struct {
 	CacheHit   bool `json:"cache_hit"`  // signature program served from the Exchange cache
 	// SolverReused marks a segmentary solve served as an incremental
 	// session on an already-warm persistent signature solver (DESIGN.md
-	// §17). When set, the solver counters below are per-session deltas
-	// rather than whole-solver totals.
+	// §17), rather than the first session on a freshly built one.
 	SolverReused bool `json:"solver_reused,omitempty"`
 
-	CandidatesTested int   `json:"candidates_tested"` // classical models tested for stability
-	StabilityFails   int   `json:"stability_fails"`
-	LoopsLearned     int   `json:"loops_learned"`
-	TheoryRejects    int   `json:"theory_rejects"` // models rejected by the maximality check
-	Conflicts        int64 `json:"conflicts"`
-	Decisions        int64 `json:"decisions"`
-	Propagations     int64 `json:"propagations"`
-	Restarts         int64 `json:"restarts"`          // SAT search restarts (Luby budget renewals)
-	AssumptionSolves int64 `json:"assumption_solves"` // SAT searches run under assumption literals
-	Reductions       int64 `json:"reductions"`        // clause-database reductions performed
-	ClausesDeleted   int64 `json:"clauses_deleted"`   // learnt clauses deleted by reductions
+	// Stats holds the solver's work counters for this program. Segmentary
+	// solves report per-session deltas on the signature's persistent
+	// solver; the other engines report their throwaway solver's totals.
+	asp.Stats
 
 	Duration time.Duration `json:"duration_ns"`
 }

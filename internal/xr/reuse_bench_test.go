@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/genome"
 )
 
@@ -39,21 +40,7 @@ func benchGroups(b *testing.B, profile string) (*Exchange, []string, []*sigGroup
 	if err != nil {
 		b.Fatal(err)
 	}
-	groups := make(map[string]*sigGroup)
-	var keys []string
-	for _, c := range collectCandidates(rq, ex.Prov) {
-		if ex.safeCandidate(c) {
-			continue
-		}
-		key, sig := ex.signature(c)
-		g, okG := groups[key]
-		if !okG {
-			g = &sigGroup{sig: sig}
-			groups[key] = g
-			keys = append(keys, key)
-		}
-		g.cands = append(g.cands, c)
-	}
+	keys, groups := ex.partition(collectCandidates(rq, ex.Prov), &Result{Answers: cq.NewAnswerSet()})
 	ordered := make([]*sigGroup, len(keys))
 	for i, k := range keys {
 		sp, _ := ex.sigProgramFor(k)
@@ -67,60 +54,43 @@ func benchGroups(b *testing.B, profile string) (*Exchange, []string, []*sigGroup
 }
 
 // BenchmarkIncrementalSolve measures the per-signature solve stage of the
-// genome multi-candidate join ep3 across the size axis, in three variants:
+// genome multi-candidate join ep3 across the size axis, in two variants:
 //
-//   - cold: a throwaway solver per signature, no learned clauses to
-//     replay (first-ever query on the signature);
-//   - warm-cache: a throwaway solver per signature with learned-clause
-//     replay from the warm signature cache (the pre-§17 fast path);
+//   - cold: a throwaway solver per signature (freshSolve, the test
+//     reference; the first-ever query on the signature);
 //   - persistent: one persistent solver per signature answering via an
 //     assumption session, clause database held in place.
 //
-// Grounding and candidate collection are excluded from all variants; see
+// Grounding and candidate collection are excluded from both variants; see
 // BenchmarkSignatureCache (root) for the end-to-end query cost.
 func BenchmarkIncrementalSolve(b *testing.B) {
 	ctx := context.Background()
 	for _, profile := range []string{"S3", "M3", "L3"} {
-		solveAll := func(b *testing.B, ex *Exchange, keys []string, gs []*sigGroup, opts *Options) {
-			mt := newMeters(nil)
-			for i, g := range gs {
-				sp, _ := ex.sigProgramFor(keys[i])
-				var sv *sigSolve
-				if opts.DisableSolverReuse {
-					sv = ex.solveSigFresh(ctx, sp, g, false, opts, mt, 1)
-				} else {
-					sv = ex.solveSigReuse(ctx, sp, g, false, opts, mt, 1)
-				}
-				if !sv.hasModel {
-					b.Fatal("signature program has no stable model")
-				}
-			}
-		}
 		b.Run("cold/"+profile, func(b *testing.B) {
-			opts := (Options{DisableSolverReuse: true}).serialized()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				ex, keys, gs := benchGroups(b, profile)
 				b.StartTimer()
-				solveAll(b, ex, keys, gs, &opts)
-			}
-		})
-		b.Run("warm-cache/"+profile, func(b *testing.B) {
-			opts := (Options{DisableSolverReuse: true}).serialized()
-			ex, keys, gs := benchGroups(b, profile)
-			solveAll(b, ex, keys, gs, &opts) // warm the learned-clause ledger
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				solveAll(b, ex, keys, gs, &opts)
+				for j, g := range gs {
+					freshSolve(b, ex, keys[j], g, false)
+				}
 			}
 		})
 		b.Run("persistent/"+profile, func(b *testing.B) {
 			opts := (Options{}).serialized()
 			ex, keys, gs := benchGroups(b, profile)
-			solveAll(b, ex, keys, gs, &opts) // build the persistent solvers
+			solveAll := func() {
+				for j, g := range gs {
+					sp, _ := ex.sigProgramFor(keys[j])
+					if sv := ex.solveSigReuse(ctx, sp, g, false, &opts, nil, 1); !sv.hasModel {
+						b.Fatal("signature program has no stable model")
+					}
+				}
+			}
+			solveAll() // build the persistent solvers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				solveAll(b, ex, keys, gs, &opts)
+				solveAll()
 			}
 		})
 	}

@@ -1,29 +1,95 @@
 package xr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/asp"
+	"repro/internal/cq"
 	"repro/internal/genome"
+	"repro/internal/logic"
 	"repro/internal/telemetry"
 	"repro/internal/testkit"
 )
 
 // This file pins the central contract of the persistent-solver path
-// (DESIGN.md §17): answers, Unknown sets, per-query stats, and rendered
-// explanations are byte-identical between the solver-reuse path (the
-// default) and the fresh-solve path (DisableSolverReuse), at any
-// parallelism, on cold and warm caches.
+// (DESIGN.md §17): answers, Unknown sets, and per-query stats are
+// byte-identical to a reference that decides every signature group on a
+// throwaway solver (freshResult), at any parallelism, on cold and warm
+// exchanges; rendered explanations do not depend on what the exchange
+// answered before.
 
-// requireCrossModeResult compares a fresh-path and a reuse-path result.
-// Answers and every decision-relevant stat must match exactly. The two
-// grounding-size stats are compared as an envelope instead: the fresh path
-// reports a throwaway per-query program while the persistent solver
-// honestly reports its accumulated program (base + every candidate wired
-// so far), so the absolute rule/atom totals legitimately differ while
-// remaining deterministic within each mode.
+// freshResult is the reference the persistent solver is checked against.
+// It answers q on ex like the segmentary query phase, but decides every
+// signature group on a throwaway solver over a clone of the cached base
+// program, with nothing carried over from earlier queries. It supports no
+// budgets, explanations or tracing.
+func freshResult(t testing.TB, ex *Exchange, q *logic.UCQ, brave bool, par int) *Result {
+	t.Helper()
+	rq, err := ex.Red.RewriteQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Query: q, Answers: cq.NewAnswerSet()}
+	cands := collectCandidates(rq, ex.Prov)
+	res.Stats.Candidates = len(cands)
+	keys, groups := ex.partition(cands, res)
+	outs := make([]*groupOutcome, len(keys))
+	if err := forEach(context.Background(), par, len(keys), func(_ context.Context, i int) error {
+		outs[i] = freshSolve(t, ex, keys[i], groups[keys[i]], brave)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range outs {
+		res.merge(out)
+	}
+	return res
+}
+
+// freshSolve decides one signature group on a throwaway solver.
+func freshSolve(t testing.TB, ex *Exchange, key string, g *sigGroup, brave bool) *groupOutcome {
+	sp, hit := ex.sigProgramFor(key)
+	sp.ensure(ex, g.sig)
+	spec := sp.enc.specialize()
+	var atoms []asp.AtomID
+	var live []*candidate
+	for _, c := range g.cands {
+		if qa, ok := spec.addCandidate(c); ok {
+			atoms = append(atoms, qa)
+			live = append(live, c)
+		}
+	}
+	solver := asp.NewStableSolver(spec.gp)
+	solver.Acceptor = spec.acceptorWithIndex(sp.idx, solver, nil)
+	solve := solver.Cautious
+	if brave {
+		solve = solver.Brave
+	}
+	kept, ok := solve(atoms)
+	if !ok {
+		t.Errorf("signature {%s}: program has no stable model", key)
+	}
+	out := &groupOutcome{rules: len(spec.gp.Rules), atoms: spec.gp.NumAtoms(), cacheHit: hit}
+	for i, c := range live {
+		if slices.Contains(kept, atoms[i]) {
+			out.tuples = append(out.tuples, c.tuple)
+		}
+	}
+	return out
+}
+
+// requireCrossModeResult compares a fresh-reference and a reuse-path
+// result. Answers and every decision-relevant stat must match exactly. The
+// two grounding-size stats are compared as an envelope instead: the
+// reference reports a throwaway per-query program while the persistent
+// solver honestly reports its accumulated program (base + every candidate
+// wired so far), so the absolute rule/atom totals legitimately differ
+// while remaining deterministic within each mode.
 func requireCrossModeResult(t *testing.T, label string, fresh, reuse *Result) {
 	t.Helper()
 	fT, rT := tupleStrings(fresh), tupleStrings(reuse)
@@ -86,10 +152,7 @@ func TestReuseMatchesFreshConflictFarm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fa, err := exFresh.AnswerOpts(q, Options{Parallelism: par, DisableSolverReuse: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			fa := freshResult(t, exFresh, q, false, par)
 			requireCrossModeResult(t, label+" answer", fa, ra)
 			requireSameUnknown(t, label+" answer", fa, ra)
 
@@ -97,10 +160,7 @@ func TestReuseMatchesFreshConflictFarm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp, err := exFresh.PossibleOpts(q, Options{Parallelism: par, DisableSolverReuse: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			fp := freshResult(t, exFresh, q, true, par)
 			requireCrossModeResult(t, label+" possible", fp, rp)
 			requireSameUnknown(t, label+" possible", fp, rp)
 		}
@@ -108,7 +168,7 @@ func TestReuseMatchesFreshConflictFarm(t *testing.T) {
 }
 
 // TestReuseMatchesFreshGenome runs the full genome query suite on the S3
-// and M3 profiles against both solver paths at several parallelism levels.
+// and M3 profiles against the reference at several parallelism levels.
 // The reuse exchange keeps one persistent solver per signature across the
 // whole suite, so by the later queries it is deep into incremental
 // territory (hundreds of sessions, memoized candidates, shared learnts).
@@ -141,10 +201,7 @@ func TestReuseMatchesFreshGenome(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s reuse: %v", name, q.Name, err)
 			}
-			f, err := exFresh.AnswerOpts(q, Options{Parallelism: par, DisableSolverReuse: true})
-			if err != nil {
-				t.Fatalf("%s/%s fresh: %v", name, q.Name, err)
-			}
+			f := freshResult(t, exFresh, q, false, par)
 			requireCrossModeResult(t, name+"/"+q.Name, f, r)
 			requireSameUnknown(t, name+"/"+q.Name, f, r)
 		}
@@ -152,8 +209,9 @@ func TestReuseMatchesFreshGenome(t *testing.T) {
 }
 
 // TestReuseExplanationsIdentical: rendered explanations are byte-identical
-// between reuse modes and across parallelism — the explain pass runs on its
-// own per-group solver regardless of the query path.
+// across parallelism and between a cold exchange and one whose persistent
+// solvers already answered the whole suite — the explain pass runs on its
+// own per-group solver whatever the query path learned.
 func TestReuseExplanationsIdentical(t *testing.T) {
 	world, err := genome.NewWorld()
 	if err != nil {
@@ -166,35 +224,37 @@ func TestReuseExplanationsIdentical(t *testing.T) {
 	p, _ := genome.ProfileByName("S3", 0.02)
 	src := genome.Generate(world, p)
 	want := map[string]string{}
-	for _, reuse := range []bool{true, false} {
+	for _, warm := range []bool{false, true} {
 		for _, par := range []int{1, runtime.NumCPU()} {
 			ex, err := NewExchange(world.M, src)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if warm {
+				for _, q := range queries {
+					if _, err := ex.AnswerOpts(q, Options{Parallelism: par}); err != nil {
+						t.Fatalf("%s warm-up: %v", q.Name, err)
+					}
+				}
+			}
 			for _, q := range queries {
-				res, err := ex.AnswerOpts(q, Options{
-					Parallelism:        par,
-					Explain:            true,
-					DisableSolverReuse: !reuse,
-				})
+				res, err := ex.AnswerOpts(q, Options{Parallelism: par, Explain: true})
 				if err != nil {
-					t.Fatalf("%s reuse=%v: %v", q.Name, reuse, err)
+					t.Fatalf("%s warm=%v: %v", q.Name, warm, err)
 				}
 				got := renderAll(world.Cat, world.U, ex, res)
-				key := q.Name
-				if prev, ok := want[key]; !ok {
-					want[key] = got
+				if prev, ok := want[q.Name]; !ok {
+					want[q.Name] = got
 				} else if got != prev {
-					t.Fatalf("%s: explanations diverge (reuse=%v par=%d):\n%s\n-- want --\n%s",
-						q.Name, reuse, par, got, prev)
+					t.Fatalf("%s: explanations diverge (warm=%v par=%d):\n%s\n-- want --\n%s",
+						q.Name, warm, par, got, prev)
 				}
 			}
 		}
 	}
 }
 
-// TestReuseMatchesFreshRandom cross-validates both paths on random
+// TestReuseMatchesFreshRandom cross-validates against the reference on random
 // weakly-acyclic mappings, instances, and queries (the PR 4 generator),
 // re-asking each query so the reuse path serves warm sessions.
 func TestReuseMatchesFreshRandom(t *testing.T) {
@@ -219,10 +279,7 @@ func TestReuseMatchesFreshRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s reuse: %v", label, err)
 				}
-				f, err := exFresh.AnswerOpts(q, Options{Parallelism: par, DisableSolverReuse: true})
-				if err != nil {
-					t.Fatalf("%s fresh: %v", label, err)
-				}
+				f := freshResult(t, exFresh, q, false, par)
 				requireCrossModeResult(t, label, f, r)
 				requireSameUnknown(t, label, f, r)
 			}
@@ -269,14 +326,18 @@ func TestReuseObservable(t *testing.T) {
 		t.Fatal("xr_solver_assumption_solves_total did not move")
 	}
 
-	// The fresh path must not touch the reuse counters further.
+	// A repeat serves every signature as a warm session on its existing
+	// solver: sessions grow by one per program, builds not at all.
 	builds := reg.Counter("xr_solver_reuse_builds_total").Value()
 	sessions := reg.Counter("xr_solver_reuse_sessions_total").Value()
-	if _, err := ex.AnswerOpts(q, Options{DisableSolverReuse: true}); err != nil {
+	res, err := ex.AnswerOpts(q, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter("xr_solver_reuse_builds_total").Value() != builds ||
-		reg.Counter("xr_solver_reuse_sessions_total").Value() != sessions {
-		t.Fatal("fresh-solve path moved the solver-reuse counters")
+	if got := reg.Counter("xr_solver_reuse_builds_total").Value(); got != builds {
+		t.Fatalf("warm repeat built %d solvers", got-builds)
+	}
+	if got := reg.Counter("xr_solver_reuse_sessions_total").Value(); got != sessions+int64(res.Stats.Programs) {
+		t.Fatalf("warm repeat added %d sessions, want %d", got-sessions, res.Stats.Programs)
 	}
 }

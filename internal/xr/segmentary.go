@@ -335,8 +335,8 @@ func (ex *Exchange) PossibleOpts(q *logic.UCQ, opts Options) (*Result, error) {
 // order independent (AnswerSet iterates in sorted key order) and every
 // per-group stat is a pure function of the group, so totals agree with the
 // sequential path. Cautious/brave consequences are semantically determined
-// by the program, so learned-clause replay and solver scheduling can only
-// change solving effort, never the answers.
+// by the program, so what the persistent solvers learned earlier and solver
+// scheduling can only change solving effort, never the answers.
 func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, error) {
 	start := time.Now()
 	opts = opts.serialized()
@@ -374,26 +374,7 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	}
 	cands := collectCandidates(rq, ex.Prov)
 	res.Stats.Candidates = len(cands)
-
-	// Partition candidates: safe-accepted vs signature groups.
-	groups := make(map[string]*sigGroup)
-	keys := make([]string, 0, len(groups))
-	for _, c := range cands {
-		if ex.safeCandidate(c) {
-			res.Answers.Add(c.tuple)
-			res.Stats.SafeAccepted++
-			continue
-		}
-		key, sig := ex.signature(c)
-		g, ok := groups[key]
-		if !ok {
-			g = &sigGroup{sig: sig}
-			groups[key] = g
-			keys = append(keys, key)
-		}
-		g.cands = append(g.cands, c)
-	}
-	sort.Strings(keys)
+	keys, groups := ex.partition(cands, res)
 
 	// Solve one program per signature, fanning out across the pool. With
 	// Options.Explain, each worker also runs the deterministic explanation
@@ -426,26 +407,7 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 		return nil, fmt.Errorf("xr: query %s: %w", q.Name, ferr)
 	}
 	for _, out := range outcomes {
-		res.Stats.Retries += out.retries
-		if out.degraded != nil {
-			res.Degraded = append(res.Degraded, *out.degraded)
-			for _, t := range out.unknown {
-				res.Unknown.Add(t)
-			}
-			res.Stats.DegradedSignatures++
-			res.Stats.UnknownTuples += len(out.unknown)
-			continue
-		}
-		for _, t := range out.tuples {
-			res.Answers.Add(t)
-		}
-		res.Stats.SolverAccepted += len(out.tuples)
-		res.Stats.Programs++
-		res.Stats.GroundRules += out.rules
-		res.Stats.GroundAtoms += out.atoms
-		if out.cacheHit {
-			res.Stats.CacheHits++
-		}
+		res.merge(out)
 	}
 	if opts.Explain {
 		// Explanations follow candidate collection order (deterministic):
@@ -467,6 +429,54 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	}
 	mt.recordDegradation(res.Stats.DegradedSignatures)
 	return res, nil
+}
+
+// partition accepts the safe candidates into res and groups the rest by
+// fact signature, returning the group keys in canonical order.
+func (ex *Exchange) partition(cands []*candidate, res *Result) ([]string, map[string]*sigGroup) {
+	groups := make(map[string]*sigGroup)
+	var keys []string
+	for _, c := range cands {
+		if ex.safeCandidate(c) {
+			res.Answers.Add(c.tuple)
+			res.Stats.SafeAccepted++
+			continue
+		}
+		key, sig := ex.signature(c)
+		g, ok := groups[key]
+		if !ok {
+			g = &sigGroup{sig: sig}
+			groups[key] = g
+			keys = append(keys, key)
+		}
+		g.cands = append(g.cands, c)
+	}
+	sort.Strings(keys)
+	return keys, groups
+}
+
+// merge folds one signature group's outcome into the result.
+func (res *Result) merge(out *groupOutcome) {
+	res.Stats.Retries += out.retries
+	if out.degraded != nil {
+		res.Degraded = append(res.Degraded, *out.degraded)
+		for _, t := range out.unknown {
+			res.Unknown.Add(t)
+		}
+		res.Stats.DegradedSignatures++
+		res.Stats.UnknownTuples += len(out.unknown)
+		return
+	}
+	for _, t := range out.tuples {
+		res.Answers.Add(t)
+	}
+	res.Stats.SolverAccepted += len(out.tuples)
+	res.Stats.Programs++
+	res.Stats.GroundRules += out.rules
+	res.Stats.GroundAtoms += out.atoms
+	if out.cacheHit {
+		res.Stats.CacheHits++
+	}
 }
 
 // groupOutcome is the result of solving one signature group, merged into
@@ -534,10 +544,9 @@ func retryableSigErr(err error) bool {
 	return errors.Is(err, ErrBudget) || errors.Is(err, ErrTimeout)
 }
 
-// sigSolve is the outcome of one signature solve, common to the fresh and
-// reuse paths: the decided candidates, the program size, the solver's
-// termination state, and the per-solve counter contributions (absolute on
-// a throwaway solver, deltas on a persistent one).
+// sigSolve is the outcome of one signature session: the decided
+// candidates, the program size, the solver's termination state, and the
+// session's work counters.
 type sigSolve struct {
 	atoms    []asp.AtomID
 	live     []*candidate
@@ -548,25 +557,16 @@ type sigSolve struct {
 
 	canceled  bool
 	exhausted bool
-	reused    bool // served by an already-built persistent solver
-
-	candidatesTested int
-	stabilityFails   int
-	loopsLearned     int
-	theoryRejects    int
-
-	decisions, conflicts, propagations, restarts int64
-	assumptionSolves, reductions, clausesDeleted int64
+	reused    bool      // served by an already-built persistent solver
+	stats     asp.Stats // per-session deltas on the persistent solver
 }
 
 // solveSigAttempt solves one signature group once: fetch (or build) the
-// cached base program and run cautious or brave reasoning under the
-// per-signature budget scaled by scale — on the signature's persistent
-// incremental solver by default, or on a throwaway solver with
-// learned-clause replay under Options.DisableSolverReuse. Panics are
-// converted to *InternalError (the worker pool must never crash the
-// process); a panic on the reuse path additionally poisons the persistent
-// solver so the next query rebuilds it.
+// cached base program and run cautious or brave reasoning on the
+// signature's persistent incremental solver under the per-signature budget
+// scaled by scale. Panics are converted to *InternalError (the worker pool
+// must never crash the process); a panic inside the solver session also
+// poisons the persistent solver, so the next query rebuilds it.
 func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup, brave bool, opts *Options, mt *meters, qname string, parent telemetry.SpanID, lane int, scale int64) (out *groupOutcome, err error) {
 	defer recoverInternal("segmentary signature {"+key+"}", &err)
 	start := time.Now()
@@ -603,12 +603,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 			return nil, fmt.Errorf("solving signature program: %w", herr)
 		}
 	}
-	var sv *sigSolve
-	if opts.DisableSolverReuse {
-		sv = ex.solveSigFresh(ctx, sp, g, brave, opts, mt, scale)
-	} else {
-		sv = ex.solveSigReuse(ctx, sp, g, brave, opts, mt, scale)
-	}
+	sv := ex.solveSigReuse(ctx, sp, g, brave, opts, mt, scale)
 	// A cut-short session must be discarded: cautious narrowing
 	// over-approximates and brave marking under-approximates when the
 	// solver stops early.
@@ -649,52 +644,34 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 	} else {
 		span.Arg("cache", "miss")
 	}
-	span.ArgInt("decisions", sv.decisions)
-	span.ArgInt("conflicts", sv.conflicts)
+	span.ArgInt("decisions", sv.stats.Decisions)
+	span.ArgInt("conflicts", sv.stats.Conflicts)
 	if opts.Trace != nil || mt != nil || ex.prof != nil {
 		engine := "segmentary"
 		if brave {
 			engine = "segmentary-brave"
 		}
 		ev := TraceEvent{
-			Engine:           engine,
-			Query:            qname,
-			Signature:        g.sig,
-			SignatureKey:     key,
-			RequestID:        telemetry.RequestIDFromContext(ctx),
-			Candidates:       len(sv.atoms),
-			Atoms:            out.atoms,
-			Rules:            out.rules,
-			CacheHit:         hit,
-			SolverReused:     sv.reused,
-			CandidatesTested: sv.candidatesTested,
-			StabilityFails:   sv.stabilityFails,
-			LoopsLearned:     sv.loopsLearned,
-			TheoryRejects:    sv.theoryRejects,
-			Conflicts:        sv.conflicts,
-			Decisions:        sv.decisions,
-			Propagations:     sv.propagations,
-			Restarts:         sv.restarts,
-			AssumptionSolves: sv.assumptionSolves,
-			Reductions:       sv.reductions,
-			ClausesDeleted:   sv.clausesDeleted,
-			Duration:         time.Since(start),
+			Engine:       engine,
+			Query:        qname,
+			Signature:    g.sig,
+			SignatureKey: key,
+			RequestID:    telemetry.RequestIDFromContext(ctx),
+			Candidates:   len(sv.atoms),
+			Atoms:        out.atoms,
+			Rules:        out.rules,
+			CacheHit:     hit,
+			SolverReused: sv.reused,
+			Stats:        sv.stats,
+			Duration:     time.Since(start),
 		}
 		mt.recordProgram(ev)
 		ex.prof.RecordSolve(key, profile.Solve{
-			Wall:             ev.Duration,
-			Candidates:       ev.Candidates,
-			CandidatesTested: ev.CandidatesTested,
-			StabilityFails:   ev.StabilityFails,
-			Decisions:        ev.Decisions,
-			Conflicts:        ev.Conflicts,
-			Propagations:     ev.Propagations,
-			Restarts:         ev.Restarts,
-			AssumptionSolves: ev.AssumptionSolves,
-			Reductions:       ev.Reductions,
-			ClausesDeleted:   ev.ClausesDeleted,
-			CacheHit:         ev.CacheHit,
-			SolverReused:     ev.SolverReused,
+			Wall:         ev.Duration,
+			Candidates:   ev.Candidates,
+			Stats:        ev.Stats,
+			CacheHit:     ev.CacheHit,
+			SolverReused: ev.SolverReused,
 		})
 		if opts.Trace != nil {
 			opts.Trace(ev)
@@ -703,66 +680,11 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 	return out, nil
 }
 
-// solveSigFresh is the fresh-solve path (Options.DisableSolverReuse):
-// specialize a throwaway clone with this query's candidates, replay the
-// maximality clauses learned so far, and run the query on a solver that
-// is discarded afterwards.
-func (ex *Exchange) solveSigFresh(ctx context.Context, sp *sigProgram, g *sigGroup, brave bool, opts *Options, mt *meters, scale int64) *sigSolve {
-	spec := sp.enc.specialize()
-	sv := &sigSolve{
-		atoms: make([]asp.AtomID, 0, len(g.cands)),
-		live:  make([]*candidate, 0, len(g.cands)),
-	}
-	for _, c := range g.cands {
-		qa, any := spec.addCandidate(c)
-		if !any {
-			continue
-		}
-		sv.atoms = append(sv.atoms, qa)
-		sv.live = append(sv.live, c)
-	}
-
-	solver := asp.NewStableSolver(spec.gp)
-	solver.SetContext(ctx)
-	if opts.MaxDecisions > 0 || opts.MaxConflicts > 0 {
-		solver.SetBudget(opts.MaxDecisions*scale, opts.MaxConflicts*scale)
-	}
-	sp.replayInto(solver)
-	solver.Acceptor = spec.acceptorWithIndex(sp.idx, solver, func(clause []asp.AtomID) {
-		if _, isNew := sp.addLearned(clause); isNew {
-			mt.recordLearned()
-		}
-	})
-
-	if brave {
-		sv.kept, sv.hasModel = solver.Brave(sv.atoms)
-	} else {
-		sv.kept, sv.hasModel = solver.Cautious(sv.atoms)
-	}
-	sv.rules = len(spec.gp.Rules)
-	sv.numAtoms = spec.gp.NumAtoms()
-	sv.canceled = solver.Canceled()
-	sv.exhausted = solver.Exhausted()
-	sv.candidatesTested = solver.CandidatesTested
-	sv.stabilityFails = solver.StabilityFails
-	sv.loopsLearned = solver.LoopsLearned
-	sv.theoryRejects = solver.TheoryRejects
-	sv.decisions = solver.SatDecisions()
-	sv.conflicts = solver.SatConflicts()
-	sv.propagations = solver.SatPropagations()
-	sv.restarts = solver.SatRestarts()
-	sv.assumptionSolves = solver.SatAssumptionSolves()
-	sv.reductions = solver.SatReductions()
-	sv.clausesDeleted = solver.SatClausesDeleted()
-	return sv
-}
-
-// solveSigReuse is the default path: run the query as one incremental
-// session on the signature's persistent solver (see incremental.go).
-// Candidates are memoized into the persistent program, learned clauses
-// not yet installed are synced in, and the session's activation literal
-// scopes every query-local clause, so the solver — and everything it
-// learned — survives for the next query. The whole solve holds incMu,
+// solveSigReuse runs the query as one incremental session on the
+// signature's persistent solver (see incremental.go). Candidates are
+// memoized into the persistent program, and the session's activation
+// literal scopes every query-local clause, so the solver — and everything
+// it learned — survives for the next query. The whole solve holds incMu,
 // serializing concurrent queries over the same signature. Counters are
 // reported as per-session deltas. A panic poisons the persistent solver
 // before propagating, so a later query rebuilds it from the immutable
@@ -780,7 +702,6 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	sv = &sigSolve{reused: inc.sessions > 0}
 	inc.sessions++
 	mt.recordReuseSession(sv.reused)
-	inc.syncLearned(sp)
 	sv.atoms, sv.live = inc.wireCandidates(g)
 
 	solver := inc.solver
@@ -788,29 +709,9 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	// Always re-arm: the budget is measured from here, and re-arming clears
 	// the exhausted latch a previous query's cut-short session left behind.
 	solver.SetBudget(opts.MaxDecisions*scale, opts.MaxConflicts*scale)
-	solver.Acceptor = inc.spec.acceptorWithIndex(sp.idx, solver, func(clause []asp.AtomID) {
-		key, isNew := sp.addLearned(clause)
-		if isNew {
-			mt.recordLearned()
-		}
-		// The acceptor already added the clause to this solver; record that
-		// so syncLearned never re-installs it.
-		inc.installed[key] = true
-	})
+	solver.Acceptor = inc.spec.acceptorWithIndex(sp.idx, solver, mt.recordLearned)
 
-	base := sigSolve{
-		candidatesTested: solver.CandidatesTested,
-		stabilityFails:   solver.StabilityFails,
-		loopsLearned:     solver.LoopsLearned,
-		theoryRejects:    solver.TheoryRejects,
-		decisions:        solver.SatDecisions(),
-		conflicts:        solver.SatConflicts(),
-		propagations:     solver.SatPropagations(),
-		restarts:         solver.SatRestarts(),
-		assumptionSolves: solver.SatAssumptionSolves(),
-		reductions:       solver.SatReductions(),
-		clausesDeleted:   solver.SatClausesDeleted(),
-	}
+	before := solver.Stats()
 	sess := solver.StartSession(nil)
 	if brave {
 		sv.kept, sv.hasModel = sess.Brave(sv.atoms)
@@ -823,17 +724,7 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	sv.numAtoms = inc.spec.gp.NumAtoms()
 	sv.canceled = solver.Canceled()
 	sv.exhausted = solver.Exhausted()
-	sv.candidatesTested = solver.CandidatesTested - base.candidatesTested
-	sv.stabilityFails = solver.StabilityFails - base.stabilityFails
-	sv.loopsLearned = solver.LoopsLearned - base.loopsLearned
-	sv.theoryRejects = solver.TheoryRejects - base.theoryRejects
-	sv.decisions = solver.SatDecisions() - base.decisions
-	sv.conflicts = solver.SatConflicts() - base.conflicts
-	sv.propagations = solver.SatPropagations() - base.propagations
-	sv.restarts = solver.SatRestarts() - base.restarts
-	sv.assumptionSolves = solver.SatAssumptionSolves() - base.assumptionSolves
-	sv.reductions = solver.SatReductions() - base.reductions
-	sv.clausesDeleted = solver.SatClausesDeleted() - base.clausesDeleted
+	sv.stats = solver.Stats().Sub(before)
 	return sv
 }
 
@@ -950,23 +841,13 @@ func (ex *Exchange) RepairsOpts(limit int, opts Options) (repairs []*instance.In
 	mt.recordRepairs(len(out))
 	if opts.Trace != nil || mt != nil {
 		ev := TraceEvent{
-			Engine:           "repairs",
-			RequestID:        telemetry.RequestIDFromContext(ctx),
-			Candidates:       len(srcVars),
-			Atoms:            enc.gp.NumAtoms(),
-			Rules:            len(enc.gp.Rules),
-			CandidatesTested: solver.CandidatesTested,
-			StabilityFails:   solver.StabilityFails,
-			LoopsLearned:     solver.LoopsLearned,
-			TheoryRejects:    solver.TheoryRejects,
-			Conflicts:        solver.SatConflicts(),
-			Decisions:        solver.SatDecisions(),
-			Propagations:     solver.SatPropagations(),
-			Restarts:         solver.SatRestarts(),
-			AssumptionSolves: solver.SatAssumptionSolves(),
-			Reductions:       solver.SatReductions(),
-			ClausesDeleted:   solver.SatClausesDeleted(),
-			Duration:         time.Since(start),
+			Engine:     "repairs",
+			RequestID:  telemetry.RequestIDFromContext(ctx),
+			Candidates: len(srcVars),
+			Atoms:      enc.gp.NumAtoms(),
+			Rules:      len(enc.gp.Rules),
+			Stats:      solver.Stats(),
+			Duration:   time.Since(start),
 		}
 		mt.recordProgram(ev)
 		if opts.Trace != nil {

@@ -1,68 +1,46 @@
 package xr
 
 import (
-	"sort"
-	"strings"
 	"sync"
 
-	"repro/internal/asp"
 	"repro/internal/chase"
 )
 
 // sigProgram is one cached signature program: the base grounding of the
-// Theorem 4 sub-world restricted to a signature's focus, plus everything
-// learned about it so far. An Exchange keeps one entry per canonical
+// Theorem 4 sub-world restricted to a signature's focus, plus the
+// signature's persistent solver. An Exchange keeps one entry per canonical
 // signature key, so repeated queries over the same exchange reuse the
 // grounding instead of re-encoding it.
 //
 // Reuse is safe because an Exchange is immutable after NewExchange: the
 // provenance, clusters, and safe split never change, so the base program
-// of a signature is a pure function of its key. Per-query candidate atoms
-// are wired into an independent clone of the base program (the shared atom
-// tables are frozen by buildFocused, so candidate wiring only reads them),
-// and each query gets a fresh solver — solver state is spent by
-// Cautious/Brave and is never shared.
-//
-// The maximality clauses learned by one query's acceptor ARE shared: each
-// clause r(f) ∨ ⋁ r(g) states a model-independent fact about the base
-// program's source repairs ("no repair deletes f together with all of
-// {g}"), so replaying it on a later solver over the same base program
-// prunes non-repairs without excluding any repair.
+// of a signature is a pure function of its key. Candidate atoms are wired
+// into specializations of the base program — the persistent solver's,
+// which grows with every new candidate, and the explain pass's throwaway
+// ones — and the shared atom tables are frozen by buildFocused, so
+// candidate wiring only reads them.
 type sigProgram struct {
 	build sync.Once
 	enc   *encoder  // frozen base encoder (program without candidates)
 	idx   *maxIndex // derivation index for the maximality acceptor
 
-	mu      sync.Mutex
-	seen    map[string]bool
-	learned []learnedClause // all-positive clauses over base "remains" atoms
-
 	// incMu guards inc, the signature's persistent incremental solver
-	// (see incremental.go). Queries reusing the solver serialize on it for
-	// the duration of their solve; the fresh-solve path and the explain
-	// pass never take it.
+	// (see incremental.go). Queries serialize on it for the duration of
+	// their solve; the explain pass never takes it.
 	incMu sync.Mutex
 	inc   *incSolver
 }
 
-// learnedClause is one recorded maximality clause together with its
-// canonical dedup key (sorted atom ids, comma-joined), which doubles as
-// the installation ledger key for persistent solvers.
-type learnedClause struct {
-	key   string
-	atoms []asp.AtomID
-}
-
 // sigProgramFor returns the cache entry for a canonical signature key,
 // reporting whether it already existed (a hit reuses the base grounding
-// and the maximality clauses learned so far).
+// and the persistent solver with everything it learned so far).
 func (ex *Exchange) sigProgramFor(key string) (*sigProgram, bool) {
 	ex.progMu.Lock()
 	defer ex.progMu.Unlock()
 	if sp, ok := ex.progCache[key]; ok {
 		return sp, true
 	}
-	sp := &sigProgram{seen: make(map[string]bool)}
+	sp := &sigProgram{}
 	if ex.progCache == nil {
 		ex.progCache = make(map[string]*sigProgram)
 	}
@@ -73,9 +51,9 @@ func (ex *Exchange) sigProgramFor(key string) (*sigProgram, bool) {
 // discardSigProgram evicts a cache entry, but only while sp is still the
 // current one (a concurrent eviction may already have replaced it). The
 // next sigProgramFor rebuilds the base grounding from the immutable
-// exchange, so eviction loses only learned maximality clauses — never
-// soundness. Used by the cache-corruption recovery path; queries holding
-// the old entry keep using their reference safely.
+// exchange, so eviction loses only the persistent solver and what it
+// learned — never soundness. Used by the cache-corruption recovery path;
+// queries holding the old entry keep using their reference safely.
 func (ex *Exchange) discardSigProgram(key string, sp *sigProgram) {
 	ex.progMu.Lock()
 	if ex.progCache[key] == sp {
@@ -110,45 +88,4 @@ func (sp *sigProgram) ensure(ex *Exchange, sig []int) {
 		sp.enc = enc
 		sp.idx = newMaxIndex(enc)
 	})
-}
-
-// addLearned records one maximality clause for replay, returning its
-// canonical key and whether it was new. Clauses arrive as positive base
-// atoms; duplicates are dropped.
-func (sp *sigProgram) addLearned(clause []asp.AtomID) (string, bool) {
-	c := append([]asp.AtomID(nil), clause...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	var b strings.Builder
-	for i, a := range c {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(itoa(int(a)))
-	}
-	key := b.String()
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.seen[key] {
-		return key, false
-	}
-	sp.seen[key] = true
-	sp.learned = append(sp.learned, learnedClause{key: key, atoms: c})
-	return key, true
-}
-
-// replayInto installs the learned maximality clauses on a fresh solver
-// over a clone of the base program. Base atoms keep their ids across
-// clones (clones only append), so the stored atom ids remain valid.
-func (sp *sigProgram) replayInto(s *asp.StableSolver) int {
-	sp.mu.Lock()
-	snapshot := sp.learned[:len(sp.learned):len(sp.learned)]
-	sp.mu.Unlock()
-	for _, lc := range snapshot {
-		lits := make([]asp.Lit, len(lc.atoms))
-		for i, a := range lc.atoms {
-			lits[i] = s.AtomLit(a, true)
-		}
-		s.AddTheoryClause(lits)
-	}
-	return len(snapshot)
 }

@@ -171,8 +171,8 @@ func WithSignatureTimeout(d time.Duration) Option {
 // clocks they exhaust at the same point on every run and at any
 // WithParallelism setting. An exhausted signature fails the query with an
 // error matching ErrBudget, or degrades it under WithPartialResults (after
-// one retry with the budget doubled, reusing the learned clauses cached
-// from the first attempt). Scope: query.
+// one retry with the budget doubled, on the signature's persistent solver,
+// which keeps the clauses learned by the first attempt). Scope: query.
 func WithSolveBudget(maxDecisions, maxConflicts int64) Option {
 	return queryOption("WithSolveBudget", func(o *xr.Options) {
 		o.MaxDecisions = maxDecisions
@@ -201,18 +201,14 @@ func WithSolverTrace(f func(TraceEvent)) Option {
 	return queryOption("WithSolverTrace", func(o *xr.Options) { o.Trace = f })
 }
 
-// WithSolverReuse toggles the persistent per-signature solver (segmentary
-// engine only; default on). With reuse on, each signature keeps one
-// incremental CDCL solver alive across queries: candidates are decided by
-// swapping assumption sessions, and everything the solver learns — CDCL
-// learnt clauses, loop formulas, maximality clauses — legally carries
-// from query to query (DESIGN.md §17). WithSolverReuse(false) selects the
-// fresh-solve path: a throwaway solver per signature per query with
-// learned-clause replay from the signature cache. Answers, Unknown sets,
-// and explanations are identical either way at any WithParallelism
-// setting; only solving effort differs. Scope: query.
+// WithSolverReuse has no effect: the segmentary engine always keeps one
+// persistent solver per fact signature and decides candidates as
+// incremental sessions on it (DESIGN.md §17). Scope: query.
+//
+// Deprecated: the persistent solver is the only solve path; drop the
+// option.
 func WithSolverReuse(on bool) Option {
-	return queryOption("WithSolverReuse", func(o *xr.Options) { o.DisableSolverReuse = !on })
+	return queryOption("WithSolverReuse", func(*xr.Options) {})
 }
 
 // WithExplanations makes Exchange.Answer / Possible attach one rendered
@@ -222,8 +218,8 @@ func WithSolverReuse(on bool) Option {
 // cause for unknowns. Explanations are computed in a dedicated
 // deterministic pass — one fresh solver per signature group, candidates
 // decided in order as assumption sessions — so the output is
-// byte-identical across runs, parallelism levels, signature-cache states,
-// and WithSolverReuse modes. The pass costs one extra witness solve per
+// byte-identical across runs, parallelism levels, and whatever the
+// exchange answered before. The pass costs one extra witness solve per
 // non-safe candidate; Exchange.Why explains a single tuple.
 // Scope: query.
 func WithExplanations(on bool) Option {

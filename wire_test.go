@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/asp"
 	"repro/internal/xr"
 )
 
@@ -155,24 +156,26 @@ func TestWireSignatureErrorCauses(t *testing.T) {
 // TestWireTraceEvent pins the TraceEvent wire format.
 func TestWireTraceEvent(t *testing.T) {
 	in := TraceEvent{
-		Engine:           "segmentary",
-		Query:            "q",
-		Signature:        []int{2, 7},
-		SignatureKey:     "2,7",
-		RequestID:        "req-0011aabb",
-		Candidates:       3,
-		Atoms:            120,
-		Rules:            240,
-		CacheHit:         true,
-		CandidatesTested: 5,
-		StabilityFails:   1,
-		LoopsLearned:     2,
-		TheoryRejects:    1,
-		Conflicts:        17,
-		Decisions:        42,
-		Propagations:     900,
-		Restarts:         1,
-		Duration:         250 * time.Microsecond,
+		Engine:       "segmentary",
+		Query:        "q",
+		Signature:    []int{2, 7},
+		SignatureKey: "2,7",
+		RequestID:    "req-0011aabb",
+		Candidates:   3,
+		Atoms:        120,
+		Rules:        240,
+		CacheHit:     true,
+		Stats: asp.Stats{
+			CandidatesTested: 5,
+			StabilityFails:   1,
+			LoopsLearned:     2,
+			TheoryRejects:    1,
+			Conflicts:        17,
+			Decisions:        42,
+			Propagations:     900,
+			Restarts:         1,
+		},
+		Duration: 250 * time.Microsecond,
 	}
 	var out TraceEvent
 	checkGolden(t, "trace_event.golden.json", in, &out)
