@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -35,12 +36,13 @@ type Provenance struct {
 	Instance *instance.Instance
 
 	facts    []instance.Fact
-	ids      map[string]FactID
 	isSource []bool
 	// genID maps a tuple's insertion generation in Instance to its FactID
-	// (generations are dense: 1..Instance.Gen()). The chase resolves the
-	// body facts of a derivation from the join's generation rank through
-	// this table, avoiding a string-key map lookup per body atom.
+	// (indexed 1..Instance.Gen(); only a source instance that saw removals
+	// leaves slots no tuple uses). It is the only fact index: derivations,
+	// violations and query matches resolve their body facts from the
+	// join's generation rank through it, and FactIDOf goes through
+	// Instance.GenOf, so no string key is kept per fact.
 	genID []FactID
 
 	// supports[f] lists the support sets of fact f (Definition 4): each is
@@ -81,8 +83,21 @@ func (p *Provenance) IsSource(id FactID) bool { return p.isSource[id] }
 
 // FactIDOf returns the id of a fact, if present.
 func (p *Provenance) FactIDOf(f instance.Fact) (FactID, bool) {
-	id, ok := p.ids[f.Key()]
-	return id, ok
+	g, ok := p.Instance.GenOf(f.Rel, f.Args)
+	if !ok {
+		return 0, false
+	}
+	return p.FactIDOfGen(g)
+}
+
+// FactIDOfGen returns the id of the fact Instance stamped with insertion
+// generation g, as reported by GenOf or in the rank of a cq.Plan match. It
+// reports false for 0 and for a generation past the chase's last insertion.
+func (p *Provenance) FactIDOfGen(g uint64) (FactID, bool) {
+	if g == 0 || g >= uint64(len(p.genID)) {
+		return 0, false
+	}
+	return p.genID[g], true
 }
 
 // Supports returns the support sets of a fact. The result is shared; do not
@@ -93,19 +108,16 @@ func (p *Provenance) Supports(id FactID) [][]FactID { return p.supports[id] }
 // pair whose support set contains it. The result is shared; do not modify.
 func (p *Provenance) UsedIn(id FactID) []SupportRef { return p.usedIn[id] }
 
-func (p *Provenance) intern(f instance.Fact, source bool) (FactID, bool) {
-	k := f.Key()
-	if id, ok := p.ids[k]; ok {
-		return id, false
-	}
+// intern assigns the next id to f. The chase interns each fact exactly once,
+// when it first appears in Instance, and records the id under its generation.
+func (p *Provenance) intern(f instance.Fact, source bool) FactID {
 	id := FactID(len(p.facts))
 	p.facts = append(p.facts, f)
-	p.ids[k] = id
 	p.isSource = append(p.isSource, source)
 	p.supports = append(p.supports, nil)
 	p.supSeen = append(p.supSeen, nil)
 	p.usedIn = append(p.usedIn, nil)
-	return id, true
+	return id
 }
 
 // supSeenThreshold is the support count past which dedup switches from
@@ -219,16 +231,14 @@ func GAVWithOptions(m *mapping.Mapping, src *instance.Instance, opt Options) (*P
 	p := &Provenance{
 		M:        m,
 		Instance: src.Clone(),
-		ids:      make(map[string]FactID, src.Len()*4),
 	}
 	p.genID = make([]FactID, p.Instance.Gen()+1)
 	for _, f := range src.Facts() {
-		id, _ := p.intern(f, true)
 		g, ok := p.Instance.GenOf(f.Rel, f.Args)
 		if !ok {
 			panic("chase: source fact missing from cloned instance")
 		}
-		p.genID[g] = id
+		p.genID[g] = p.intern(f, true)
 	}
 
 	tgds := m.AllTgds()
@@ -362,7 +372,7 @@ func (p *Provenance) applyGAVTGD(ge *gavExec, naive bool, st *Stats) (evaluated,
 		if isNew {
 			added = true
 			st.DeltaFacts++
-			id, _ = p.intern(f, false)
+			id = p.intern(f, false)
 			if int(gen) != len(p.genID) {
 				panic("chase: generation/fact-id tables out of sync")
 			}
@@ -393,29 +403,18 @@ func (p *Provenance) applyGAVTGD(ge *gavExec, naive bool, st *Stats) (evaluated,
 func (p *Provenance) findViolations() {
 	for ei, d := range p.M.TEgds {
 		plan := cq.Compile(d.Body)
-		plan.ForEach(p.Instance, func(env []symtab.Value) bool {
+		plan.ForEachDelta(p.Instance, 0, func(env []symtab.Value, rank []uint64, _ []int) bool {
 			l := egdSide(d.L, plan, env)
 			r := egdSide(d.R, plan, env)
 			if l == r {
 				return true
 			}
-			body := make([]FactID, len(d.Body))
-			for i, a := range d.Body {
-				bargs := make([]symtab.Value, len(a.Terms))
-				for j, t := range a.Terms {
-					if t.IsVar() {
-						bargs[j] = env[plan.VarSlot[t.Var]]
-					} else {
-						bargs[j] = t.Val
-					}
-				}
-				id, ok := p.ids[instance.Fact{Rel: a.Rel, Args: bargs}.Key()]
-				if !ok {
-					panic("chase: violation body fact not interned")
-				}
-				body[i] = id
+			// rank holds the generation of the tuple matched at each body atom.
+			body := make([]FactID, len(rank))
+			for i, g := range rank {
+				body[i] = p.genID[g]
 			}
-			sort.Slice(body, func(i, j int) bool { return body[i] < body[j] })
+			slices.Sort(body)
 			p.Violations = append(p.Violations, Violation{EgdIndex: ei, Body: body, L: l, R: r})
 			return true
 		})

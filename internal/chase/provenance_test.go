@@ -98,6 +98,24 @@ func TestGAVChaseDerivesAndRecordsSupports(t *testing.T) {
 	if !prov.IsSource(pID) || prov.IsSource(rrID) {
 		t.Fatal("IsSource flags wrong")
 	}
+	// FactIDOf returns the id each fact was interned under, and misses an
+	// absent fact and present args asked under another relation.
+	for id := FactID(0); int(id) < prov.NumFacts(); id++ {
+		if got, ok := prov.FactIDOf(prov.Fact(id)); !ok || got != id {
+			t.Fatalf("FactIDOf(fact %d) = (%d, %v)", id, got, ok)
+		}
+	}
+	if id, ok := prov.FactIDOf(instance.Fact{Rel: p.ID, Args: w.vals("b", "a")}); ok {
+		t.Fatalf("absent P(b,a) has id %d", id)
+	}
+	if id, ok := prov.FactIDOf(instance.Fact{Rel: q.ID, Args: w.vals("a", "b")}); ok {
+		t.Fatalf("Q(a,b) has id %d: only P and P1 hold (a,b)", id)
+	}
+	for _, g := range []uint64{0, prov.Instance.Gen() + 1} {
+		if id, ok := prov.FactIDOfGen(g); ok {
+			t.Fatalf("FactIDOfGen(%d) = %d for a generation never assigned", g, id)
+		}
+	}
 }
 
 func TestGAVChaseViolations(t *testing.T) {

@@ -1,0 +1,264 @@
+package xr
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/chase"
+	"repro/internal/cq"
+	"repro/internal/genome"
+	"repro/internal/instance"
+	"repro/internal/logic"
+	"repro/internal/parser"
+	"repro/internal/symtab"
+	"repro/internal/testkit"
+)
+
+// referenceCandidates is the reference for collectCandidates, written the
+// direct way: each support fact is found by a string key built from the
+// body atom's arguments, and each support set is deduplicated by a linear
+// scan over the candidate's sets before the canonical sort.
+func referenceCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
+	ids := make(map[string]chase.FactID, prov.NumFacts())
+	for id := 0; id < prov.NumFacts(); id++ {
+		ids[prov.Fact(chase.FactID(id)).Key()] = chase.FactID(id)
+	}
+	byKey := make(map[string]*candidate)
+	var order []string
+	for ci := range rq.Clauses {
+		c := &rq.Clauses[ci]
+		plan := cq.Compile(c.Body)
+		value := func(t logic.Term, env []symtab.Value) symtab.Value {
+			if t.IsVar() {
+				return env[plan.VarSlot[t.Var]]
+			}
+			return t.Val
+		}
+		plan.ForEach(prov.Instance, func(env []symtab.Value) bool {
+			tuple := make([]symtab.Value, len(c.Head))
+			for i, t := range c.Head {
+				tuple[i] = value(t, env)
+			}
+			support := make([]chase.FactID, len(c.Body))
+			for i, a := range c.Body {
+				args := make([]symtab.Value, len(a.Terms))
+				for j, t := range a.Terms {
+					args[j] = value(t, env)
+				}
+				id, ok := ids[instance.Fact{Rel: a.Rel, Args: args}.Key()]
+				if !ok {
+					panic("reference: support fact not in provenance")
+				}
+				support[i] = id
+			}
+			sort.Slice(support, func(i, j int) bool { return support[i] < support[j] })
+			k := instance.EncodeTuple(tuple)
+			cand, ok := byKey[k]
+			if !ok {
+				cand = &candidate{tuple: tuple}
+				byKey[k] = cand
+				order = append(order, k)
+			}
+			for _, prev := range cand.supports {
+				if slices.Equal(prev, support) {
+					return true
+				}
+			}
+			cand.supports = append(cand.supports, support)
+			return true
+		})
+	}
+	sort.Strings(order)
+	out := make([]*candidate, len(order))
+	for i, k := range order {
+		sets := byKey[k].supports
+		sort.Slice(sets, func(x, y int) bool {
+			a, b := sets[x], sets[y]
+			for n := 0; n < len(a) && n < len(b); n++ {
+				if a[n] != b[n] {
+					return a[n] < b[n]
+				}
+			}
+			return len(a) < len(b)
+		})
+		out[i] = byKey[k]
+	}
+	return out
+}
+
+// requireReferenceCandidates rewrites q on ex and requires collectCandidates
+// to return exactly what the reference collector returns: the same
+// candidates with the same support sets, both in the same order. It returns
+// the candidates.
+func requireReferenceCandidates(t *testing.T, label string, ex *Exchange, q *logic.UCQ) []*candidate {
+	t.Helper()
+	rq, err := ex.Red.RewriteQuery(q)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	got, want := collectCandidates(rq, ex.Prov), referenceCandidates(rq, ex.Prov)
+	if !reflect.DeepEqual(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && reflect.DeepEqual(got[i], want[i]) {
+			i++
+		}
+		t.Fatalf("%s: %d candidates, reference %d; first difference at candidate %d:\n got %s\nwant %s",
+			label, len(got), len(want), i, candidateAt(got, i), candidateAt(want, i))
+	}
+	return got
+}
+
+func candidateAt(cs []*candidate, i int) string {
+	if i >= len(cs) {
+		return "none"
+	}
+	return fmt.Sprintf("%v %v", cs[i].tuple, cs[i].supports)
+}
+
+// TestCollectCandidatesMatchesReference pins collectCandidates to the
+// string-key, linear-dedup reference on the genome suite, on random
+// mappings, and on hand-built UCQs whose support sets repeat: a self-join
+// matched both ways round (the xr4 shape), a repeated clause, and a body
+// constant.
+func TestCollectCandidatesMatchesReference(t *testing.T) {
+	t.Run("genome", func(t *testing.T) {
+		w, err := genome.NewWorld()
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries, err := genome.Queries(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s3, _ := genome.ProfileByName("S3", 0.1)
+		m3, _ := genome.ProfileByName("M3", 0.1)
+		suspect20 := genome.Profile{Name: "suspect20", Transcripts: 300, SuspectRate: 0.20, Seed: 7004}
+		for _, p := range []genome.Profile{s3, m3, suspect20} {
+			ex, err := NewExchange(w.M, genome.Generate(w, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ex.Clusters) == 0 {
+				t.Fatalf("%s: no violation clusters", p.Name)
+			}
+			for _, q := range queries {
+				requireReferenceCandidates(t, p.Name+"/"+q.Name, ex, q)
+			}
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1414))
+		cands, sets := 0, 0
+		for trial := 0; trial < 60; trial++ {
+			w := testkit.RandomMapping(rng, testkit.Options{Existentials: trial%2 == 0})
+			src := testkit.RandomInstance(rng, w, 10+rng.Intn(20), 4)
+			ex, err := NewExchange(w.M, src)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			for qi := 0; qi < 3; qi++ {
+				q := testkit.RandomQuery(rng, w, fmt.Sprintf("q%d_%d", trial, qi))
+				for _, c := range requireReferenceCandidates(t, q.Name, ex, q) {
+					cands++
+					sets += len(c.supports)
+				}
+			}
+		}
+		if sets <= cands {
+			t.Fatalf("no random candidate has two support sets (%d candidates, %d sets)", cands, sets)
+		}
+	})
+	t.Run("handbuilt", func(t *testing.T) {
+		w, err := parser.ParseMapping(`
+source A(x, v).
+source B(x, v).
+target T(x, v).
+tgd A(x, v) -> T(x, v).
+tgd B(x, v) -> T(x, v).
+egd T(x, v) & T(x, w) -> v = w.
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := parser.ParseFacts(`
+A(t1, a). B(t1, b). A(t1, c).
+A(t2, a). B(t2, a).
+A(t3, c).
+`, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries, err := parser.ParseQueries(`
+selfjoin() :- T(x, v), T(x, w).
+repeated(x) :- T(x, v).
+repeated(x) :- T(x, v).
+constant(x) :- T(x, 'a'), T(x, v).
+`, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := NewExchange(w.M, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Distinct support sets per candidate, counted by hand: the
+		// self-join pairs each T fact with every T fact of its key,
+		// unordered (t1: 3 facts, 6 sets; t2, t3: one each); the repeated
+		// clause adds nothing to its first copy; the constant pairs T(x, a)
+		// with each T fact of its key (t1: 3 sets; t2: 1).
+		wantSets := map[string][]int{
+			"selfjoin": {8},
+			"repeated": {3, 1, 1},
+			"constant": {3, 1},
+		}
+		for _, q := range queries {
+			cands := requireReferenceCandidates(t, q.Name, ex, q)
+			var sets []int
+			for _, c := range cands {
+				sets = append(sets, len(c.supports))
+			}
+			if !slices.Equal(sets, wantSets[q.Name]) {
+				t.Fatalf("%s: support sets per candidate = %v, want %v", q.Name, sets, wantSets[q.Name])
+			}
+		}
+	})
+}
+
+// collectSink keeps BenchmarkCollectCandidates' result live.
+var collectSink []*candidate
+
+// BenchmarkCollectCandidates measures candidate collection, one
+// sub-benchmark per query of the genome suite, on the genome-read shape of
+// the xrperf benchmark (1,600 transcripts, 20% suspect). The exchange is
+// built once; each iteration collects the candidates of one rewritten query.
+func BenchmarkCollectCandidates(b *testing.B) {
+	w, err := genome.NewWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := genome.Queries(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := genome.Generate(w, genome.Profile{Name: "read", Transcripts: 1600, SuspectRate: 0.20, Seed: 7004})
+	ex, err := NewExchange(w.M, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range queries {
+		rq, err := ex.Red.RewriteQuery(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				collectSink = collectCandidates(rq, ex.Prov)
+			}
+		})
+	}
+}

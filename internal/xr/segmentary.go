@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -436,18 +437,21 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 func (ex *Exchange) partition(cands []*candidate, res *Result) ([]string, map[string]*sigGroup) {
 	groups := make(map[string]*sigGroup)
 	var keys []string
+	var sig []int
+	var key []byte
 	for _, c := range cands {
 		if ex.safeCandidate(c) {
 			res.Answers.Add(c.tuple)
 			res.Stats.SafeAccepted++
 			continue
 		}
-		key, sig := ex.signature(c)
-		g, ok := groups[key]
+		sig, key = ex.signature(c, sig[:0], key[:0])
+		g, ok := groups[string(key)]
 		if !ok {
-			g = &sigGroup{sig: sig}
-			groups[key] = g
-			keys = append(keys, key)
+			g = &sigGroup{sig: slices.Clone(sig)}
+			k := string(key)
+			groups[k] = g
+			keys = append(keys, k)
 		}
 		g.cands = append(g.cands, c)
 	}
@@ -751,27 +755,25 @@ func (ex *Exchange) safeCandidate(c *candidate) bool {
 	return false
 }
 
-// signature returns the set of clusters whose influences contain the
-// candidate (Section 6.4), as a sorted id list and canonical key.
-func (ex *Exchange) signature(c *candidate) (string, []int) {
-	seen := make(map[int]bool)
-	var sig []int
+// signature appends to sig the clusters whose influences contain the
+// candidate (Section 6.4), ascending and distinct, and to key their
+// canonical key (the ids joined by commas). partition passes the same two
+// buffers for every candidate.
+func (ex *Exchange) signature(c *candidate, sig []int, key []byte) ([]int, []byte) {
 	for _, set := range c.supports {
 		for _, f := range set {
-			for _, ci := range ex.clustersOf[f] {
-				if !seen[ci] {
-					seen[ci] = true
-					sig = append(sig, ci)
-				}
-			}
+			sig = append(sig, ex.clustersOf[f]...)
 		}
 	}
-	sort.Ints(sig)
-	parts := make([]string, len(sig))
+	slices.Sort(sig)
+	sig = slices.Compact(sig)
 	for i, ci := range sig {
-		parts[i] = itoa(ci)
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = strconv.AppendInt(key, int64(ci), 10)
 	}
-	return strings.Join(parts, ","), sig
+	return sig, key
 }
 
 // Repairs enumerates up to limit source repairs of the instance (0 = all)

@@ -16,6 +16,7 @@ package xr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -86,7 +87,7 @@ func collectCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 	for ci := range rq.Clauses {
 		c := &rq.Clauses[ci]
 		plan := cq.Compile(c.Body)
-		plan.ForEach(prov.Instance, func(env []symtab.Value) bool {
+		plan.ForEachDelta(prov.Instance, 0, func(env []symtab.Value, rank []uint64, _ []int) bool {
 			tuple := make([]symtab.Value, len(c.Head))
 			for i, t := range c.Head {
 				if t.IsVar() {
@@ -95,23 +96,17 @@ func collectCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 					tuple[i] = t.Val
 				}
 			}
-			support := make([]chase.FactID, len(c.Body))
-			for i, a := range c.Body {
-				args := make([]symtab.Value, len(a.Terms))
-				for j, t := range a.Terms {
-					if t.IsVar() {
-						args[j] = env[plan.VarSlot[t.Var]]
-					} else {
-						args[j] = t.Val
-					}
-				}
-				id, ok := prov.FactIDOf(instance.Fact{Rel: a.Rel, Args: args})
+			// rank holds the generation of the tuple matched at each body
+			// atom, which names its fact without re-encoding the arguments.
+			support := make([]chase.FactID, len(rank))
+			for i, g := range rank {
+				id, ok := prov.FactIDOfGen(g)
 				if !ok {
 					panic("xr: candidate support fact not in provenance")
 				}
 				support[i] = id
 			}
-			sort.Slice(support, func(i, j int) bool { return support[i] < support[j] })
+			slices.Sort(support)
 			k := instance.EncodeTuple(tuple)
 			cand, ok := byKey[k]
 			if !ok {
@@ -119,7 +114,7 @@ func collectCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 				byKey[k] = cand
 				order = append(order, k)
 			}
-			cand.addSupport(support)
+			cand.supports = append(cand.supports, support)
 			return true
 		})
 	}
@@ -127,49 +122,19 @@ func collectCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 	// order is not stable run to run. Downstream the candidate order steers
 	// solver assumption testing and the Explanations slice, and the support
 	// order steers candidate rule wiring (and through clause watches, the
-	// effort counters the profiler records), so sort both.
+	// effort counters the profiler records), so sort both: supports
+	// lexicographically (each set is sorted by fact id), which brings equal
+	// sets together (a repeated clause, or a self-join matched both ways) so
+	// one compaction pass dedups them.
 	sort.Strings(order)
 	out := make([]*candidate, len(order))
 	for i, k := range order {
-		out[i] = byKey[k]
-		sortSupports(out[i].supports)
+		c := byKey[k]
+		slices.SortFunc(c.supports, slices.Compare)
+		c.supports = slices.CompactFunc(c.supports, slices.Equal)
+		out[i] = c
 	}
 	return out
-}
-
-// sortSupports orders a candidate's support sets lexicographically (each
-// set is already sorted by fact id).
-func sortSupports(sets [][]chase.FactID) {
-	sort.Slice(sets, func(i, j int) bool {
-		a, b := sets[i], sets[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
-
-func (c *candidate) addSupport(s []chase.FactID) {
-	for _, prev := range c.supports {
-		if factIDsEqual(prev, s) {
-			return
-		}
-	}
-	c.supports = append(c.supports, s)
-}
-
-func factIDsEqual(a, b []chase.FactID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // prepare reduces the mapping and rewrites the queries; shared by both
