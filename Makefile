@@ -89,11 +89,16 @@ chaos:
 		./internal/faultkit/ ./internal/xr/ ./internal/asp/
 
 # lint runs staticcheck when it is installed and degrades gracefully when it
-# is not (the container image does not bake it in). The grep gate is
-# unconditional: the server and daemon log exclusively through slog, so a
-# bare log.Print* would bypass the structured access log and its request
-# IDs — reject it at lint time.
+# is not (the container image does not bake it in). The gofmt and grep gates
+# are unconditional: every Go file must be gofmt-clean, and the server and
+# daemon log exclusively through slog, so a bare log.Print* would bypass the
+# structured access log and its request IDs — reject it at lint time.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: not gofmt-clean (run gofmt -w):" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
 	@if grep -rnE '\blog\.(Print|Printf|Println|Fatal|Fatalf|Fatalln)\(' \
 		internal/server cmd/xrserved; then \
 		echo "lint: bare log.Print*/log.Fatal* in server code; use the injected *slog.Logger" >&2; \

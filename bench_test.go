@@ -151,9 +151,9 @@ func BenchmarkSpeedupHeadline(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // BenchmarkChase measures both chase drivers across the S/M/L genome size
-// axis: the provenance-recording GAV chase of the reduced mapping under the
-// default semi-naive strategy and under the retained naive fixpoint (their
-// ratio is the semi-naive speedup), and the native GLAV chase. Scale with
+// axis: the provenance-recording GAV chase of the reduced mapping and the
+// native GLAV chase. The semi-naive speedup over the naive fixpoint is
+// measured by BenchmarkGAVFixpoint in internal/chase. Scale with
 // BENCH_SCALE=0.1 for the numbers quoted in the README.
 func BenchmarkChase(b *testing.B) {
 	w, err := genome.NewWorld()
@@ -170,13 +170,6 @@ func BenchmarkChase(b *testing.B) {
 		b.Run("provenance/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := chase.GAV(red.M, src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("provenance-naive/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.GAVWithOptions(red.M, src, chase.Options{Strategy: chase.StrategyNaive}); err != nil {
 					b.Fatal(err)
 				}
 			}

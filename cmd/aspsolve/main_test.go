@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the CLI golden file")
@@ -88,5 +89,34 @@ func TestAssumeErrors(t *testing.T) {
 	}
 	if strings.Count(out.String(), "Answer") != 1 {
 		t.Fatalf("assume a,-e should leave exactly one stable model:\n%s", out.String())
+	}
+}
+
+// TestBraveLoopProgram runs -brave on a normal program whose positive loop
+// a/b once made brave search find the same stable model {w} forever. The
+// run gets a deadline, so a search that never ends fails the test.
+func TestBraveLoopProgram(t *testing.T) {
+	prog := filepath.Join(t.TempDir(), "loop.lp")
+	src := "a :- b.\nb :- a.\na :- z.\nz :- not w.\nw :- not z.\n:- z.\n"
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err = run(&out, []string{prog}, config{brave: true})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("aspsolve -brave did not return within 10s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\nbrave: w\n") {
+		t.Fatalf("want the line \"brave: w\":\n%s", out.String())
 	}
 }

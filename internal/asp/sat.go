@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Var is a SAT variable, numbered from 1.
@@ -93,11 +92,10 @@ type Solver struct {
 	heap     varHeap
 	phase    []bool // saved polarity per var (true = assign true first)
 
-	seen   []bool
-	ok     bool // false once a top-level conflict is derived
-	model  modelSnapshot
-	cancel *atomic.Bool    // cooperative cancellation; nil = never
-	ctx    context.Context // context-based cancellation; nil = never
+	seen  []bool
+	ok    bool // false once a top-level conflict is derived
+	model modelSnapshot
+	ctx   context.Context // cooperative cancellation; nil = never
 
 	// lbdSeen/lbdTick stamp decision levels while computing the LBD of a
 	// freshly learnt clause, avoiding a per-conflict allocation.
@@ -545,25 +543,14 @@ func luby(i int64) int64 {
 	}
 }
 
-// SetCancel installs a cooperative cancellation flag: when it becomes
-// true, in-flight and future Solve calls return false promptly (check
-// Canceled to distinguish cancellation from unsatisfiability).
-func (s *Solver) SetCancel(flag *atomic.Bool) { s.cancel = flag }
-
 // SetContext installs a context checked cooperatively inside the search
 // loop: once ctx is done, in-flight and future Solve calls return false
 // promptly (check Canceled to distinguish cancellation from
-// unsatisfiability). It composes with SetCancel; either source cancels.
+// unsatisfiability).
 func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// Canceled reports whether the cancellation flag is set or the installed
-// context is done.
-func (s *Solver) Canceled() bool {
-	if s.cancel != nil && s.cancel.Load() {
-		return true
-	}
-	return s.ctx != nil && s.ctx.Err() != nil
-}
+// Canceled reports whether the installed context is done.
+func (s *Solver) Canceled() bool { return s.ctx != nil && s.ctx.Err() != nil }
 
 // SetBudget installs effort limits on the Decisions and Conflicts
 // counters, measured from the moment of the call (0 = unlimited). Once

@@ -1,8 +1,8 @@
 package asp
 
 import (
+	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
 
@@ -291,7 +291,8 @@ func TestRandomHard3SAT(t *testing.T) {
 }
 
 func TestSolverCancellation(t *testing.T) {
-	// A cancelled solver returns false promptly and reports Canceled.
+	// A solver whose context is done returns false promptly and reports
+	// Canceled.
 	s := newSolverWithVars(40)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 170; i++ {
@@ -305,15 +306,15 @@ func TestSolverCancellation(t *testing.T) {
 		}
 		s.AddClause(lits...)
 	}
-	var flag atomic.Bool
-	flag.Store(true)
-	s.SetCancel(&flag)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.SetContext(ctx)
 	if s.Solve() {
 		// A solve may still succeed if it finds a model before the first
 		// cancellation check; that is acceptable behaviour.
 		t.Log("solve finished before cancellation check")
 	}
 	if !s.Canceled() {
-		t.Fatal("Canceled() = false with flag set")
+		t.Fatal("Canceled() = false with a done context")
 	}
 }

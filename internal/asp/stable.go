@@ -1,9 +1,6 @@
 package asp
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 // This file implements the stable-model semantics on top of the CDCL core,
 // in the generate-and-test lineage of GnT / claspD:
@@ -69,12 +66,12 @@ type StableSolver struct {
 	isFact []bool
 	nFacts int
 
-	// assumps holds solver-lifetime assumptions (SetAssumptions): they are
-	// threaded into every candidate search, and any blocking clause that is
-	// only sound relative to them is added permanently — which is why they
-	// are reserved for one-shot solvers (cmd/aspsolve). Incremental callers
-	// use Sessions instead.
-	assumps []AtomAssumption
+	// root is the solver-lifetime scope that the solver's own query methods
+	// run in. Its activation variable is 0: its clauses are unguarded and its
+	// assumptions (SetAssumptions) hold for every later search, so a query
+	// made through it spends the solver. StartSession opens guarded child
+	// scopes that inherit its assumptions.
+	root Session
 
 	// retired counts closed sessions since the last Simplify; every few
 	// closures the satisfied (deactivated) session clauses are reclaimed.
@@ -95,17 +92,12 @@ type StableSolver struct {
 	TheoryRejects    int
 }
 
-// SetCancel installs a cooperative cancellation flag on the underlying SAT
-// solver; when set, in-flight stable-model searches return promptly with
-// "no model" (check Canceled).
-func (s *StableSolver) SetCancel(flag *atomic.Bool) { s.sat.SetCancel(flag) }
-
 // SetContext installs a context on the underlying SAT solver; once it is
 // done, in-flight stable-model searches return promptly with "no model"
 // (check Canceled to tell cancellation apart from exhaustion).
 func (s *StableSolver) SetContext(ctx context.Context) { s.sat.SetContext(ctx) }
 
-// Canceled reports whether the cancellation flag is set.
+// Canceled reports whether the installed context is done.
 func (s *StableSolver) Canceled() bool { return s.sat.Canceled() }
 
 // SetBudget installs decision/conflict effort limits (0 = unlimited) on the
@@ -139,6 +131,7 @@ const maxLoopFormulaSize = 100_000
 // and cautious calls consume it.
 func NewStableSolver(prog *GroundProgram) *StableSolver {
 	s := &StableSolver{prog: prog, sat: NewSolver(), normal: true, negSeen: make(map[AtomID]bool)}
+	s.root.s = s
 	s.extend(0, 0)
 	return s
 }
@@ -298,25 +291,16 @@ func (s *StableSolver) minimize(m []bool, sess *Session) []bool {
 	return m
 }
 
-// solve runs one SAT search under the solver-lifetime assumptions, the
-// session's scope (activation literal plus pinned atoms), and any extra
-// literals, in that fixed order so search traces are deterministic.
+// solve runs one SAT search under the session's activation literal (none
+// at the root), its pinned atoms, and any extra literals, in that fixed
+// order so search traces are deterministic.
 func (s *StableSolver) solve(sess *Session, extra ...Lit) bool {
-	n := len(s.assumps) + len(extra)
-	if sess != nil {
-		n += 1 + len(sess.assumps)
-	}
-	lits := make([]Lit, 0, n)
-	if sess != nil {
+	lits := make([]Lit, 0, 1+len(sess.assumps)+len(extra))
+	if sess.act != 0 {
 		lits = append(lits, PosLit(sess.act))
 	}
-	for _, a := range s.assumps {
+	for _, a := range sess.assumps {
 		lits = append(lits, s.assumpLit(a))
-	}
-	if sess != nil {
-		for _, a := range sess.assumps {
-			lits = append(lits, s.assumpLit(a))
-		}
 	}
 	lits = append(lits, extra...)
 	return s.sat.SolveUnderAssumptions(lits)
@@ -344,12 +328,11 @@ func assumptionsHold(m []bool, as []AtomAssumption) bool {
 // On failure it returns the smaller reduct model.
 func (s *StableSolver) checkStable(m []bool) (bool, []bool) {
 	sub := NewSolver()
-	// The secondary search inherits the primary solver's cancellation
-	// sources so a per-signature timeout also bounds the coNP-hard check;
-	// it runs unbudgeted (the effort budget is a property of the primary
-	// search) but any result reached after cancellation is discarded by the
-	// callers' Canceled checks.
-	sub.cancel = s.sat.cancel
+	// The secondary search inherits the primary solver's context so a
+	// per-signature timeout also bounds the coNP-hard check; it runs
+	// unbudgeted (the effort budget is a property of the primary search) but
+	// any result reached after cancellation is discarded by the callers'
+	// Canceled checks.
 	sub.ctx = s.sat.ctx
 	subVar := make(map[AtomID]Var)
 	varOf := func(a AtomID) Var {
@@ -614,18 +597,6 @@ func (s *StableSolver) learnLoopSet(loop []AtomID, inLoop map[AtomID]bool) {
 	s.LoopsLearned++
 }
 
-// blockSupersets adds the all-negative clause excluding m and every
-// superset of m.
-func (s *StableSolver) blockSupersets(m []bool) {
-	lits := make([]Lit, 0, 16)
-	for a, tv := range m {
-		if tv {
-			lits = append(lits, NegLit(s.vars[AtomID(a)]))
-		}
-	}
-	s.sat.AddClause(lits...)
-}
-
 // NumTrue counts the true atoms of a model vector.
 func (s *StableSolver) NumTrue(m []bool) int {
 	n := 0
@@ -728,13 +699,14 @@ func modelsEqual(a, b []bool) bool {
 // NextStable finds a stable model consistent with the current clause
 // database (including any previously added blocking clauses) and the
 // solver-lifetime assumptions, or nil.
+func (s *StableSolver) NextStable() []bool { return s.root.NextStable() }
+
+// nextStable finds the next stable model in the session's scope, or nil.
 //
 // For normal programs, a classical model m is checked with the linear test
 // m = lfp(reduct^m); on failure the unfounded set m \ lfp yields a loop
 // formula. For disjunctive programs the generic minimize-and-check path
 // runs (stability checking is coNP-hard there).
-func (s *StableSolver) NextStable() []bool { return s.nextStable(nil) }
-
 func (s *StableSolver) nextStable(sess *Session) []bool {
 	for {
 		if s.Canceled() || s.sat.Exhausted() || !s.solve(sess) {
@@ -768,17 +740,11 @@ func (s *StableSolver) nextStable(sess *Session) []bool {
 				// f is stable, but only m — not necessarily f ⊆ m — is
 				// known to satisfy the active assumptions. If f violates
 				// them it cannot be returned: exclude f (and its supersets,
-				// none of which are stable) and search on. Under a session
-				// the exclusion is scoped to the session; under lifetime
-				// assumptions it is permanent, which is sound only because
-				// those assumptions never change (see SetAssumptions).
-				if sess != nil {
-					if !assumptionsHold(f, s.assumps) || !assumptionsHold(f, sess.assumps) {
-						sess.blockSupersets(f)
-						continue
-					}
-				} else if !assumptionsHold(f, s.assumps) {
-					s.blockSupersets(f)
+				// none of which are stable) within the session and search
+				// on. At the root the exclusion is permanent, which is sound
+				// only because the root's assumptions never change.
+				if !assumptionsHold(f, sess.assumps) {
+					sess.blockSupersets(f)
 					continue
 				}
 				if !s.accept(f) {
@@ -819,7 +785,10 @@ func (s *StableSolver) nextStable(sess *Session) []bool {
 		}
 		s.StabilityFails++
 		s.learnLoop(m, smaller)
-		s.blockSupersets(m)
+		// m is a classical model that is not stable, so neither it nor any
+		// superset (never a minimal model) is stable: a program-level fact,
+		// added in the root scope.
+		s.root.blockSupersets(m)
 	}
 }
 
@@ -829,7 +798,7 @@ func (s *StableSolver) nextStable(sess *Session) []bool {
 func (s *StableSolver) Enumerate(fn func(m []bool) bool) int {
 	n := 0
 	for {
-		m := s.NextStable()
+		m := s.root.NextStable()
 		if m == nil {
 			return n
 		}
@@ -837,7 +806,7 @@ func (s *StableSolver) Enumerate(fn func(m []bool) bool) int {
 		if !fn(m) {
 			return n
 		}
-		s.blockSupersets(m)
+		s.root.blockSupersets(m)
 	}
 }
 
@@ -847,94 +816,16 @@ func (s *StableSolver) HasStableModel() bool {
 	return s.NextStable() != nil
 }
 
-// Brave computes which of the candidate atoms belong to at least one
-// stable model (brave consequences restricted to candidates), using
-// model-guided search: each model marks the candidates it contains, and a
-// progressively stronger clause demands a model containing one of the
-// still-unseen candidates. The second result reports whether the program
-// has any stable model at all (with none, no candidate is brave).
-//
-// The solver is spent after this call.
+// Brave runs Session.Brave in the root scope. The solver is spent after
+// this call.
 func (s *StableSolver) Brave(candidates []AtomID) ([]AtomID, bool) {
-	m := s.NextStable()
-	if m == nil {
-		return nil, false
-	}
-	var brave []AtomID
-	undecided := make([]AtomID, 0, len(candidates))
-	for _, a := range candidates {
-		if m[a] {
-			brave = append(brave, a)
-		} else {
-			undecided = append(undecided, a)
-		}
-	}
-	for len(undecided) > 0 {
-		// Demand a stable model containing some still-unseen candidate.
-		lits := make([]Lit, len(undecided))
-		for i, a := range undecided {
-			lits[i] = PosLit(s.vars[a])
-		}
-		if !s.sat.AddClause(lits...) {
-			break // no model can contain any of them
-		}
-		m = s.NextStable()
-		if m == nil {
-			break
-		}
-		rest := undecided[:0]
-		for _, a := range undecided {
-			if m[a] {
-				brave = append(brave, a)
-			} else {
-				rest = append(rest, a)
-			}
-		}
-		undecided = rest
-	}
-	return brave, true
+	return s.root.Brave(candidates)
 }
 
-// Cautious computes which of the candidate atoms belong to every stable
-// model (cautious consequences restricted to candidates), using model-guided
-// narrowing. The second result reports whether the program has any stable
-// model at all; if it has none, every candidate is vacuously cautious.
-//
-// The solver is spent after this call.
+// Cautious runs Session.Cautious in the root scope. The solver is spent
+// after this call.
 func (s *StableSolver) Cautious(candidates []AtomID) ([]AtomID, bool) {
-	m := s.NextStable()
-	if m == nil {
-		return append([]AtomID(nil), candidates...), false
-	}
-	// Narrow to candidates in the first model.
-	c := make([]AtomID, 0, len(candidates))
-	for _, a := range candidates {
-		if m[a] {
-			c = append(c, a)
-		}
-	}
-	for len(c) > 0 {
-		// Demand a stable model violating at least one remaining candidate.
-		lits := make([]Lit, len(c))
-		for i, a := range c {
-			lits[i] = NegLit(s.vars[a])
-		}
-		if !s.sat.AddClause(lits...) {
-			break // UNSAT at top level: remaining candidates are cautious
-		}
-		m = s.NextStable()
-		if m == nil {
-			break
-		}
-		kept := c[:0]
-		for _, a := range c {
-			if m[a] {
-				kept = append(kept, a)
-			}
-		}
-		c = kept
-	}
-	return c, true
+	return s.root.Cautious(candidates)
 }
 
 // AtomAssumption pins one program atom's truth value for the duration of
@@ -945,22 +836,23 @@ type AtomAssumption struct {
 }
 
 // SetAssumptions pins atom truth values for the remainder of the solver's
-// lifetime: every later search (NextStable, Enumerate, Brave, Cautious)
-// runs under them as CDCL assumptions. Intended for one-shot use
-// (cmd/aspsolve -assume): when the repair-itself path of a normal program
-// yields a stable model violating the assumptions, the solver excludes it
-// with a permanent clause, which is sound only while the assumption set
-// never changes. Incremental callers that swap assumption sets between
-// queries use StartSession instead.
+// lifetime: every later search, in the root scope and in every session
+// started afterwards, runs under them as CDCL assumptions. Intended for
+// one-shot use (cmd/aspsolve -assume): when the repair-itself path of a
+// normal program yields a stable model violating the assumptions, the root
+// scope excludes it with a permanent clause, which is sound only while the
+// assumption set never changes. Incremental callers that swap assumption
+// sets between queries use StartSession instead.
 func (s *StableSolver) SetAssumptions(assumps []AtomAssumption) {
-	s.assumps = append(s.assumps[:0], assumps...)
+	s.root.assumps = append(s.root.assumps[:0], assumps...)
 }
 
-// Session is one incremental query scope against a persistent solver: a
-// set of assumption atoms plus a fresh activation literal guarding every
-// clause that is only locally sound. Distinct queries against the same
-// signature program swap sessions instead of rebuilding the solver, so
-// CDCL learnt clauses and loop formulas carry over between them.
+// Session is one query scope against a solver: a set of assumption atoms
+// plus an activation literal guarding every clause that is only locally
+// sound. Distinct queries against the same signature program swap sessions
+// instead of rebuilding the solver, so CDCL learnt clauses and loop
+// formulas carry over between them. The solver's root scope is a Session
+// with activation variable 0, whose clauses are unguarded.
 type Session struct {
 	s       *StableSolver
 	act     Var
@@ -968,17 +860,18 @@ type Session struct {
 	closed  bool
 }
 
-// StartSession opens an incremental scope: the given atoms are held at
-// their pinned values for every search made through the session, and
-// every clause that is only locally sound — assumption-relative model
-// exclusions and the brave/cautious search-strategy clauses — is guarded
-// by a fresh activation literal. Program-valid knowledge learned during
-// the session (CDCL learnt clauses, loop formulas, negative-signature
-// blocks, theory clauses) is unguarded and legally shared with every
-// later session; see DESIGN.md §17. Close the session to retire its
-// scope.
+// StartSession opens an incremental scope: the given atoms, after the
+// solver-lifetime ones, are held at their pinned values for every search
+// made through the session, and every clause that is only locally sound —
+// assumption-relative model exclusions and the brave/cautious
+// search-strategy clauses — is guarded by a fresh activation literal.
+// Program-valid knowledge learned during the session (CDCL learnt clauses,
+// loop formulas, negative-signature blocks, theory clauses) is unguarded
+// and legally shared with every later session; see DESIGN.md §17. Close
+// the session to retire its scope.
 func (s *StableSolver) StartSession(assumps []AtomAssumption) *Session {
-	return &Session{s: s, act: s.sat.NewVar(), assumps: append([]AtomAssumption(nil), assumps...)}
+	all := append(append([]AtomAssumption(nil), s.root.assumps...), assumps...)
+	return &Session{s: s, act: s.sat.NewVar(), assumps: all}
 }
 
 // NextStable finds the next stable model satisfying the session's
@@ -986,10 +879,15 @@ func (s *StableSolver) StartSession(assumps []AtomAssumption) *Session {
 // cut-short search from genuine absence.
 func (ss *Session) NextStable() []bool { return ss.s.nextStable(ss) }
 
-// Block excludes the given stable model (and its supersets, none of which
-// are stable) for the rest of the session — the session-scoped analogue
-// of the blocking Enumerate performs between models.
-func (ss *Session) Block(m []bool) { ss.blockSupersets(m) }
+// clause returns an empty clause in the session's scope, with room for n
+// more literals: guarded by ¬act in a child session, unguarded at the root.
+func (ss *Session) clause(n int) []Lit {
+	lits := make([]Lit, 0, n+1)
+	if ss.act != 0 {
+		lits = append(lits, NegLit(ss.act))
+	}
+	return lits
+}
 
 // blockSupersets adds the session-scoped all-negative clause excluding m
 // and every superset of m. Because every classical model whose reduct
@@ -997,8 +895,7 @@ func (ss *Session) Block(m []bool) { ss.blockSupersets(m) }
 // guarantees search progress after f is rejected.
 func (ss *Session) blockSupersets(m []bool) {
 	s := ss.s
-	lits := make([]Lit, 0, 16)
-	lits = append(lits, NegLit(ss.act))
+	lits := ss.clause(16)
 	for a, tv := range m {
 		if tv {
 			lits = append(lits, NegLit(s.vars[AtomID(a)]))
@@ -1007,10 +904,12 @@ func (ss *Session) blockSupersets(m []bool) {
 	s.sat.AddClause(lits...)
 }
 
-// Cautious is the session-scoped analogue of StableSolver.Cautious: the
-// model-guided narrowing clauses are guarded by the session's activation
-// literal, so the solver is NOT spent afterwards — later sessions see the
-// full model space again.
+// Cautious computes which of the candidate atoms belong to every stable
+// model in the session's scope (cautious consequences restricted to
+// candidates), using model-guided narrowing. The second result reports
+// whether there is any stable model at all; if there is none, every
+// candidate is vacuously cautious. The narrowing clauses are scoped to the
+// session, so a child session leaves the solver reusable.
 func (ss *Session) Cautious(candidates []AtomID) ([]AtomID, bool) {
 	s := ss.s
 	m := s.nextStable(ss)
@@ -1025,13 +924,12 @@ func (ss *Session) Cautious(candidates []AtomID) ([]AtomID, bool) {
 	}
 	for len(c) > 0 {
 		// Demand a stable model violating at least one remaining candidate.
-		lits := make([]Lit, 0, len(c)+1)
-		lits = append(lits, NegLit(ss.act))
+		lits := ss.clause(len(c))
 		for _, a := range c {
 			lits = append(lits, NegLit(s.vars[a]))
 		}
 		if !s.sat.AddClause(lits...) {
-			break
+			break // UNSAT at top level: remaining candidates are cautious
 		}
 		m = s.nextStable(ss)
 		if m == nil {
@@ -1048,8 +946,13 @@ func (ss *Session) Cautious(candidates []AtomID) ([]AtomID, bool) {
 	return c, true
 }
 
-// Brave is the session-scoped analogue of StableSolver.Brave; like
-// Session.Cautious it leaves the solver reusable.
+// Brave computes which of the candidate atoms belong to at least one
+// stable model in the session's scope (brave consequences restricted to
+// candidates), using model-guided search: each model marks the candidates
+// it contains, and a progressively stronger clause demands a model
+// containing one of the still-unseen candidates. The second result reports
+// whether there is any stable model at all (with none, no candidate is
+// brave). Like Cautious, a child session leaves the solver reusable.
 func (ss *Session) Brave(candidates []AtomID) ([]AtomID, bool) {
 	s := ss.s
 	m := s.nextStable(ss)
@@ -1067,13 +970,12 @@ func (ss *Session) Brave(candidates []AtomID) ([]AtomID, bool) {
 	}
 	for len(undecided) > 0 {
 		// Demand a stable model containing some still-unseen candidate.
-		lits := make([]Lit, 0, len(undecided)+1)
-		lits = append(lits, NegLit(ss.act))
+		lits := ss.clause(len(undecided))
 		for _, a := range undecided {
 			lits = append(lits, PosLit(s.vars[a]))
 		}
 		if !s.sat.AddClause(lits...) {
-			break
+			break // no model can contain any of them
 		}
 		m = s.nextStable(ss)
 		if m == nil {

@@ -1,10 +1,12 @@
 package asp
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // bruteStableModels enumerates stable models by exhaustive search
@@ -384,8 +386,74 @@ func TestStableRandomProgramsAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestCautiousAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+// braveLoopProgram pins a normal program on which one-shot Brave once never
+// returned: the SAT model {a, b, w} repairs itself to the stable model {w},
+// which misses every candidate the progress clause asked for, so without a
+// block the search found {a, b, w} again forever.
+const braveLoopProgram = `a :- b. b :- a. a :- z. z :- not w. w :- not z. :- z.`
+
+// querier is a query scope: a StableSolver (its root scope) or a Session.
+type querier interface {
+	Cautious(candidates []AtomID) ([]AtomID, bool)
+	Brave(candidates []AtomID) ([]AtomID, bool)
+}
+
+// scopeAnswer is one query's result in one scope.
+type scopeAnswer struct {
+	scope    string
+	atoms    []AtomID
+	hasModel bool
+}
+
+// inScopes answers one query about p in every query scope: the root scope
+// of one solver, then two child sessions opened one after the other on a
+// second solver, so the second session runs on whatever the first left
+// behind. The solvers run under a deadline, so a search that never ends
+// fails the test instead of hanging it.
+func inScopes(t *testing.T, p *GroundProgram, query func(querier) ([]AtomID, bool)) []scopeAnswer {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	solver := func() *StableSolver {
+		s := NewStableSolver(p)
+		s.SetContext(ctx)
+		return s
+	}
+	finished := func(s *StableSolver, scope string) {
+		if s.Canceled() {
+			t.Fatalf("%s: search did not finish before its deadline\nprogram:\n%s", scope, p.String())
+		}
+	}
+	root := solver()
+	atoms, hasModel := query(root)
+	finished(root, "root")
+	out := []scopeAnswer{{"root", atoms, hasModel}}
+	shared := solver()
+	for _, scope := range []string{"session 1", "session 2"} {
+		sess := shared.StartSession(nil)
+		atoms, hasModel := query(sess)
+		sess.Close()
+		finished(shared, scope)
+		out = append(out, scopeAnswer{scope, atoms, hasModel})
+	}
+	return out
+}
+
+// queryPrograms returns the programs the brute-force query tests run on:
+// the pinned braveLoopProgram, 100 random programs mixing normal and
+// disjunctive rules, and 1000 random normal programs with a positive loop.
+func queryPrograms(t *testing.T, seed int64) []*GroundProgram {
+	t.Helper()
+	prog, err := ParseProgram(braveLoopProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := prog.Ground()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []*GroundProgram{pinned}
+	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 100; trial++ {
 		nAtoms := 2 + rng.Intn(5)
 		p := NewGroundProgram()
@@ -404,6 +472,51 @@ func TestCautiousAgainstBruteForce(t *testing.T) {
 			}
 			p.AddRule(pick(2), pick(2), pick(2))
 		}
+		out = append(out, p)
+	}
+	for trial := 0; trial < 1000; trial++ {
+		out = append(out, randomLoopProgram(rng))
+	}
+	return out
+}
+
+// randomLoopProgram draws a normal program over 3..6 atoms whose first two
+// atoms support each other positively. A SAT model holding such a loop
+// with nothing else supporting it repairs itself to a stable model without
+// it: the shape on which brave search can stall.
+func randomLoopProgram(rng *rand.Rand) *GroundProgram {
+	nAtoms := 3 + rng.Intn(4)
+	p := NewGroundProgram()
+	atoms := make([]AtomID, nAtoms)
+	for i := range atoms {
+		atoms[i] = p.AnonAtom()
+	}
+	pick := func(max int) []AtomID {
+		out := make([]AtomID, rng.Intn(max+1))
+		for j := range out {
+			out[j] = atoms[rng.Intn(nAtoms)]
+		}
+		return out
+	}
+	p.AddRule(atoms[:1], atoms[1:2], nil)
+	p.AddRule(atoms[1:2], atoms[:1], nil)
+	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+		p.AddRule(pick(1), pick(2), pick(2))
+	}
+	return p
+}
+
+func allAtoms(p *GroundProgram) []AtomID {
+	atoms := make([]AtomID, p.NumAtoms())
+	for i := range atoms {
+		atoms[i] = AtomID(i)
+	}
+	return atoms
+}
+
+func TestCautiousAgainstBruteForce(t *testing.T) {
+	for trial, p := range queryPrograms(t, 99) {
+		atoms := allAtoms(p)
 		models := bruteStableModels(p)
 		wantCautious := map[AtomID]bool{}
 		for _, a := range atoms {
@@ -418,21 +531,20 @@ func TestCautiousAgainstBruteForce(t *testing.T) {
 				wantCautious[a] = true
 			}
 		}
-		s := NewStableSolver(p)
-		kept, hasModel := s.Cautious(atoms)
-		if hasModel != (len(models) > 0) {
-			t.Fatalf("trial %d: hasModel=%v, brute models=%d", trial, hasModel, len(models))
-		}
-		gotSet := map[AtomID]bool{}
-		for _, a := range kept {
-			gotSet[a] = true
-		}
-		// Deduplicate atoms slice (atoms may repeat in candidates? they don't).
-		if len(models) > 0 {
-			for _, a := range atoms {
-				if gotSet[a] != wantCautious[a] {
-					t.Fatalf("trial %d: atom %d cautious=%v want %v\nprogram:\n%s",
-						trial, a, gotSet[a], wantCautious[a], p.String())
+		for _, got := range inScopes(t, p, func(q querier) ([]AtomID, bool) { return q.Cautious(atoms) }) {
+			if got.hasModel != (len(models) > 0) {
+				t.Fatalf("trial %d, %s: hasModel=%v, brute models=%d", trial, got.scope, got.hasModel, len(models))
+			}
+			gotSet := map[AtomID]bool{}
+			for _, a := range got.atoms {
+				gotSet[a] = true
+			}
+			if len(models) > 0 {
+				for _, a := range atoms {
+					if gotSet[a] != wantCautious[a] {
+						t.Fatalf("trial %d, %s: atom %d cautious=%v want %v\nprogram:\n%s",
+							trial, got.scope, a, gotSet[a], wantCautious[a], p.String())
+					}
 				}
 			}
 		}
@@ -496,25 +608,8 @@ func TestBraveNoModels(t *testing.T) {
 }
 
 func TestBraveAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 100; trial++ {
-		nAtoms := 2 + rng.Intn(5)
-		p := NewGroundProgram()
-		atoms := make([]AtomID, nAtoms)
-		for i := range atoms {
-			atoms[i] = p.AnonAtom()
-		}
-		for i := 0; i < 1+rng.Intn(6); i++ {
-			pick := func(max int) []AtomID {
-				k := rng.Intn(max + 1)
-				out := make([]AtomID, 0, k)
-				for j := 0; j < k; j++ {
-					out = append(out, atoms[rng.Intn(nAtoms)])
-				}
-				return out
-			}
-			p.AddRule(pick(2), pick(2), pick(2))
-		}
+	for trial, p := range queryPrograms(t, 55) {
+		atoms := allAtoms(p)
 		models := bruteStableModels(p)
 		wantBrave := map[AtomID]bool{}
 		for _, m := range models {
@@ -524,19 +619,19 @@ func TestBraveAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		s := NewStableSolver(p)
-		brave, hasModel := s.Brave(atoms)
-		if hasModel != (len(models) > 0) {
-			t.Fatalf("trial %d: hasModel=%v models=%d", trial, hasModel, len(models))
-		}
-		gotSet := map[AtomID]bool{}
-		for _, a := range brave {
-			gotSet[a] = true
-		}
-		for _, a := range atoms {
-			if gotSet[a] != wantBrave[a] {
-				t.Fatalf("trial %d: atom %d brave=%v want %v\nprogram:\n%s",
-					trial, a, gotSet[a], wantBrave[a], p.String())
+		for _, got := range inScopes(t, p, func(q querier) ([]AtomID, bool) { return q.Brave(atoms) }) {
+			if got.hasModel != (len(models) > 0) {
+				t.Fatalf("trial %d, %s: hasModel=%v models=%d", trial, got.scope, got.hasModel, len(models))
+			}
+			gotSet := map[AtomID]bool{}
+			for _, a := range got.atoms {
+				gotSet[a] = true
+			}
+			for _, a := range atoms {
+				if gotSet[a] != wantBrave[a] {
+					t.Fatalf("trial %d, %s: atom %d brave=%v want %v\nprogram:\n%s",
+						trial, got.scope, a, gotSet[a], wantBrave[a], p.String())
+				}
 			}
 		}
 	}

@@ -168,8 +168,8 @@ func (r *Runner) answer(ex *xr.Exchange, q *logic.UCQ) (*xr.Result, error) {
 }
 
 // monoOptions returns the monolithic engine options for this runner.
-func (r *Runner) monoOptions() xr.MonolithicOptions {
-	return xr.MonolithicOptions{Timeout: r.MonoTimeout, Parallelism: r.Parallelism, Metrics: r.Metrics, Tracer: r.Tracer}
+func (r *Runner) monoOptions() xr.Options {
+	return xr.Options{Timeout: r.MonoTimeout, Parallelism: r.Parallelism, Metrics: r.Metrics, Tracer: r.Tracer}
 }
 
 func seconds(d time.Duration) string {

@@ -1,18 +1,83 @@
 package chase
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 
 	"repro/internal/gavreduce"
 	"repro/internal/genome"
 	"repro/internal/instance"
+	"repro/internal/mapping"
 	"repro/internal/testkit"
 )
 
+// The naive reference drivers below run the production rule evaluators as
+// the textbook naive fixpoint: before every round each rule's watermark
+// and started flag are cleared, so every evaluation enumerates the whole
+// instance, and the chase stops after a round that adds nothing.
+
+// naiveNative is the naive reference for NativeWithOptions.
+func naiveNative(m *mapping.Mapping, src *instance.Instance) (*instance.Instance, error) {
+	st := &Stats{}
+	work := src.Clone()
+	var tgds []*tgdExec
+	for _, d := range m.AllTgds() {
+		tgds = append(tgds, compileTGD(d))
+	}
+	var egds []*egdExec
+	for _, d := range m.TEgds {
+		egds = append(egds, compileEGD(d))
+	}
+	for round := 0; round <= maxRounds; round++ {
+		changed := false
+		for _, te := range tgds {
+			te.watermark, te.started = 0, false
+			_, added := te.apply(work, m.U, st)
+			changed = changed || added
+		}
+		for _, ee := range egds {
+			ee.watermark, ee.started = 0, false
+		}
+		_, merged, err := applyEGDs(egds, work, st)
+		if err != nil {
+			return nil, err
+		}
+		if !changed && !merged {
+			return work, nil
+		}
+	}
+	return nil, fmt.Errorf("naive chase did not terminate after %d rounds", maxRounds)
+}
+
+// naiveGAV is the naive reference for GAVWithOptions.
+func naiveGAV(m *mapping.Mapping, src *instance.Instance, st *Stats) (*Provenance, error) {
+	p, execs, err := startGAV(m, src)
+	if err != nil {
+		return nil, err
+	}
+	for round := 0; round <= maxRounds; round++ {
+		st.Rounds++
+		grew := false
+		for _, ge := range execs {
+			ge.watermark, ge.started = 0, false
+			_, added := p.applyGAVTGD(ge, st)
+			grew = grew || added
+		}
+		if !grew {
+			p.findViolations()
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("naive GAV chase did not terminate after %d rounds", maxRounds)
+}
+
 // provEqual asserts byte-identical provenance output between the semi-naive
-// and naive strategies: same facts in the same interning order, same source
-// flags, same support sets in the same order, and same violations.
+// chase and the naive reference: same facts in the same interning order,
+// same source flags, same support sets in the same order, and same
+// violations.
 func provEqual(t *testing.T, label string, a, b *Provenance) {
 	t.Helper()
 	if a.NumFacts() != b.NumFacts() {
@@ -54,7 +119,7 @@ func provEqual(t *testing.T, label string, a, b *Provenance) {
 }
 
 // TestGAVStrategyEquivalenceGenome cross-checks the semi-naive GAV chase
-// against the retained naive fixpoint on genome S- and M-sized profiles at
+// against the naive reference on genome S- and M-sized profiles at
 // 0%, 9%, and 20% suspect rates, asserting byte-identical provenance
 // (facts, interning order, support hypergraph, violations).
 func TestGAVStrategyEquivalenceGenome(t *testing.T) {
@@ -84,7 +149,7 @@ func TestGAVStrategyEquivalenceGenome(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: semi-naive: %v", p.Name, err)
 		}
-		naive, err := GAVWithOptions(red.M, src, Options{Strategy: StrategyNaive, Stats: &stNaive})
+		naive, err := naiveGAV(red.M, src, &stNaive)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", p.Name, err)
 		}
@@ -99,13 +164,13 @@ func TestGAVStrategyEquivalenceGenome(t *testing.T) {
 }
 
 // TestNativeStrategyEquivalenceGenome runs the native (GLAV, null-inventing)
-// chase under both strategies on genome profiles and asserts the resulting
+// chase and its naive reference on genome profiles and asserts the resulting
 // instances are fact-for-fact identical in insertion order — the semi-naive
 // driver must preserve the naive trigger order, fresh-null numbering, and
 // egd merge outcomes exactly.
 func TestNativeStrategyEquivalenceGenome(t *testing.T) {
 	// Fresh nulls are numbered by a stateful counter in the universe, so each
-	// strategy gets its own identically-constructed world: value numbering is
+	// driver gets its own identically-constructed world: value numbering is
 	// then deterministic per world and directly comparable across the two.
 	w1, err := genome.NewWorld()
 	if err != nil {
@@ -122,9 +187,9 @@ func TestNativeStrategyEquivalenceGenome(t *testing.T) {
 	}
 	for _, p := range profiles {
 		semi, errS := NativeWithOptions(w1.M, genome.Generate(w1, p), Options{})
-		naive, errN := NativeWithOptions(w2.M, genome.Generate(w2, p), Options{Strategy: StrategyNaive})
+		naive, errN := naiveNative(w2.M, genome.Generate(w2, p))
 		if (errS == nil) != (errN == nil) {
-			t.Fatalf("%s: strategies disagree on error: %v vs %v", p.Name, errS, errN)
+			t.Fatalf("%s: drivers disagree on error: %v vs %v", p.Name, errS, errN)
 		}
 		if errS != nil {
 			continue
@@ -159,7 +224,7 @@ func instancesIdentical(t *testing.T, label string, a, b *instance.Instance) {
 // provenance output must be byte-identical.
 func TestChaseStrategyEquivalenceProperty(t *testing.T) {
 	// Each trial builds the same random world twice from identically-seeded
-	// generators, one per strategy: fresh-null numbering is stateful in the
+	// generators, one per driver: fresh-null numbering is stateful in the
 	// universe, so sharing one world would shift the second run's nulls.
 	for trial := 0; trial < 60; trial++ {
 		seed := int64(4242 + trial)
@@ -172,9 +237,9 @@ func TestChaseStrategyEquivalenceProperty(t *testing.T) {
 		w2, src2 := build()
 
 		semi, errS := NativeWithOptions(w1.M, src1, Options{})
-		naive, errN := NativeWithOptions(w2.M, src2, Options{Strategy: StrategyNaive})
+		naive, errN := naiveNative(w2.M, src2)
 		if (errS == nil) != (errN == nil) {
-			t.Fatalf("trial %d: strategies disagree on error: %v vs %v", trial, errS, errN)
+			t.Fatalf("trial %d: drivers disagree on error: %v vs %v", trial, errS, errN)
 		}
 		if errS == nil {
 			instancesIdentical(t, "native", semi, naive)
@@ -184,12 +249,49 @@ func TestChaseStrategyEquivalenceProperty(t *testing.T) {
 			continue
 		}
 		pSemi, errS := GAV(w1.M, src1)
-		pNaive, errN := GAVWithOptions(w2.M, src2, Options{Strategy: StrategyNaive})
+		pNaive, errN := naiveGAV(w2.M, src2, &Stats{})
 		if (errS == nil) != (errN == nil) {
-			t.Fatalf("trial %d: GAV strategies disagree on error: %v vs %v", trial, errS, errN)
+			t.Fatalf("trial %d: GAV drivers disagree on error: %v vs %v", trial, errS, errN)
 		}
 		if errS == nil {
 			provEqual(t, "gav", pSemi, pNaive)
 		}
+	}
+}
+
+// BenchmarkGAVFixpoint runs the provenance-recording GAV chase of the
+// reduced genome mapping on S3/M3/L3 twice: semi-naive, and as the naive
+// reference. Their ratio is the semi-naive speedup. Scale with
+// BENCH_SCALE=0.1 for the numbers quoted in the README.
+func BenchmarkGAVFixpoint(b *testing.B) {
+	scale := 0.01
+	if f, err := strconv.ParseFloat(os.Getenv("BENCH_SCALE"), 64); err == nil && f > 0 {
+		scale = f
+	}
+	w, err := genome.NewWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	red, err := gavreduce.Reduce(w.M)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"S3", "M3", "L3"} {
+		p, _ := genome.ProfileByName(name, scale)
+		src := genome.Generate(w, p)
+		b.Run("semi-naive/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := GAV(red.M, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("naive/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := naiveGAV(red.M, src, &Stats{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

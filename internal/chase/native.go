@@ -18,8 +18,8 @@
 // which reproduces the enumeration order of the naive fixpoint exactly, so
 // the semi-naive chase is byte-identical to the naive one (same null
 // naming, same fact interning order, same support sets and violations).
-// The naive strategy is retained behind Options.Strategy as the reference
-// for equivalence tests.
+// The naive fixpoint survives only as the reference driver of the
+// equivalence tests.
 package chase
 
 import (
@@ -48,21 +48,8 @@ var ErrNoSolution = errors.New("chase: egd failure, no solution exists")
 // would need the constant raised.
 const maxRounds = 2_000
 
-// Strategy selects the fixpoint evaluation scheme.
-type Strategy int
-
-const (
-	// StrategySemiNaive (the default) re-evaluates a rule only when a body
-	// relation changed, restricted to delta-touching bindings.
-	StrategySemiNaive Strategy = iota
-	// StrategyNaive re-enumerates every rule against the full instance each
-	// round. Retained as the reference implementation for equivalence tests;
-	// both strategies produce byte-identical output.
-	StrategyNaive
-)
-
 // Stats reports what one chase run did. All counters are deterministic for
-// a given (mapping, source, strategy).
+// a given (mapping, source).
 type Stats struct {
 	Rounds     int // fixpoint rounds executed
 	RuleEvals  int // rule evaluations actually performed
@@ -77,7 +64,6 @@ type Stats struct {
 
 // Options configures a chase run.
 type Options struct {
-	Strategy Strategy
 	// Stats, when non-nil, is filled in with run counters and timings.
 	Stats *Stats
 }
@@ -93,13 +79,12 @@ func Native(m *mapping.Mapping, src *instance.Instance) (*instance.Instance, err
 	return NativeWithOptions(m, src, Options{})
 }
 
-// NativeWithOptions is Native with an explicit strategy and stats sink.
+// NativeWithOptions is Native with a stats sink.
 func NativeWithOptions(m *mapping.Mapping, src *instance.Instance, opt Options) (*instance.Instance, error) {
 	st := opt.Stats
 	if st == nil {
 		st = &Stats{}
 	}
-	naive := opt.Strategy == StrategyNaive
 	work := src.Clone()
 
 	tgds := m.AllTgds()
@@ -117,30 +102,22 @@ func NativeWithOptions(m *mapping.Mapping, src *instance.Instance, opt Options) 
 			return nil, fmt.Errorf("chase: did not terminate after %d rounds (mapping not weakly acyclic?)", maxRounds)
 		}
 		st.Rounds++
-		changed := false
 		evaluated := false
 		// Tgd phase: fire every unsatisfied trigger.
 		t0 := time.Now()
 		for _, te := range tgdExecs {
-			ev, added := te.apply(work, m.U, naive, st)
+			ev, _ := te.apply(work, m.U, st)
 			evaluated = evaluated || ev
-			changed = changed || added
 		}
 		st.TgdDuration += time.Since(t0)
 		// Egd phase: collect all equalities demanded by egds, merge.
 		t0 = time.Now()
-		evEgd, merged, err := applyEGDs(egdExecs, work, naive, st)
+		evEgd, _, err := applyEGDs(egdExecs, work, st)
 		st.EgdDuration += time.Since(t0)
 		if err != nil {
 			return nil, err
 		}
-		evaluated = evaluated || evEgd
-		changed = changed || merged
-		if naive {
-			if !changed {
-				return work, nil
-			}
-		} else if !evaluated {
+		if !evaluated && !evEgd {
 			// Every rule was up to date with the instance generation:
 			// fixpoint (changed rules re-check one cheap round later).
 			return work, nil
@@ -261,15 +238,13 @@ func rankLess(a, b []uint64, order []int) bool {
 	return false
 }
 
-// apply evaluates the tgd (semi-naively unless naive) and fires every
-// collected trigger whose head is not already satisfied, adding fresh nulls
-// for existential variables. It reports whether the rule was evaluated at
-// all and whether any fact was added.
-func (te *tgdExec) apply(work *instance.Instance, u *symtab.Universe, naive bool, st *Stats) (evaluated, added bool) {
+// apply evaluates the tgd semi-naively and fires every collected trigger
+// whose head is not already satisfied, adding fresh nulls for existential
+// variables. It reports whether the rule was evaluated at all and whether
+// any fact was added.
+func (te *tgdExec) apply(work *instance.Instance, u *symtab.Universe, st *Stats) (evaluated, added bool) {
 	old := te.watermark
-	if naive {
-		old = 0
-	} else if !te.hasDelta(work) {
+	if !te.hasDelta(work) {
 		st.RuleSkips++
 		return false, false
 	}
@@ -423,7 +398,7 @@ func (ee *egdExec) hasDelta(work *instance.Instance) bool {
 // watermark tuples was enumerated when those tuples were last new, merged,
 // and rewritten — after which its two sides are equal, and value rewriting
 // can never make equal sides unequal again.
-func applyEGDs(egds []*egdExec, work *instance.Instance, naive bool, st *Stats) (evaluated, merged bool, err error) {
+func applyEGDs(egds []*egdExec, work *instance.Instance, st *Stats) (evaluated, merged bool, err error) {
 	uf := newUnionFind()
 	demand := false
 	// All egds are evaluated against the same frozen instance; the rewrite
@@ -432,9 +407,7 @@ func applyEGDs(egds []*egdExec, work *instance.Instance, naive bool, st *Stats) 
 	cur := work.Gen()
 	for _, ee := range egds {
 		old := ee.watermark
-		if naive {
-			old = 0
-		} else if !ee.hasDelta(work) {
+		if !ee.hasDelta(work) {
 			st.RuleSkips++
 			continue
 		}

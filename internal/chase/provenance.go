@@ -208,26 +208,54 @@ func GAV(m *mapping.Mapping, src *instance.Instance) (*Provenance, error) {
 	return GAVWithOptions(m, src, Options{})
 }
 
-// GAVWithOptions is GAV with an explicit strategy and stats sink.
+// GAVWithOptions is GAV with a stats sink.
 //
-// Under the default semi-naive strategy, a tgd is re-evaluated only when a
-// body relation gained facts since the tgd's watermark, and each evaluation
-// enumerates only the ground derivations using at least one such delta
-// fact. Every derivation is new exactly once (when its newest body fact
-// is), so the support-set hypergraph is complete (every support set of
-// Definition 4 is recorded), as with the naive fixpoint whose final full
-// pass enumerates every derivation valid in the final instance. Applying
-// each evaluation's firings in generation-rank order makes interning order,
-// support order, and violations byte-identical to the naive strategy.
+// A tgd is re-evaluated only when a body relation gained facts since the
+// tgd's watermark, and each evaluation enumerates only the ground
+// derivations using at least one such delta fact. Every derivation is new
+// exactly once (when its newest body fact is), so the support-set
+// hypergraph is complete (every support set of Definition 4 is recorded),
+// as with the naive fixpoint whose final full pass enumerates every
+// derivation valid in the final instance. Applying each evaluation's
+// firings in generation-rank order makes interning order, support order,
+// and violations byte-identical to the naive fixpoint.
 func GAVWithOptions(m *mapping.Mapping, src *instance.Instance, opt Options) (*Provenance, error) {
-	if !m.IsGAV() {
-		return nil, fmt.Errorf("chase: GAV chase requires a gav+(gav, egd) mapping")
-	}
 	st := opt.Stats
 	if st == nil {
 		st = &Stats{}
 	}
-	naive := opt.Strategy == StrategyNaive
+	p, execs, err := startGAV(m, src)
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	for round := 0; ; round++ {
+		if round > maxRounds {
+			return nil, fmt.Errorf("chase: GAV chase did not terminate after %d rounds", maxRounds)
+		}
+		st.Rounds++
+		evaluated := false
+		for _, ge := range execs {
+			ev, _ := p.applyGAVTGD(ge, st)
+			evaluated = evaluated || ev
+		}
+		if !evaluated {
+			break
+		}
+	}
+	st.TgdDuration += time.Since(t0)
+	t0 = time.Now()
+	p.findViolations()
+	st.ViolationDuration += time.Since(t0)
+	return p, nil
+}
+
+// startGAV opens a GAV chase of src: a provenance record holding the source
+// facts, and m's tgds compiled with fresh watermarks.
+func startGAV(m *mapping.Mapping, src *instance.Instance) (*Provenance, []*gavExec, error) {
+	if !m.IsGAV() {
+		return nil, nil, fmt.Errorf("chase: GAV chase requires a gav+(gav, egd) mapping")
+	}
 	p := &Provenance{
 		M:        m,
 		Instance: src.Clone(),
@@ -246,32 +274,7 @@ func GAVWithOptions(m *mapping.Mapping, src *instance.Instance, opt Options) (*P
 	for i, d := range tgds {
 		execs[i] = compileGAV(d)
 	}
-	t0 := time.Now()
-	for round := 0; ; round++ {
-		if round > maxRounds {
-			return nil, fmt.Errorf("chase: GAV chase did not terminate after %d rounds", maxRounds)
-		}
-		st.Rounds++
-		grew := false
-		evaluated := false
-		for _, ge := range execs {
-			ev, added := p.applyGAVTGD(ge, naive, st)
-			evaluated = evaluated || ev
-			grew = grew || added
-		}
-		if naive {
-			if !grew {
-				break
-			}
-		} else if !evaluated {
-			break
-		}
-	}
-	st.TgdDuration += time.Since(t0)
-	t0 = time.Now()
-	p.findViolations()
-	st.ViolationDuration += time.Since(t0)
-	return p, nil
+	return p, execs, nil
 }
 
 // gavExec is one compiled GAV tgd: a reusable body plan, the head and body
@@ -332,11 +335,9 @@ func (ge *gavExec) hasDelta(work *instance.Instance) bool {
 // applyGAVTGD enumerates the (delta) body matches over the current
 // instance, derives head facts, and records support sets. It reports
 // whether the rule was evaluated and whether any new fact was added.
-func (p *Provenance) applyGAVTGD(ge *gavExec, naive bool, st *Stats) (evaluated, added bool) {
+func (p *Provenance) applyGAVTGD(ge *gavExec, st *Stats) (evaluated, added bool) {
 	old := ge.watermark
-	if naive {
-		old = 0
-	} else if !ge.hasDelta(p.Instance) {
+	if !ge.hasDelta(p.Instance) {
 		st.RuleSkips++
 		return false, false
 	}

@@ -173,7 +173,7 @@ func TestMonolithicMatchesSegmentaryOnGenome(t *testing.T) {
 			subset = append(subset, q)
 		}
 	}
-	mono, err := xr.Monolithic(w.M, src, subset, xr.MonolithicOptions{})
+	mono, err := xr.Monolithic(w.M, src, subset, xr.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

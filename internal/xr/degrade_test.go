@@ -380,7 +380,7 @@ func TestMonolithicPanicContainment(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := Monolithic(w.m, w.src, []*logic.UCQ{q1, q2}, MonolithicOptions{
+	res, err := Monolithic(w.m, w.src, []*logic.UCQ{q1, q2}, Options{
 		Parallelism: 8,
 		FaultHook:   hook,
 	})

@@ -270,7 +270,7 @@ func TestExplainTracerSpans(t *testing.T) {
 func TestMonolithicTracerSpans(t *testing.T) {
 	w, q := conflictFarm(2)
 	tr := telemetry.NewTracer()
-	if _, err := Monolithic(w.m, w.src, []*logic.UCQ{q}, MonolithicOptions{Tracer: tr}); err != nil {
+	if _, err := Monolithic(w.m, w.src, []*logic.UCQ{q}, Options{Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -354,4 +354,3 @@ func BenchmarkExplainOverhead(b *testing.B) {
 		})
 	}
 }
-

@@ -84,7 +84,7 @@ func TestFigure1Discrepancy(t *testing.T) {
 		Head: []logic.Term{logic.V("x")},
 		Body: []logic.Atom{logic.NewAtom(w.cat, t1, logic.V("x"))},
 	}}}
-	mono, err := Monolithic(w.m, w.src, []*logic.UCQ{q}, MonolithicOptions{})
+	mono, err := Monolithic(w.m, w.src, []*logic.UCQ{q}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func TestMetricsOtherEngines(t *testing.T) {
 	w, q := conflictFarm(2)
 	reg := telemetry.NewRegistry()
 
-	results, err := Monolithic(w.m, w.src, []*logic.UCQ{q, q}, MonolithicOptions{Parallelism: 2, Metrics: reg})
+	results, err := Monolithic(w.m, w.src, []*logic.UCQ{q, q}, Options{Parallelism: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

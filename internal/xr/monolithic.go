@@ -15,30 +15,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// MonolithicOptions tunes the monolithic pipeline.
-type MonolithicOptions struct {
-	// Ctx cancels the whole call; nil means context.Background().
-	Ctx context.Context
-	// Timeout bounds each query's solving time; zero means no limit.
-	// On timeout the query's Result carries ErrTimeout.
-	Timeout time.Duration
-	// Parallelism is the number of queries solved concurrently (each query
-	// is one independent program). Values below 2 run sequentially.
-	Parallelism int
-	// Trace, when non-nil, receives one event per program solved.
-	Trace func(TraceEvent)
-	// Metrics, when non-nil, aggregates timings and solver counters into
-	// the given registry (see Options.Metrics).
-	Metrics *telemetry.Registry
-	// Tracer, when non-nil, records one span per query program (the
-	// monolithic engine has no signature sub-structure to nest).
-	Tracer *telemetry.Tracer
-	// FaultHook mirrors Options.FaultHook for chaos testing: it is invoked
-	// once per query at the "solve" site with the query name as key. Must
-	// be nil in production use.
-	FaultHook func(site, key string) error
-}
-
 // Monolithic computes the XR-Certain answers of the queries using the
 // paper's Section 4/5.2 approach: per query, reduce the mapping to
 // gav+(gav, egd) (Theorem 1), build one disjunctive logic program whose
@@ -50,20 +26,25 @@ type MonolithicOptions struct {
 // per query. A per-query timeout or a canceled call context is recorded in
 // that query's Result.Err (matching ErrTimeout / ErrCanceled under
 // errors.Is); only genuine failures surface as the call error.
-func Monolithic(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ, opts MonolithicOptions) ([]*Result, error) {
+//
+// Of the options it honours Ctx, Timeout (per query), Parallelism (queries
+// solved concurrently), Trace, Metrics, Tracer (one span per query
+// program) and FaultHook (the "solve" site, keyed by query name).
+func Monolithic(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ, opts Options) ([]*Result, error) {
 	red, rqs, err := prepare(m, queries)
 	if err != nil {
 		return nil, err
 	}
-	o := (Options{Ctx: opts.Ctx, Parallelism: opts.Parallelism, Trace: opts.Trace}).serialized()
-	mt := newMeters(opts.Metrics)
+	o := opts.serialized()
+	o.Timeout = 0 // applied per query below, not to the whole call
+	mt := newMeters(o.Metrics)
 	ctx, cancel := o.begin()
 	defer cancel()
 
 	results := make([]*Result, len(queries))
 	ferr := forEachWorker(ctx, o.workers(), len(queries), func(ctx context.Context, worker, i int) error {
 		start := time.Now()
-		span := opts.Tracer.StartSpan(telemetry.NoSpan, "query "+queries[i].Name+" [monolithic]")
+		span := o.Tracer.StartSpan(telemetry.NoSpan, "query "+queries[i].Name+" [monolithic]")
 		span.SetLane(worker)
 		defer span.End()
 		qctx := ctx
@@ -72,7 +53,7 @@ func Monolithic(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ
 			qctx, qcancel = context.WithTimeout(ctx, opts.Timeout)
 			defer qcancel()
 		}
-		res, err := monolithicGuarded(qctx, red.M, src, rqs[i], o.Trace, mt, queries[i].Name, opts.FaultHook)
+		res, err := monolithicGuarded(qctx, red.M, src, rqs[i], o.Trace, mt, queries[i].Name, o.FaultHook)
 		if err != nil && !isSentinel(err) && !errors.Is(err, ErrInternal) {
 			return fmt.Errorf("xr: query %s: %w", queries[i].Name, err)
 		}

@@ -159,7 +159,9 @@ type Options struct {
 	// Ctx cancels the call cooperatively; nil means context.Background().
 	Ctx context.Context
 	// Timeout bounds the call; zero means no limit. It composes with Ctx
-	// (whichever expires first wins).
+	// (whichever expires first wins). Monolithic applies it to each query
+	// instead: a query that runs out reports ErrTimeout in its Result while
+	// the others go on.
 	Timeout time.Duration
 	// Parallelism is the number of independent programs solved
 	// concurrently (per-signature programs for the segmentary engine,

@@ -330,7 +330,7 @@ func TestMonolithicCanceled(t *testing.T) {
 	w, q := conflictFarm(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Monolithic(w.m, w.src, []*logic.UCQ{q, q}, MonolithicOptions{Ctx: ctx, Parallelism: 2})
+	res, err := Monolithic(w.m, w.src, []*logic.UCQ{q, q}, Options{Ctx: ctx, Parallelism: 2})
 	if err != nil {
 		t.Fatalf("call error = %v, want nil (sentinels live in per-query results)", err)
 	}

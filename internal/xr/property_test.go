@@ -163,7 +163,7 @@ func TestMonolithicTimeout(t *testing.T) {
 		w.add(aRel, key(i), "5")
 		w.add(bRel, key(i), "6")
 	}
-	res, err := Monolithic(w.m, w.src, []*logic.UCQ{w.queryT()}, MonolithicOptions{Timeout: 1})
+	res, err := Monolithic(w.m, w.src, []*logic.UCQ{w.queryT()}, Options{Timeout: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

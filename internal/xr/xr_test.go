@@ -92,7 +92,7 @@ func TestMonolithicConsistent(t *testing.T) {
 	w.add(aRel, "t1", "5")
 	w.add(aRel, "t2", "7")
 
-	res, err := Monolithic(w.m, w.src, []*logic.UCQ{w.queryT()}, MonolithicOptions{})
+	res, err := Monolithic(w.m, w.src, []*logic.UCQ{w.queryT()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMonolithicKeyConflict(t *testing.T) {
 	w.add(bRel, "t1", "6") // conflicting exon count for t1
 	w.add(aRel, "t2", "7") // clean
 
-	res, err := Monolithic(w.m, w.src, []*logic.UCQ{w.queryT()}, MonolithicOptions{})
+	res, err := Monolithic(w.m, w.src, []*logic.UCQ{w.queryT()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestPipelinesAgreeOnRandomInputs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: brute force: %v", trial, err)
 		}
-		mono, err := Monolithic(w.M, src, queries, MonolithicOptions{})
+		mono, err := Monolithic(w.M, src, queries, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: monolithic: %v", trial, err)
 		}

@@ -323,14 +323,7 @@ func (s *System) MonolithicAnswers(i *Instance, queries []*Query, opts ...Option
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := xr.Monolithic(s.w.M, i.in, qs, xr.MonolithicOptions{
-		Ctx:         o.Ctx,
-		Timeout:     o.Timeout,
-		Parallelism: o.Parallelism,
-		Trace:       o.Trace,
-		Metrics:     o.Metrics,
-		Tracer:      o.Tracer,
-	})
+	results, err := xr.Monolithic(s.w.M, i.in, qs, o)
 	if err != nil {
 		return nil, nil, err
 	}
