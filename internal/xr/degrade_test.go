@@ -135,8 +135,9 @@ func TestBudgetDegradePartial(t *testing.T) {
 	w, _, full := degradeExchange(t, 4)
 	q := w.queryT()
 	// A fresh exchange: the persistent solvers of the full run keep their
-	// learned clauses, which would let them finish by propagation alone,
-	// and a budget counted in decisions would never exhaust.
+	// learned clauses and verdict memos, which would let them finish by
+	// propagation alone or without a session, and a budget counted in
+	// decisions would never exhaust.
 	ex, err := NewExchange(w.m, w.src)
 	if err != nil {
 		t.Fatal(err)
@@ -304,8 +305,9 @@ func TestPanicContainmentParallel(t *testing.T) {
 // TestPoisonedSolverPanicRebuilds drives the poison path: a panic inside
 // one signature's session on its persistent solver fails a strict query
 // with ErrInternal and degrades the signature with cause "panic" under
-// Partial. Either way the solver is discarded, and the next query rebuilds
-// exactly that one and answers like a fresh Exchange.
+// Partial. Either way the solver is discarded with its verdict memo, and
+// the next query rebuilds exactly that one, decides its group by a
+// session, and answers like a fresh Exchange.
 func TestPoisonedSolverPanicRebuilds(t *testing.T) {
 	w, _ := conflictFarm(8)
 	q := w.queryT()
@@ -330,19 +332,32 @@ func TestPoisonedSolverPanicRebuilds(t *testing.T) {
 	sabotage := func() {
 		sp, _ := ex.sigProgramFor(key)
 		sp.incMu.Lock()
-		sp.inc.solver = nil // the next session on this signature panics
+		sp.inc.solver = nil    // the next session on this signature panics
+		clear(sp.inc.verdicts) // and the memo cannot spare the query that session
 		sp.incMu.Unlock()
 	}
 	builds := reg.Counter("xr_solver_reuse_builds_total")
 	requireRebuilt := func(label string) {
 		t.Helper()
 		before := builds.Value()
-		res, err := ex.AnswerOpts(q, opts)
+		var rebuilt TraceEvent
+		traced := opts
+		traced.Trace = func(ev TraceEvent) {
+			if ev.SignatureKey == key {
+				rebuilt = ev
+			}
+		}
+		res, err := ex.AnswerOpts(q, traced)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		if got := builds.Value() - before; got != 1 {
 			t.Fatalf("%s: rebuilt %d solvers, want 1", label, got)
+		}
+		// The rebuilt solver starts with an empty memo: its first query
+		// runs a session instead of reading old verdicts.
+		if rebuilt.SolverReused || rebuilt.AssumptionSolves == 0 {
+			t.Fatalf("%s: rebuilt solver answered {%s} without a session: %+v", label, key, rebuilt)
 		}
 		if len(res.Degraded) != 0 || join(tupleStrings(res)) != join(tupleStrings(want)) {
 			t.Fatalf("%s: answers %v (degraded %v), want %v", label, tupleStrings(res), res.Degraded, tupleStrings(want))

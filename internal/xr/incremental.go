@@ -28,7 +28,10 @@ import (
 // Candidates themselves are memoized: two candidates whose covered
 // support sets project to the same base "remains"-atom structure are
 // semantically the same query atom, so repeated queries reuse the wired
-// atom instead of growing the program.
+// atom instead of growing the program. So are their verdicts: the same
+// invariance fixes whether a wired atom is cautious or brave for the life
+// of the solver, so once a completed session has decided it, later
+// queries read the verdict instead of searching again.
 //
 // Concurrency: a signature's persistent solver is single-threaded by
 // construction — queries over the same signature serialize on
@@ -41,8 +44,60 @@ type incSolver struct {
 	spec   *encoder          // persistent specialization; its program grows with memoized candidates
 	solver *asp.StableSolver // persistent solver over spec.gp
 
-	cands    map[string]asp.AtomID // candidate body-structure key -> wired query atom
-	sessions int64                 // query sessions served so far
+	cands map[string]asp.AtomID // candidate body-structure key -> wired query atom
+	// verdicts holds what completed sessions decided about each wired
+	// query atom. It has at most one entry per atom in cands and goes
+	// with the solver on poison or eviction.
+	verdicts map[asp.AtomID]verdict
+	sessions int64 // query sessions served so far
+}
+
+// verdict is the memo entry of one wired query atom: whether it is
+// cautious (certain) and whether it is brave (possible), each once a
+// completed session has decided it.
+type verdict uint8
+
+const (
+	certainKnown verdict = 1 << iota
+	certain
+	possibleKnown
+	possible
+)
+
+// lookup reports whether the atom holds under the requested semantics,
+// and whether the memo knows. Besides the recorded verdicts it applies the
+// two implications of XR-Certain ⊆ XR-Possible: a certain atom is
+// possible, and an impossible atom is not certain.
+func (v verdict) lookup(brave bool) (holds, known bool) {
+	if brave {
+		switch {
+		case v&possibleKnown != 0:
+			return v&possible != 0, true
+		case v&certain != 0:
+			return true, true
+		}
+		return false, false
+	}
+	switch {
+	case v&certainKnown != 0:
+		return v&certain != 0, true
+	case v&possibleKnown != 0 && v&possible == 0:
+		return false, true
+	}
+	return false, false
+}
+
+// with returns v with the atom's status under one semantics decided.
+func (v verdict) with(brave, holds bool) verdict {
+	known, yes := certainKnown, certain
+	if brave {
+		known, yes = possibleKnown, possible
+	}
+	v |= known
+	if holds {
+		v |= yes
+	}
+	return v
 }
 
 // incSolverLocked returns the signature's persistent solver, building it
@@ -54,9 +109,10 @@ func (sp *sigProgram) incSolverLocked(mt *meters) *incSolver {
 	}
 	spec := sp.enc.specialize()
 	sp.inc = &incSolver{
-		spec:   spec,
-		solver: asp.NewStableSolver(spec.gp),
-		cands:  make(map[string]asp.AtomID),
+		spec:     spec,
+		solver:   asp.NewStableSolver(spec.gp),
+		cands:    make(map[string]asp.AtomID),
+		verdicts: make(map[asp.AtomID]verdict),
 	}
 	mt.recordReuseBuild()
 	return sp.inc
@@ -64,8 +120,8 @@ func (sp *sigProgram) incSolverLocked(mt *meters) *incSolver {
 
 // poison discards the persistent solver so the next query rebuilds it
 // from the immutable base program, without the clauses the old one
-// learned. Called (under incMu) when a panic escapes a session and the
-// solver state can no longer be trusted.
+// learned or the verdicts it memoized. Called (under incMu) when a panic
+// escapes a session and the solver state can no longer be trusted.
 func (sp *sigProgram) poison() { sp.inc = nil }
 
 // wireCandidates resolves each group candidate to its query atom, wiring

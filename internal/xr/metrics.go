@@ -76,9 +76,11 @@ type meters struct {
 	clausesDeleted   *telemetry.Counter
 
 	// Persistent-solver reuse (DESIGN.md §17): sessions served on a warm
-	// per-signature solver vs cold builds of one.
+	// per-signature solver vs cold builds of one, and query atoms answered
+	// from the solver's verdict memo without a session.
 	reuseSessions *telemetry.Counter
 	reuseBuilds   *telemetry.Counter
+	memoHits      *telemetry.Counter
 
 	// Degradation (partial-results mode; DESIGN.md §11).
 	partialQueries   *telemetry.Counter
@@ -148,6 +150,7 @@ func newMeters(reg *telemetry.Registry) *meters {
 
 		reuseSessions: reg.Counter("xr_solver_reuse_sessions_total"),
 		reuseBuilds:   reg.Counter("xr_solver_reuse_builds_total"),
+		memoHits:      reg.Counter("xr_solver_verdict_memo_hits_total"),
 
 		partialQueries:   reg.Counter("xr_partial_queries_total"),
 		degradedSigs:     reg.Counter("xr_signatures_degraded_total"),
@@ -262,6 +265,15 @@ func (m *meters) recordReuseSession(reused bool) {
 		return
 	}
 	m.reuseSessions.Inc()
+}
+
+// recordMemoHits counts the distinct query atoms of one answered group
+// that the persistent solver's verdict memo decided.
+func (m *meters) recordMemoHits(n int) {
+	if m == nil {
+		return
+	}
+	m.memoHits.Add(int64(n))
 }
 
 // recordLearned counts one distinct maximality clause learned by one

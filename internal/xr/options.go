@@ -267,14 +267,16 @@ type TraceEvent struct {
 	Atoms      int  `json:"atoms"`      // ground atoms
 	Rules      int  `json:"rules"`      // ground rules
 	CacheHit   bool `json:"cache_hit"`  // signature program served from the Exchange cache
-	// SolverReused marks a segmentary solve served as an incremental
-	// session on an already-warm persistent signature solver (DESIGN.md
-	// §17), rather than the first session on a freshly built one.
+	// SolverReused marks a segmentary solve served by an already-warm
+	// persistent signature solver (DESIGN.md §17), as an incremental
+	// session or from its verdict memo, rather than by the first session
+	// on a freshly built one.
 	SolverReused bool `json:"solver_reused,omitempty"`
 
 	// Stats holds the solver's work counters for this program. Segmentary
 	// solves report per-session deltas on the signature's persistent
-	// solver; the other engines report their throwaway solver's totals.
+	// solver (zero when the verdict memo decided the whole group); the
+	// other engines report their throwaway solver's totals.
 	asp.Stats
 
 	Duration time.Duration `json:"duration_ns"`

@@ -54,17 +54,21 @@ func benchGroups(b *testing.B, profile string) (*Exchange, []string, []*sigGroup
 }
 
 // BenchmarkIncrementalSolve measures the per-signature solve stage of the
-// genome multi-candidate join ep3 across the size axis, in two variants:
+// genome multi-candidate join ep3 across the size axis, in three variants:
 //
 //   - cold: a throwaway solver per signature (freshSolve, the test
 //     reference; the first-ever query on the signature);
 //   - persistent: one persistent solver per signature answering via an
-//     assumption session, clause database held in place.
+//     assumption session, clause database held in place (the verdict memo
+//     is emptied before each iteration, so every group opens a session);
+//   - memo: the same solvers answering a repeat from their verdict memos,
+//     with no session.
 //
-// Grounding and candidate collection are excluded from both variants; see
+// Grounding and candidate collection are excluded from every variant; see
 // BenchmarkSignatureCache (root) for the end-to-end query cost.
 func BenchmarkIncrementalSolve(b *testing.B) {
 	ctx := context.Background()
+	opts := (Options{}).serialized()
 	for _, profile := range []string{"S3", "M3", "L3"} {
 		b.Run("cold/"+profile, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -76,18 +80,42 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 				}
 			}
 		})
-		b.Run("persistent/"+profile, func(b *testing.B) {
-			opts := (Options{}).serialized()
+		// warm returns a closure solving every group on its persistent
+		// solver, and one emptying every verdict memo; the solvers are
+		// built and have answered once.
+		warm := func(b *testing.B) (solveAll, forget func()) {
 			ex, keys, gs := benchGroups(b, profile)
-			solveAll := func() {
+			sps := make([]*sigProgram, len(keys))
+			for j, k := range keys {
+				sps[j], _ = ex.sigProgramFor(k)
+			}
+			solveAll = func() {
 				for j, g := range gs {
-					sp, _ := ex.sigProgramFor(keys[j])
-					if sv := ex.solveSigReuse(ctx, sp, g, false, &opts, nil, 1); !sv.hasModel {
+					if sv := ex.solveSigReuse(ctx, sps[j], g, false, &opts, nil, 1); !sv.hasModel {
 						b.Fatal("signature program has no stable model")
 					}
 				}
 			}
-			solveAll() // build the persistent solvers
+			forget = func() {
+				for _, sp := range sps {
+					clear(sp.inc.verdicts)
+				}
+			}
+			solveAll()
+			return solveAll, forget
+		}
+		b.Run("persistent/"+profile, func(b *testing.B) {
+			solveAll, forget := warm(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				forget()
+				b.StartTimer()
+				solveAll()
+			}
+		})
+		b.Run("memo/"+profile, func(b *testing.B) {
+			solveAll, _ := warm(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				solveAll()

@@ -289,7 +289,8 @@ func TestReuseMatchesFreshRandom(t *testing.T) {
 
 // TestReuseObservable verifies the reuse path actually runs and is visible
 // in trace events and telemetry: warm sessions report SolverReused with
-// per-session delta counters, and the xr_solver_reuse_* counters move.
+// per-session delta counters, the xr_solver_reuse_* counters move, and a
+// repeat is answered from the verdict memo without a session.
 func TestReuseObservable(t *testing.T) {
 	w, q := conflictFarm(6)
 	reg := telemetry.NewRegistry()
@@ -297,11 +298,15 @@ func TestReuseObservable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counter := func(name string) int64 { return reg.Counter(name).Value() }
 	if _, err := ex.AnswerOpts(q, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	// No conflicted candidate is certain, so neither implication decides
+	// its possible status: Possible runs a real session on each warm
+	// solver.
 	var warm []TraceEvent
-	if _, err := ex.AnswerOpts(q, Options{Trace: func(ev TraceEvent) {
+	if _, err := ex.PossibleOpts(q, Options{Trace: func(ev TraceEvent) {
 		if ev.SolverReused {
 			warm = append(warm, ev)
 		}
@@ -309,35 +314,57 @@ func TestReuseObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(warm) == 0 {
-		t.Fatal("second run reported no reused-solver trace events")
+		t.Fatal("Possible after Answer reported no reused-solver trace events")
 	}
 	for _, ev := range warm {
-		if ev.AssumptionSolves < 0 || ev.Decisions < 0 || ev.Conflicts < 0 {
-			t.Fatalf("negative per-session delta counters: %+v", ev)
+		if ev.AssumptionSolves <= 0 || ev.Decisions < 0 || ev.Conflicts < 0 {
+			t.Fatalf("warm session reports no search or negative deltas: %+v", ev)
 		}
 	}
-	if got := reg.Counter("xr_solver_reuse_builds_total").Value(); got == 0 {
-		t.Fatal("xr_solver_reuse_builds_total did not move")
-	}
-	if got := reg.Counter("xr_solver_reuse_sessions_total").Value(); got == 0 {
-		t.Fatal("xr_solver_reuse_sessions_total did not move")
-	}
-	if got := reg.Counter("xr_solver_assumption_solves_total").Value(); got == 0 {
-		t.Fatal("xr_solver_assumption_solves_total did not move")
+	for _, name := range []string{"xr_solver_reuse_builds_total", "xr_solver_reuse_sessions_total", "xr_solver_assumption_solves_total"} {
+		if counter(name) == 0 {
+			t.Fatalf("%s did not move", name)
+		}
 	}
 
-	// A repeat serves every signature as a warm session on its existing
-	// solver: sessions grow by one per program, builds not at all.
-	builds := reg.Counter("xr_solver_reuse_builds_total").Value()
-	sessions := reg.Counter("xr_solver_reuse_sessions_total").Value()
-	res, err := ex.AnswerOpts(q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Every wired atom now has both verdicts, so a repeat of either
+	// semantics opens no session and builds nothing: each distinct wired
+	// atom is one memo hit, and every group still reports a reused-solver
+	// trace event with zero work.
+	wired := 0
+	for _, sp := range ex.progCache {
+		wired += len(sp.inc.cands)
 	}
-	if got := reg.Counter("xr_solver_reuse_builds_total").Value(); got != builds {
-		t.Fatalf("warm repeat built %d solvers", got-builds)
-	}
-	if got := reg.Counter("xr_solver_reuse_sessions_total").Value(); got != sessions+int64(res.Stats.Programs) {
-		t.Fatalf("warm repeat added %d sessions, want %d", got-sessions, res.Stats.Programs)
+	for _, brave := range []bool{false, true} {
+		builds := counter("xr_solver_reuse_builds_total")
+		sessions := counter("xr_solver_reuse_sessions_total")
+		solves := counter("xr_solver_assumption_solves_total")
+		hits := counter("xr_solver_verdict_memo_hits_total")
+		var evs []TraceEvent
+		res, err := ex.query(q, brave, Options{Trace: func(ev TraceEvent) { evs = append(evs, ev) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("brave=%v repeat", brave)
+		if got := counter("xr_solver_reuse_builds_total") - builds; got != 0 {
+			t.Fatalf("%s built %d solvers", label, got)
+		}
+		if got := counter("xr_solver_reuse_sessions_total") - sessions; got != 0 {
+			t.Fatalf("%s opened %d sessions", label, got)
+		}
+		if got := counter("xr_solver_assumption_solves_total") - solves; got != 0 {
+			t.Fatalf("%s ran %d assumption solves", label, got)
+		}
+		if got := counter("xr_solver_verdict_memo_hits_total") - hits; got != int64(wired) || wired == 0 {
+			t.Fatalf("%s: %d memo hits, want %d (distinct wired atoms)", label, got, wired)
+		}
+		if len(evs) != res.Stats.Programs || len(evs) == 0 {
+			t.Fatalf("%s: %d trace events for %d programs", label, len(evs), res.Stats.Programs)
+		}
+		for _, ev := range evs {
+			if !ev.SolverReused || ev.Stats != (asp.Stats{}) {
+				t.Fatalf("%s: memo-served group traced as %+v", label, ev)
+			}
+		}
 	}
 }

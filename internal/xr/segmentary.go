@@ -548,13 +548,14 @@ func retryableSigErr(err error) bool {
 	return errors.Is(err, ErrBudget) || errors.Is(err, ErrTimeout)
 }
 
-// sigSolve is the outcome of one signature session: the decided
-// candidates, the program size, the solver's termination state, and the
-// session's work counters.
+// sigSolve is the outcome of deciding one signature group: the verdict
+// of each distinct query atom, the program size, the solver's termination
+// state, and the session's work counters (zero when the verdict memo
+// decided the whole group and no session ran).
 type sigSolve struct {
 	atoms    []asp.AtomID
 	live     []*candidate
-	kept     []asp.AtomID
+	holds    map[asp.AtomID]bool
 	hasModel bool
 	rules    int
 	numAtoms int
@@ -628,17 +629,13 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 		return nil, fmt.Errorf("internal error: signature program has no stable model")
 	}
 
-	keptSet := make(map[asp.AtomID]bool, len(sv.kept))
-	for _, a := range sv.kept {
-		keptSet[a] = true
-	}
 	out = &groupOutcome{
 		rules:    sv.rules,
 		atoms:    sv.numAtoms,
 		cacheHit: hit,
 	}
 	for i, c := range sv.live {
-		if keptSet[sv.atoms[i]] {
+		if sv.holds[sv.atoms[i]] {
 			out.tuples = append(out.tuples, c.tuple)
 		}
 	}
@@ -684,15 +681,17 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 	return out, nil
 }
 
-// solveSigReuse runs the query as one incremental session on the
-// signature's persistent solver (see incremental.go). Candidates are
-// memoized into the persistent program, and the session's activation
-// literal scopes every query-local clause, so the solver — and everything
-// it learned — survives for the next query. The whole solve holds incMu,
-// serializing concurrent queries over the same signature. Counters are
-// reported as per-session deltas. A panic poisons the persistent solver
-// before propagating, so a later query rebuilds it from the immutable
-// base program.
+// solveSigReuse decides the group on the signature's persistent solver
+// (see incremental.go). Candidates are memoized into the persistent
+// program, and atoms the verdict memo already decides are answered from
+// it. The rest go to one incremental session, whose activation literal
+// scopes every query-local clause, so the solver — and everything it
+// learned — survives for the next query; a group the memo decides
+// entirely opens no session and spends no budget. The whole solve holds
+// incMu, serializing concurrent queries over the same signature. Counters
+// are reported as per-session deltas. A panic poisons the persistent
+// solver before propagating, so a later query rebuilds it from the
+// immutable base program.
 func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGroup, brave bool, opts *Options, mt *meters, scale int64) (sv *sigSolve) {
 	sp.incMu.Lock()
 	defer sp.incMu.Unlock()
@@ -704,10 +703,36 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	}()
 	inc := sp.incSolverLocked(mt)
 	sv = &sigSolve{reused: inc.sessions > 0}
+	sv.atoms, sv.live = inc.wireCandidates(g)
+	sv.rules = len(inc.spec.gp.Rules)
+	sv.numAtoms = inc.spec.gp.NumAtoms()
+
+	sv.holds = make(map[asp.AtomID]bool, len(sv.atoms))
+	var pending []asp.AtomID // distinct atoms without a verdict, in group order
+	for _, a := range sv.atoms {
+		if _, seen := sv.holds[a]; seen {
+			continue
+		}
+		holds, known := inc.verdicts[a].lookup(brave)
+		sv.holds[a] = holds
+		if !known {
+			pending = append(pending, a)
+		}
+	}
+	if len(pending) == 0 && len(sv.atoms) > 0 {
+		// Every atom has a verdict, so an earlier session completed with a
+		// stable model; the models never change. A done context still
+		// fails the group, exactly as it would fail a session.
+		sv.hasModel = true
+		sv.canceled = ctx.Err() != nil
+		if !sv.canceled {
+			mt.recordMemoHits(len(sv.holds))
+		}
+		return sv
+	}
+
 	inc.sessions++
 	mt.recordReuseSession(sv.reused)
-	sv.atoms, sv.live = inc.wireCandidates(g)
-
 	solver := inc.solver
 	solver.SetContext(ctx)
 	// Always re-arm: the budget is measured from here, and re-arming clears
@@ -717,18 +742,28 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 
 	before := solver.Stats()
 	sess := solver.StartSession(nil)
+	var kept []asp.AtomID
 	if brave {
-		sv.kept, sv.hasModel = sess.Brave(sv.atoms)
+		kept, sv.hasModel = sess.Brave(pending)
 	} else {
-		sv.kept, sv.hasModel = sess.Cautious(sv.atoms)
+		kept, sv.hasModel = sess.Cautious(pending)
 	}
 	sess.Close()
 
-	sv.rules = len(inc.spec.gp.Rules)
-	sv.numAtoms = inc.spec.gp.NumAtoms()
 	sv.canceled = solver.Canceled()
 	sv.exhausted = solver.Exhausted()
 	sv.stats = solver.Stats().Sub(before)
+	for _, a := range kept {
+		sv.holds[a] = true
+	}
+	// Only a completed session decides its atoms exactly: a cut-short one
+	// over-approximates (cautious) or under-approximates (brave).
+	if sv.hasModel && !sv.canceled && !sv.exhausted {
+		for _, a := range pending {
+			inc.verdicts[a] = inc.verdicts[a].with(brave, sv.holds[a])
+		}
+		mt.recordMemoHits(len(sv.holds) - len(pending))
+	}
 	return sv
 }
 

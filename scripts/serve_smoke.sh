@@ -162,24 +162,13 @@ wait "$load_k3" || fail "loading tri-k3"
 count=$(curl -fsS "$base/v1/scenarios" | jq '.scenarios | length')
 [[ "$count" == "2" ]] || fail "scenario count = $count, want 2"
 
-# K4 is not 3-colorable: the marker fact is in every source repair, so the
-# boolean query is XR-certain — exactly one empty tuple. K3 is 3-colorable:
-# no certain answer. Assert the exact tuple bodies (the same answers the
-# library path computes; internal/server tests pin byte-identity).
-q4=$(curl -fsS -X POST -d '{"name":"inAllRepairs"}' "$base/v1/scenarios/tri-k4/query")
-[[ "$(jq -c '.answers.tuples' <<<"$q4")" == "[[]]" ]] \
-  || fail "tri-k4 tuples = $(jq -c '.answers.tuples' <<<"$q4"), want [[]]"
-[[ "$(jq '.answers.degraded_signatures' <<<"$q4")" == "0" ]] \
-  || fail "tri-k4 unexpectedly degraded: $q4"
-
-q3=$(curl -fsS -X POST -d '{"name":"inAllRepairs"}' "$base/v1/scenarios/tri-k3/query")
-[[ "$(jq -c '.answers.tuples' <<<"$q3")" == "[]" ]] \
-  || fail "tri-k3 tuples = $(jq -c '.answers.tuples' <<<"$q3"), want []"
-
 # Graceful degradation over the wire: a one-decision budget cannot decide
 # the conflicted signatures, yet the response is HTTP 200 with the
 # signatures reported degraded and the undecided tuple ?-marked (in the
-# unknown set) — a sound partial answer, not an error.
+# unknown set) — a sound partial answer, not an error. These legs run
+# while tri-k4's verdict is still undecided: once an unbudgeted ask has
+# decided it, the persistent solver's verdict memo answers every later ask
+# without searching (DESIGN.md §17), so no budget could run out.
 deg=$(curl -fsS -X POST -d '{"name":"inAllRepairs","max_decisions":1}' \
   "$base/v1/scenarios/tri-k4/query")
 [[ "$(jq '.partial' <<<"$deg")" == "true" ]] || fail "budgeted query not partial: $deg"
@@ -194,6 +183,42 @@ stream=$(curl -fsS -X POST -H 'Accept: application/x-ndjson' \
 grep -q '"frame":"unknown","mark":"?"' <<<"$stream" \
   || fail "stream lacks ?-marked unknown frame: $stream"
 grep -q '"frame":"end"' <<<"$stream" || fail "stream not terminated: $stream"
+
+# K4 is not 3-colorable: the marker fact is in every source repair, so the
+# boolean query is XR-certain — exactly one empty tuple. K3 is 3-colorable:
+# no certain answer. Assert the exact tuple bodies (the same answers the
+# library path computes; internal/server tests pin byte-identity). The
+# tri-k4 ask is the tenant's first unbudgeted one, so it searches: it
+# doubles as the correlated request checked below.
+rid="smoke-corr-1"
+echo "serve-smoke: driving correlation chain as $rid"
+q4=$(curl -fsS -D "$workdir/corr_headers" -X POST -H "X-Request-Id: $rid" \
+  -d '{"name":"inAllRepairs"}' "$base/v1/scenarios/tri-k4/query?trace=1")
+[[ "$(jq -c '.answers.tuples' <<<"$q4")" == "[[]]" ]] \
+  || fail "tri-k4 tuples = $(jq -c '.answers.tuples' <<<"$q4"), want [[]]"
+[[ "$(jq '.answers.degraded_signatures' <<<"$q4")" == "0" ]] \
+  || fail "tri-k4 unexpectedly degraded: $q4"
+
+q3=$(curl -fsS -X POST -d '{"name":"inAllRepairs"}' "$base/v1/scenarios/tri-k3/query")
+[[ "$(jq -c '.answers.tuples' <<<"$q3")" == "[]" ]] \
+  || fail "tri-k3 tuples = $(jq -c '.answers.tuples' <<<"$q3"), want []"
+
+# Now that tri-k4's verdict is known, the verdict memo answers a budgeted
+# re-ask exactly: no session runs, so no budget is spent and nothing
+# degrades, and the memo-hit counter moves.
+memo_hits() {
+  curl -fsS "$base/metrics" | awk '$1 == "xr_solver_verdict_memo_hits_total" {print $2}'
+}
+hits_before=$(memo_hits)
+memo=$(curl -fsS -X POST -d '{"name":"inAllRepairs","max_decisions":1}' \
+  "$base/v1/scenarios/tri-k4/query")
+[[ "$(jq '.partial' <<<"$memo")" == "false" ]] \
+  || fail "budgeted re-ask of a decided verdict is partial: $memo"
+[[ "$(jq -c '.answers.tuples' <<<"$memo")" == "[[]]" ]] \
+  || fail "budgeted re-ask tuples = $(jq -c '.answers.tuples' <<<"$memo"), want [[]]"
+hits_after=$(memo_hits)
+[[ -n "$hits_after" && "$hits_after" -gt "${hits_before:-0}" ]] \
+  || fail "budgeted re-ask did not move xr_solver_verdict_memo_hits_total ($hits_before -> $hits_after)"
 
 # Per-tenant metrics are exposed on the same mux. Capture the body before
 # grepping: `curl | grep -q` races (grep exits on match, curl dies with
@@ -217,17 +242,15 @@ done
 # --- Request observability: the full correlation chain off ONE request. ---
 # A single slow query must be traceable end to end by its X-Request-Id:
 # response header == response body == JSON access log == /v1/slowlog
-# entry == fetched span tree, and the RED counter increments.
-rid="smoke-corr-1"
-echo "serve-smoke: driving correlation chain as $rid"
-slow=$(curl -fsS -D "$workdir/corr_headers" -X POST -H "X-Request-Id: $rid" \
-  -d '{"name":"inAllRepairs"}' "$base/v1/scenarios/tri-k4/query?trace=1")
+# entry == fetched span tree, and the RED counter increments. The request
+# is tri-k4's first unbudgeted ask above ($q4): a re-ask would be answered
+# from the verdict memo without solver work, too fast for the slowlog.
 grep -qi "^x-request-id: $rid" "$workdir/corr_headers" \
   || fail "response header X-Request-Id != $rid: $(cat "$workdir/corr_headers")"
-[[ "$(jq -r '.request_id' <<<"$slow")" == "$rid" ]] \
-  || fail "response body request_id != $rid: $slow"
-[[ "$(jq '.trace | length' <<<"$slow")" -ge 1 ]] \
-  || fail "?trace=1 returned no spans: $slow"
+[[ "$(jq -r '.request_id' <<<"$q4")" == "$rid" ]] \
+  || fail "response body request_id != $rid: $q4"
+[[ "$(jq '.trace | length' <<<"$q4")" -ge 1 ]] \
+  || fail "?trace=1 returned no spans: $q4"
 
 # The daemon writes its log/slowlog/trace-ring entries AFTER flushing the
 # response, so poll briefly for the log lines; fromjson? tolerates a line
