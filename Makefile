@@ -73,14 +73,17 @@ crash:
 		./internal/store/ ./internal/server/
 
 # profile-smoke replays the workload-profiler contract under the race
-# detector: byte-identical answers and counter aggregates with profiling
-# on at Parallelism 1/4/8, concurrent multi-tenant top-N reads, eviction
-# order, and the drain-persist / reboot-restore round trip (the crash
-# target covers the store-level profile artifacts; this one focuses the
-# profiler suites directly).
+# detector: the whole internal/profile suite (snapshot wire-byte golden,
+# exact sums under concurrent recording, eviction order and decay, merge
+# round trip), then the Profile tests of the packages around it:
+# byte-identical answers and counter aggregates with profiling on at
+# Parallelism 1/4/8, concurrent multi-tenant top-N reads, and the
+# drain-persist / reboot-restore round trip (the crash target covers the
+# store-level profile artifacts; this one focuses the profiler suites).
 profile-smoke:
+	go test -race -count=1 ./internal/profile/
 	go test -race -count=1 -run 'Profile' \
-		./internal/profile/ ./internal/benchkit/ ./internal/store/ ./internal/server/
+		./internal/benchkit/ ./internal/store/ ./internal/server/
 
 # chaos replays the fault-injection suite (budgets, timeouts, panics,
 # cache corruption) under the race detector at high parallelism.

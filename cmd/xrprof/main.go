@@ -126,7 +126,7 @@ func diffSnapshots(oldSnap, newSnap *profile.Snapshot) *profile.Snapshot {
 	out := &profile.Snapshot{Signatures: []profile.SignatureProfile{}}
 	for _, sp := range newSnap.Signatures {
 		if p, ok := prev[sp.Key]; ok {
-			sp.Counters = subCounters(sp.Counters, p.Counters)
+			sp.Counters = sp.Counters.Sub(p.Counters)
 			sp.Wall.Count -= p.Wall.Count
 			sp.Wall.SumNs -= p.Wall.SumNs
 		}
@@ -137,28 +137,6 @@ func diffSnapshots(oldSnap, newSnap *profile.Snapshot) *profile.Snapshot {
 	}
 	out.Records = len(out.Signatures)
 	return out
-}
-
-func subCounters(a, b profile.Counters) profile.Counters {
-	return profile.Counters{
-		Solves:           a.Solves - b.Solves,
-		WallNs:           a.WallNs - b.WallNs,
-		Candidates:       a.Candidates - b.Candidates,
-		CandidatesTested: a.CandidatesTested - b.CandidatesTested,
-		StabilityFails:   a.StabilityFails - b.StabilityFails,
-		Decisions:        a.Decisions - b.Decisions,
-		Conflicts:        a.Conflicts - b.Conflicts,
-		Propagations:     a.Propagations - b.Propagations,
-		Restarts:         a.Restarts - b.Restarts,
-		AssumptionSolves: a.AssumptionSolves - b.AssumptionSolves,
-		Reductions:       a.Reductions - b.Reductions,
-		ClausesDeleted:   a.ClausesDeleted - b.ClausesDeleted,
-		Retries:          a.Retries - b.Retries,
-		Degraded:         a.Degraded - b.Degraded,
-		BudgetExhausted:  a.BudgetExhausted - b.BudgetExhausted,
-		CacheHits:        a.CacheHits - b.CacheHits,
-		ReuseHits:        a.ReuseHits - b.ReuseHits,
-	}
 }
 
 // render prints signatures as an aligned table.

@@ -3,6 +3,7 @@ package benchkit
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/asp"
 	"repro/internal/chase"
@@ -65,9 +66,9 @@ func (r *Runner) AblationFigure1(trials int) (*Table, error) {
 		Headers: []string{"instances", "total repairs", "Fig.1 models",
 			"Fig.1 lost repairs on", "Fig.1 extra models on", "corrected wrong on"},
 		Rows: [][]string{{
-			itoa(b.instances), itoa(b.repairs), itoa(b.fig1),
+			strconv.Itoa(b.instances), strconv.Itoa(b.repairs), strconv.Itoa(b.fig1),
 			fmt.Sprintf("%d (%.0f%%)", b.fig1Lost, 100*float64(b.fig1Lost)/float64(b.instances)),
-			itoa(b.fig1Extra), itoa(b.corrWrong),
+			strconv.Itoa(b.fig1Extra), strconv.Itoa(b.corrWrong),
 		}},
 		Notes: []string{
 			"repairs counted by exhaustive enumeration (ground truth)",

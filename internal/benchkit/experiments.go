@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/gavreduce"
@@ -62,7 +63,7 @@ func (r *Runner) Table1() (*Table, error) {
 			attrs += rel.Arity
 			tuples += in.LenOf(rel.ID)
 		}
-		t.Rows = append(t.Rows, []string{g.name, itoa(rels), itoa(attrs), itoa(tuples)})
+		t.Rows = append(t.Rows, []string{g.name, strconv.Itoa(rels), strconv.Itoa(attrs), strconv.Itoa(tuples)})
 	}
 	return t, nil
 }
@@ -93,8 +94,8 @@ func (r *Runner) Table2() (*Table, error) {
 		st := ex.Stats
 		t.Rows = append(t.Rows, []string{
 			name,
-			itoa(st.SourceFacts),
-			itoa(st.TotalFacts),
+			strconv.Itoa(st.SourceFacts),
+			strconv.Itoa(st.TotalFacts),
 			fmt.Sprintf("%.1f%%", 100*p.SuspectRate),
 			fmt.Sprintf("%.1f%%", 100*float64(st.SuspectSource)/float64(st.SourceFacts)),
 		})
@@ -123,8 +124,8 @@ func (r *Runner) Table3() (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			q.Name, itoa(res.Answers.Len()), itoa(res.Stats.Candidates),
-			itoa(res.Stats.SafeAccepted), itoa(res.Stats.SolverAccepted),
+			q.Name, strconv.Itoa(res.Answers.Len()), strconv.Itoa(res.Stats.Candidates),
+			strconv.Itoa(res.Stats.SafeAccepted), strconv.Itoa(res.Stats.SolverAccepted),
 		})
 	}
 	return t, nil
@@ -150,7 +151,7 @@ func (r *Runner) Table4() (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			name, seconds(st.Duration), seconds(st.ReduceDuration),
 			seconds(st.ChaseDuration), seconds(st.EnvDuration),
-			itoa(st.Violations), itoa(st.Clusters),
+			strconv.Itoa(st.Violations), strconv.Itoa(st.Clusters),
 		})
 	}
 	return t, nil
@@ -249,8 +250,8 @@ func (r *Runner) ReductionTable() (*Table, error) {
 		Title:   "Reduction blowup (paper §5.2)",
 		Headers: []string{"", "s-t tgds", "target tgds", "egds", "seconds"},
 	}
-	t.Rows = append(t.Rows, []string{"original", itoa(orig.STTgds), itoa(orig.TargetTgds), itoa(orig.TargetEgds), ""})
-	t.Rows = append(t.Rows, []string{"reduced", itoa(got.STTgds), itoa(got.TargetTgds), itoa(got.TargetEgds), seconds(dur)})
+	t.Rows = append(t.Rows, []string{"original", strconv.Itoa(orig.STTgds), strconv.Itoa(orig.TargetTgds), strconv.Itoa(orig.TargetEgds), ""})
+	t.Rows = append(t.Rows, []string{"reduced", strconv.Itoa(got.STTgds), strconv.Itoa(got.TargetTgds), strconv.Itoa(got.TargetEgds), seconds(dur)})
 	factor := float64(got.STTgds+got.TargetTgds+got.TargetEgds) / float64(orig.STTgds+orig.TargetTgds+orig.TargetEgds)
 	t.Notes = append(t.Notes, fmt.Sprintf("dependency blowup ≈ %.1f× (paper: ≈7×)", factor))
 	return t, nil
@@ -312,8 +313,6 @@ func (r *Runner) Speedup(profiles []string) (*Table, error) {
 	}
 	return t, nil
 }
-
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
 
 func genomeQueries(r *Runner) ([]*logic.UCQ, error) {
 	return genome.Queries(r.world)

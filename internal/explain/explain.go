@@ -19,7 +19,7 @@
 package explain
 
 import (
-	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/chase"
@@ -143,7 +143,7 @@ func (r *Renderer) facts(ids []chase.FactID) string {
 		parts = append(parts, r.FormatFact(f))
 	}
 	if n > shown {
-		parts = append(parts, "... (+"+itoa(n-shown)+" more)")
+		parts = append(parts, "... (+"+strconv.Itoa(n-shown)+" more)")
 	}
 	return strings.Join(parts, "; ")
 }
@@ -170,7 +170,7 @@ func (r *Renderer) Render(e *Explanation) string {
 		b.WriteString(" — signature undecided (cause: ")
 		b.WriteString(e.Cause)
 		b.WriteString(", retries: ")
-		b.WriteString(itoa(e.Retries))
+		b.WriteString(strconv.Itoa(e.Retries))
 		b.WriteString(")")
 	case NoSupport:
 		b.WriteString(" — no support in the quasi-solution; not a candidate answer")
@@ -181,7 +181,7 @@ func (r *Renderer) Render(e *Explanation) string {
 		b.WriteString("}")
 		if e.ModelsExamined > 0 {
 			b.WriteString("; ")
-			b.WriteString(itoa(e.ModelsExamined))
+			b.WriteString(strconv.Itoa(e.ModelsExamined))
 			b.WriteString(" model")
 			if e.ModelsExamined != 1 {
 				b.WriteString("s")
@@ -195,17 +195,17 @@ func (r *Renderer) Render(e *Explanation) string {
 		b.WriteString("  clusters:")
 		for _, c := range e.Clusters {
 			b.WriteString(" #")
-			b.WriteString(itoa(c.ID))
+			b.WriteString(strconv.Itoa(c.ID))
 			b.WriteString(" (")
-			b.WriteString(itoa(c.Violations))
+			b.WriteString(strconv.Itoa(c.Violations))
 			b.WriteString(" violation")
 			if c.Violations != 1 {
 				b.WriteString("s")
 			}
 			b.WriteString(", envelope ")
-			b.WriteString(itoa(c.EnvelopeSize))
+			b.WriteString(strconv.Itoa(c.EnvelopeSize))
 			b.WriteString(", influence ")
-			b.WriteString(itoa(c.InfluenceSize))
+			b.WriteString(strconv.Itoa(c.InfluenceSize))
 			b.WriteString(")")
 		}
 		b.WriteString("\n")
@@ -249,32 +249,4 @@ func (r *Renderer) RenderAll(es []*Explanation) string {
 		b.WriteString(r.Render(e))
 	}
 	return b.String()
-}
-
-// SortFactIDs sorts a fact-id slice ascending (the canonical order for
-// every list in an Explanation).
-func SortFactIDs(ids []chase.FactID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 
 func testRenderer(maxFacts int) *Renderer {
 	return &Renderer{
-		FormatFact:  func(f chase.FactID) string { return "f" + itoa(int(f)) },
-		FormatValue: func(v symtab.Value) string { return "v" + itoa(int(v)) },
+		FormatFact:  func(f chase.FactID) string { return "f" + strconv.Itoa(int(f)) },
+		FormatValue: func(v symtab.Value) string { return "v" + strconv.Itoa(int(v)) },
 		MaxFacts:    maxFacts,
 	}
 }
@@ -112,24 +113,5 @@ func TestRenderAllConcatenates(t *testing.T) {
 	b := &Explanation{Query: "q", Verdict: Certain}
 	if got, want := r.RenderAll([]*Explanation{a, b}), r.Render(a)+r.Render(b); got != want {
 		t.Fatalf("RenderAll = %q, want %q", got, want)
-	}
-}
-
-func TestSortFactIDs(t *testing.T) {
-	ids := []chase.FactID{5, 1, 3}
-	SortFactIDs(ids)
-	if ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
-		t.Fatalf("SortFactIDs = %v", ids)
-	}
-}
-
-func TestItoa(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		want string
-	}{{0, "0"}, {7, "7"}, {42, "42"}, {-3, "-3"}, {1234567, "1234567"}} {
-		if got := itoa(tc.n); got != tc.want {
-			t.Fatalf("itoa(%d) = %q, want %q", tc.n, got, tc.want)
-		}
 	}
 }

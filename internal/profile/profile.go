@@ -13,12 +13,13 @@
 // aggregate the same counters per violation cluster, charging every
 // cluster of a multi-cluster signature with the full solve.
 //
-// Concurrency and determinism: the hot path is one RLock'd map lookup
-// followed by atomic adds, so concurrent workers only ever commute —
-// counter aggregates are deterministic at any Parallelism, exactly like
-// the telemetry registry they mirror. Wall-time buckets are measured, not
-// derived, and therefore vary run to run; consumers comparing profiles
-// across runs must compare counters, not time.
+// Concurrency and determinism: every record is a plain Counters sum that
+// changes only under the profiler's mutex, one map update per recording
+// call. Sums commute, so counter aggregates are deterministic at any
+// Parallelism, exactly like the telemetry registry they mirror. Wall-time
+// buckets are measured, not derived, and therefore vary run to run;
+// consumers comparing profiles across runs must compare counters, not
+// time.
 //
 // Memory is bounded: signature records are capped (Config.MaxRecords),
 // and inserting past the cap evicts the coldest record — smallest decayed
@@ -34,10 +35,7 @@
 package profile
 
 import (
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/asp"
@@ -64,12 +62,11 @@ type Config struct {
 type Profiler struct {
 	maxRecords int
 
-	mu       sync.RWMutex
-	sigs     map[string]*sigRecord
-	clusters map[int]*clusterRecord
-
-	totalSolves atomic.Int64
-	evictions   atomic.Int64
+	mu          sync.Mutex
+	sigs        map[string]*sigRecord
+	clusters    map[int]*clusterRecord
+	totalSolves int64
+	evictions   int64
 
 	mRecords   *telemetry.Gauge
 	mCreated   *telemetry.Counter
@@ -110,166 +107,85 @@ type Solve struct {
 	SolverReused bool
 }
 
-// counters is the atomic accumulator shared by signature and cluster
-// records; Counters is its wire form.
-type counters struct {
-	solves           atomic.Int64
-	wallNs           atomic.Int64
-	candidates       atomic.Int64
-	candidatesTested atomic.Int64
-	stabilityFails   atomic.Int64
-	decisions        atomic.Int64
-	conflicts        atomic.Int64
-	propagations     atomic.Int64
-	restarts         atomic.Int64
-	assumptionSolves atomic.Int64
-	reductions       atomic.Int64
-	clausesDeleted   atomic.Int64
-	retries          atomic.Int64
-	degraded         atomic.Int64
-	budgetExhausted  atomic.Int64
-	cacheHits        atomic.Int64
-	reuseHits        atomic.Int64
-}
-
-func (c *counters) addSolve(s *Solve) {
-	c.solves.Add(1)
-	c.wallNs.Add(s.Wall.Nanoseconds())
-	c.candidates.Add(int64(s.Candidates))
-	c.candidatesTested.Add(int64(s.CandidatesTested))
-	c.stabilityFails.Add(int64(s.StabilityFails))
-	c.decisions.Add(s.Decisions)
-	c.conflicts.Add(s.Conflicts)
-	c.propagations.Add(s.Propagations)
-	c.restarts.Add(s.Restarts)
-	c.assumptionSolves.Add(s.AssumptionSolves)
-	c.reductions.Add(s.Reductions)
-	c.clausesDeleted.Add(s.ClausesDeleted)
+// counters is the solve's contribution to its records.
+func (s *Solve) counters() Counters {
+	c := Counters{
+		Solves:           1,
+		WallNs:           s.Wall.Nanoseconds(),
+		Candidates:       int64(s.Candidates),
+		CandidatesTested: int64(s.CandidatesTested),
+		StabilityFails:   int64(s.StabilityFails),
+		Decisions:        s.Decisions,
+		Conflicts:        s.Conflicts,
+		Propagations:     s.Propagations,
+		Restarts:         s.Restarts,
+		AssumptionSolves: s.AssumptionSolves,
+		Reductions:       s.Reductions,
+		ClausesDeleted:   s.ClausesDeleted,
+	}
 	if s.CacheHit {
-		c.cacheHits.Add(1)
+		c.CacheHits = 1
 	}
 	if s.SolverReused {
-		c.reuseHits.Add(1)
+		c.ReuseHits = 1
 	}
-}
-
-func (c *counters) export() Counters {
-	return Counters{
-		Solves:           c.solves.Load(),
-		WallNs:           c.wallNs.Load(),
-		Candidates:       c.candidates.Load(),
-		CandidatesTested: c.candidatesTested.Load(),
-		StabilityFails:   c.stabilityFails.Load(),
-		Decisions:        c.decisions.Load(),
-		Conflicts:        c.conflicts.Load(),
-		Propagations:     c.propagations.Load(),
-		Restarts:         c.restarts.Load(),
-		AssumptionSolves: c.assumptionSolves.Load(),
-		Reductions:       c.reductions.Load(),
-		ClausesDeleted:   c.clausesDeleted.Load(),
-		Retries:          c.retries.Load(),
-		Degraded:         c.degraded.Load(),
-		BudgetExhausted:  c.budgetExhausted.Load(),
-		CacheHits:        c.cacheHits.Load(),
-		ReuseHits:        c.reuseHits.Load(),
-	}
-}
-
-func (c *counters) merge(w *Counters) {
-	c.solves.Add(w.Solves)
-	c.wallNs.Add(w.WallNs)
-	c.candidates.Add(w.Candidates)
-	c.candidatesTested.Add(w.CandidatesTested)
-	c.stabilityFails.Add(w.StabilityFails)
-	c.decisions.Add(w.Decisions)
-	c.conflicts.Add(w.Conflicts)
-	c.propagations.Add(w.Propagations)
-	c.restarts.Add(w.Restarts)
-	c.assumptionSolves.Add(w.AssumptionSolves)
-	c.reductions.Add(w.Reductions)
-	c.clausesDeleted.Add(w.ClausesDeleted)
-	c.retries.Add(w.Retries)
-	c.degraded.Add(w.Degraded)
-	c.budgetExhausted.Add(w.BudgetExhausted)
-	c.cacheHits.Add(w.CacheHits)
-	c.reuseHits.Add(w.ReuseHits)
+	return c
 }
 
 // sigRecord is one signature's live record. clusters is resolved once at
-// creation so the hot path does no map lookups beyond the key itself.
+// creation, so recording touches no map beyond the key itself.
 type sigRecord struct {
 	key      string
 	clusters []*clusterRecord
 	wall     telemetry.Histogram
-	heat     atomic.Int64
-	counters
+	heat     int64 // recording calls since the last decay; orders eviction
+	Counters
 }
 
-// clusterRecord is one violation cluster's live record. Shape fields are
-// written only under the profiler lock (seed/merge) and read under it.
+// clusterRecord is one violation cluster's live record.
 type clusterRecord struct {
 	id             int
 	violations     int
 	envelopeFacts  int
 	influenceFacts int
-	counters
+	Counters
 }
 
-// RecordSolve accumulates one completed signature solve.
-func (p *Profiler) RecordSolve(key string, s Solve) {
+// RecordSolve accumulates one completed solve of signature key, whose
+// violation clusters are sig (sorted, as the key lists them).
+func (p *Profiler) RecordSolve(key string, sig []int, s Solve) {
 	if p == nil {
 		return
 	}
-	r := p.sigFor(key)
-	r.heat.Add(1)
-	r.wall.Observe(s.Wall)
-	r.addSolve(&s)
-	for _, c := range r.clusters {
-		c.addSolve(&s)
-	}
-	p.totalSolves.Add(1)
-	p.mSolves.Inc()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.recordLocked(key, sig, s.counters()).wall.Observe(s.Wall)
 }
 
-// RecordRetry accumulates one budget-doubling retry of a signature.
-func (p *Profiler) RecordRetry(key string) {
+// Record adds c to signature key's record and to each of its clusters'
+// records: a budget-doubling retry is Counters{Retries: 1}, a group left
+// undecided under Options.Partial is Counters{Degraded: 1}, and an
+// exhausted deterministic DPLL budget (each failed attempt, including the
+// one before a retry) is Counters{BudgetExhausted: 1}.
+func (p *Profiler) Record(key string, sig []int, c Counters) {
 	if p == nil {
 		return
 	}
-	r := p.sigFor(key)
-	r.heat.Add(1)
-	r.retries.Add(1)
-	for _, c := range r.clusters {
-		c.retries.Add(1)
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.recordLocked(key, sig, c)
 }
 
-// RecordDegraded accumulates one degradation: the signature's group was
-// left undecided under Options.Partial.
-func (p *Profiler) RecordDegraded(key string) {
-	if p == nil {
-		return
+func (p *Profiler) recordLocked(key string, sig []int, c Counters) *sigRecord {
+	r := p.sigForLocked(key, sig)
+	r.heat++
+	r.Counters = r.Counters.Add(c)
+	for _, cr := range r.clusters {
+		cr.Counters = cr.Counters.Add(c)
 	}
-	r := p.sigFor(key)
-	r.heat.Add(1)
-	r.degraded.Add(1)
-	for _, c := range r.clusters {
-		c.degraded.Add(1)
-	}
-}
-
-// RecordBudgetExhausted accumulates one exhausted deterministic DPLL
-// budget (each failed attempt counts, including the one before a retry).
-func (p *Profiler) RecordBudgetExhausted(key string) {
-	if p == nil {
-		return
-	}
-	r := p.sigFor(key)
-	r.heat.Add(1)
-	r.budgetExhausted.Add(1)
-	for _, c := range r.clusters {
-		c.budgetExhausted.Add(1)
-	}
+	p.totalSolves += c.Solves
+	p.mSolves.Add(c.Solves)
+	return r
 }
 
 // SeedCluster records a cluster's shape — violation count, source repair
@@ -280,53 +196,14 @@ func (p *Profiler) SeedCluster(id, violations, envelopeFacts, influenceFacts int
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	c := p.clusterForLocked(id)
 	c.violations = violations
 	c.envelopeFacts = envelopeFacts
 	c.influenceFacts = influenceFacts
-	p.mu.Unlock()
 }
 
-// Records returns the live signature-record count (0 on nil).
-func (p *Profiler) Records() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.sigs)
-}
-
-// Solves returns the total solves recorded, including into since-evicted
-// records (0 on nil).
-func (p *Profiler) Solves() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.totalSolves.Load()
-}
-
-// Evictions returns the signature records evicted so far (0 on nil).
-func (p *Profiler) Evictions() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.evictions.Load()
-}
-
-func (p *Profiler) sigFor(key string) *sigRecord {
-	p.mu.RLock()
-	r := p.sigs[key]
-	p.mu.RUnlock()
-	if r != nil {
-		return r
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sigForLocked(key)
-}
-
-func (p *Profiler) sigForLocked(key string) *sigRecord {
+func (p *Profiler) sigForLocked(key string, sig []int) *sigRecord {
 	if r := p.sigs[key]; r != nil {
 		return r
 	}
@@ -334,7 +211,7 @@ func (p *Profiler) sigForLocked(key string) *sigRecord {
 		p.evictLocked()
 	}
 	r := &sigRecord{key: key}
-	for _, id := range parseKey(key) {
+	for _, id := range sig {
 		r.clusters = append(r.clusters, p.clusterForLocked(id))
 	}
 	p.sigs[key] = r
@@ -359,38 +236,16 @@ func (p *Profiler) evictLocked() {
 	for len(p.sigs) >= p.maxRecords {
 		var victim *sigRecord
 		for _, r := range p.sigs {
-			if victim == nil {
-				victim = r
-				continue
-			}
-			h, vh := r.heat.Load(), victim.heat.Load()
-			if h < vh || (h == vh && r.key < victim.key) {
+			if victim == nil || r.heat < victim.heat || (r.heat == victim.heat && r.key < victim.key) {
 				victim = r
 			}
 		}
 		delete(p.sigs, victim.key)
-		p.evictions.Add(1)
+		p.evictions++
 		p.mEvictions.Inc()
 	}
 	for _, r := range p.sigs {
-		r.heat.Store(r.heat.Load() >> 1)
+		r.heat >>= 1
 	}
 	p.mRecords.Set(int64(len(p.sigs)))
-}
-
-// parseKey splits a canonical signature key back into cluster ids; it is
-// the inverse of the key construction in internal/xr (sorted ids joined
-// with commas). Malformed segments are skipped, never fatal.
-func parseKey(key string) []int {
-	if key == "" {
-		return nil
-	}
-	parts := strings.Split(key, ",")
-	ids := make([]int, 0, len(parts))
-	for _, s := range parts {
-		if id, err := strconv.Atoi(strings.TrimSpace(s)); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }

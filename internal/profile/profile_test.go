@@ -2,7 +2,10 @@ package profile
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,20 +17,15 @@ import (
 
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
-	p.RecordSolve("1", Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 5}})
-	p.RecordRetry("1")
-	p.RecordDegraded("1")
-	p.RecordBudgetExhausted("1")
+	p.RecordSolve("1", []int{1}, Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 5}})
+	p.Record("1", []int{1}, Counters{Retries: 1, Degraded: 1, BudgetExhausted: 1})
 	p.SeedCluster(0, 1, 2, 3)
 	p.Merge(&Snapshot{Solves: 7})
-	if p.Records() != 0 || p.Solves() != 0 || p.Evictions() != 0 {
-		t.Fatal("nil profiler reported state")
-	}
 	snap := p.Snapshot()
 	if snap == nil {
 		t.Fatal("nil profiler snapshot is nil")
 	}
-	if snap.Records != 0 || len(snap.Signatures) != 0 {
+	if snap.Records != 0 || snap.Solves != 0 || snap.Evictions != 0 || len(snap.Signatures) != 0 {
 		t.Fatalf("nil profiler snapshot not empty: %+v", snap)
 	}
 	if snap.Signatures == nil {
@@ -48,12 +46,12 @@ func TestRecordSolveAggregatesAndAttributesClusters(t *testing.T) {
 		},
 		CacheHit: true, SolverReused: true,
 	}
-	p.RecordSolve("1,2", s)
-	p.RecordSolve("1,2", Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 10}})
-	p.RecordSolve("2", Solve{Wall: time.Millisecond, Stats: asp.Stats{Conflicts: 1}})
-	p.RecordRetry("1,2")
-	p.RecordDegraded("2")
-	p.RecordBudgetExhausted("1,2")
+	p.RecordSolve("1,2", []int{1, 2}, s)
+	p.RecordSolve("1,2", []int{1, 2}, Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 10}})
+	p.RecordSolve("2", []int{2}, Solve{Wall: time.Millisecond, Stats: asp.Stats{Conflicts: 1}})
+	p.Record("1,2", []int{1, 2}, Counters{Retries: 1})
+	p.Record("2", []int{2}, Counters{Degraded: 1})
+	p.Record("1,2", []int{1, 2}, Counters{BudgetExhausted: 1})
 
 	snap := p.Snapshot()
 	if snap.Records != 2 || snap.Solves != 3 {
@@ -90,11 +88,12 @@ func TestRecordSolveAggregatesAndAttributesClusters(t *testing.T) {
 }
 
 func TestSnapshotMarshalDeterministic(t *testing.T) {
+	sigs := map[string][]int{"3": {3}, "1,3": {1, 3}, "10": {10}, "2": {2}}
 	build := func(order []string) []byte {
 		p := New(Config{})
 		p.SeedCluster(3, 1, 2, 3)
 		for _, k := range order {
-			p.RecordSolve(k, Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 7}})
+			p.RecordSolve(k, sigs[k], Solve{Wall: time.Millisecond, Stats: asp.Stats{Decisions: 7}})
 		}
 		b, err := p.Snapshot().MarshalIndent()
 		if err != nil {
@@ -114,16 +113,16 @@ func TestMergeRoundTripByteIdentical(t *testing.T) {
 	p.SeedCluster(0, 2, 11, 17)
 	p.SeedCluster(4, 1, 3, 5)
 	for i := 0; i < 40; i++ {
-		p.RecordSolve("0,4", Solve{
+		p.RecordSolve("0,4", []int{0, 4}, Solve{
 			Wall:     time.Duration(i%7) * 100 * time.Microsecond,
 			Stats:    asp.Stats{Decisions: int64(i), Conflicts: int64(i % 3), Propagations: int64(10 * i)},
 			CacheHit: i%2 == 0, SolverReused: i%5 == 0,
 		})
-		p.RecordSolve("4", Solve{Wall: time.Duration(i) * time.Microsecond, Stats: asp.Stats{Restarts: 1}})
+		p.RecordSolve("4", []int{4}, Solve{Wall: time.Duration(i) * time.Microsecond, Stats: asp.Stats{Restarts: 1}})
 	}
-	p.RecordRetry("0,4")
-	p.RecordDegraded("4")
-	p.RecordBudgetExhausted("0,4")
+	p.Record("0,4", []int{0, 4}, Counters{Retries: 1})
+	p.Record("4", []int{4}, Counters{Degraded: 1})
+	p.Record("0,4", []int{0, 4}, Counters{BudgetExhausted: 1})
 
 	orig, err := p.Snapshot().MarshalIndent()
 	if err != nil {
@@ -149,11 +148,11 @@ func TestEvictionOrderAtTinyCap(t *testing.T) {
 	p := New(Config{MaxRecords: 2, Metrics: reg})
 	// "1" is hot (3 touches), "2" is cold (1 touch).
 	for i := 0; i < 3; i++ {
-		p.RecordSolve("1", Solve{Wall: time.Microsecond})
+		p.RecordSolve("1", []int{1}, Solve{Wall: time.Microsecond})
 	}
-	p.RecordSolve("2", Solve{Wall: time.Microsecond})
+	p.RecordSolve("2", []int{2}, Solve{Wall: time.Microsecond})
 	// Inserting "3" must evict the coldest record, "2".
-	p.RecordSolve("3", Solve{Wall: time.Microsecond})
+	p.RecordSolve("3", []int{3}, Solve{Wall: time.Microsecond})
 	snap := p.Snapshot()
 	if snap.Records != 2 || snap.Evictions != 1 {
 		t.Fatalf("records=%d evictions=%d, want 2/1", snap.Records, snap.Evictions)
@@ -169,7 +168,7 @@ func TestEvictionOrderAtTinyCap(t *testing.T) {
 	// Decay: the eviction halved "1"'s heat from 3 to 1, and "3" earned
 	// heat 1 from its solve — a tie, which breaks toward the smaller key.
 	// Inserting "4" therefore evicts "1": one-time hot spots age out.
-	p.RecordSolve("4", Solve{Wall: time.Microsecond})
+	p.RecordSolve("4", []int{4}, Solve{Wall: time.Microsecond})
 	snap = p.Snapshot()
 	keys = []string{snap.Signatures[0].Key, snap.Signatures[1].Key}
 	if !reflect.DeepEqual(keys, []string{"3", "4"}) {
@@ -185,10 +184,10 @@ func TestEvictionOrderAtTinyCap(t *testing.T) {
 
 func TestEvictionTieBreaksOnSmallestKey(t *testing.T) {
 	p := New(Config{MaxRecords: 2})
-	p.RecordSolve("7", Solve{})
-	p.RecordSolve("3", Solve{})
+	p.RecordSolve("7", []int{7}, Solve{})
+	p.RecordSolve("3", []int{3}, Solve{})
 	// Equal heat (1 each): the lexicographically smallest key, "3", goes.
-	p.RecordSolve("9", Solve{})
+	p.RecordSolve("9", []int{9}, Solve{})
 	snap := p.Snapshot()
 	keys := []string{snap.Signatures[0].Key, snap.Signatures[1].Key}
 	if !reflect.DeepEqual(keys, []string{"7", "9"}) {
@@ -200,16 +199,17 @@ func TestConcurrentRecordingIsExact(t *testing.T) {
 	p := New(Config{})
 	const workers, perWorker = 8, 500
 	keys := []string{"1", "2", "1,2", "3"}
+	sigs := [][]int{{1}, {2}, {1, 2}, {3}}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				k := keys[(w+i)%len(keys)]
-				p.RecordSolve(k, Solve{Wall: time.Microsecond, Stats: asp.Stats{Decisions: 2, Conflicts: 1}})
+				k, sig := keys[(w+i)%len(keys)], sigs[(w+i)%len(keys)]
+				p.RecordSolve(k, sig, Solve{Wall: time.Microsecond, Stats: asp.Stats{Decisions: 2, Conflicts: 1}})
 				if i%50 == 0 {
-					p.RecordRetry(k)
+					p.Record(k, sig, Counters{Retries: 1})
 					_ = p.Snapshot() // concurrent reads must not race
 				}
 			}
@@ -220,14 +220,15 @@ func TestConcurrentRecordingIsExact(t *testing.T) {
 	if snap.Solves != workers*perWorker {
 		t.Fatalf("solves = %d, want %d", snap.Solves, workers*perWorker)
 	}
-	var dec, con int64
+	var dec, con, ret int64
 	for _, sp := range snap.Signatures {
 		dec += sp.Decisions
 		con += sp.Conflicts
+		ret += sp.Retries
 	}
-	if dec != 2*workers*perWorker || con != workers*perWorker {
-		t.Fatalf("decisions=%d conflicts=%d, want %d/%d",
-			dec, con, 2*workers*perWorker, workers*perWorker)
+	if dec != 2*workers*perWorker || con != workers*perWorker || ret != workers*perWorker/50 {
+		t.Fatalf("decisions=%d conflicts=%d retries=%d, want %d/%d/%d",
+			dec, con, ret, 2*workers*perWorker, workers*perWorker, workers*perWorker/50)
 	}
 }
 
@@ -270,35 +271,72 @@ func TestTopOrders(t *testing.T) {
 	}
 }
 
-func TestParseKeySkipsMalformedSegments(t *testing.T) {
-	p := New(Config{})
-	p.RecordSolve("2, 7", Solve{}) // spaces tolerated
-	p.RecordSolve("x,5,", Solve{}) // junk skipped
-	snap := p.Snapshot()
-	if !reflect.DeepEqual(snap.Signatures[0].ClusterIDs, []int{2, 7}) {
-		t.Fatalf("cluster ids: %+v", snap.Signatures[0])
-	}
-	if !reflect.DeepEqual(snap.Signatures[1].ClusterIDs, []int{5}) {
-		t.Fatalf("cluster ids: %+v", snap.Signatures[1])
-	}
-}
-
 func TestMergeEvictsPastCap(t *testing.T) {
 	donor := New(Config{})
 	for i := 0; i < 6; i++ {
 		for j := 0; j <= i; j++ { // key "5" hottest
-			donor.RecordSolve(fmt.Sprint(i), Solve{})
+			donor.RecordSolve(fmt.Sprint(i), []int{i}, Solve{})
 		}
 	}
 	small := New(Config{MaxRecords: 3})
 	small.Merge(donor.Snapshot())
-	if small.Records() != 3 {
-		t.Fatalf("records = %d, want cap 3", small.Records())
-	}
 	snap := small.Snapshot()
+	if snap.Records != 3 {
+		t.Fatalf("records = %d, want cap 3", snap.Records)
+	}
 	// The hottest donors must survive the restore-time evictions.
 	last := snap.Signatures[len(snap.Signatures)-1]
 	if last.Key != "5" && snap.Signatures[0].Key != "5" {
 		t.Fatalf("hottest key evicted during merge: %+v", snap.Signatures)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the snapshot golden file")
+
+// TestSnapshotGolden pins the snapshot wire bytes — the /profile body,
+// the persisted profile.xr payload, and xrbench's hot_signatures — for a
+// fixed recording: three seeded clusters, a two-cluster signature, every
+// asp.Stats field nonzero (LoopsLearned and TheoryRejects must stay out
+// of the sums), fixed wall times, and one retry, degradation and budget
+// exhaustion. Regenerate deliberately with
+// `go test ./internal/profile -run TestSnapshotGolden -update`.
+func TestSnapshotGolden(t *testing.T) {
+	p := New(Config{})
+	p.SeedCluster(1, 2, 10, 20)
+	p.SeedCluster(4, 3, 30, 40)
+	p.SeedCluster(9, 1, 5, 7)
+	full := asp.Stats{
+		CandidatesTested: 3, StabilityFails: 1, LoopsLearned: 4, TheoryRejects: 2,
+		Conflicts: 7, Decisions: 100, Propagations: 900, Restarts: 2,
+		AssumptionSolves: 5, Reductions: 1, ClausesDeleted: 12,
+	}
+	p.RecordSolve("1,4", []int{1, 4}, Solve{Wall: 1500 * time.Microsecond, Candidates: 6, Stats: full, CacheHit: false, SolverReused: false})
+	p.RecordSolve("1,4", []int{1, 4}, Solve{Wall: 250 * time.Microsecond, Candidates: 6, Stats: full, CacheHit: true, SolverReused: true})
+	p.RecordSolve("9", []int{9}, Solve{Wall: 40 * time.Millisecond, Candidates: 2, Stats: full, CacheHit: true})
+	p.RecordSolve("4", []int{4}, Solve{Wall: 3 * time.Millisecond, Candidates: 1, Stats: asp.Stats{Decisions: 9, Conflicts: 1}, SolverReused: true})
+	p.Record("1,4", []int{1, 4}, Counters{Retries: 1})
+	p.Record("9", []int{9}, Counters{Degraded: 1})
+	p.Record("1,4", []int{1, 4}, Counters{BudgetExhausted: 1})
+
+	got, err := p.Snapshot().MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "snapshot.golden.json")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/profile -run TestSnapshotGolden -update`)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot bytes drifted from the golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"sort"
 )
 
-// Counters is the wire form of one record's accumulated work. All fields
-// are order-independent sums of per-solve contributions, so they are
-// deterministic at any Parallelism — except WallNs, which is measured
-// wall time (compare counters across runs, not time).
+// Counters is one record's accumulated work: the live value inside the
+// profiler and its JSON wire form. All fields are order-independent sums
+// of per-solve contributions, so they are deterministic at any
+// Parallelism — except WallNs, which is measured wall time (compare
+// counters across runs, not time).
 //
 // Counters is part of the JSON wire format (snake_case field names are a
 // compatibility contract).
@@ -30,6 +31,35 @@ type Counters struct {
 	BudgetExhausted  int64 `json:"budget_exhausted"`
 	CacheHits        int64 `json:"cache_hits"`
 	ReuseHits        int64 `json:"reuse_hits"`
+}
+
+// Add returns the field-wise sum a + b.
+func (a Counters) Add(b Counters) Counters { return a.plus(b, 1) }
+
+// Sub returns the field-wise difference a - b: the work recorded between
+// two snapshots of one record.
+func (a Counters) Sub(b Counters) Counters { return a.plus(b, -1) }
+
+func (a Counters) plus(b Counters, k int64) Counters {
+	return Counters{
+		Solves:           a.Solves + k*b.Solves,
+		WallNs:           a.WallNs + k*b.WallNs,
+		Candidates:       a.Candidates + k*b.Candidates,
+		CandidatesTested: a.CandidatesTested + k*b.CandidatesTested,
+		StabilityFails:   a.StabilityFails + k*b.StabilityFails,
+		Decisions:        a.Decisions + k*b.Decisions,
+		Conflicts:        a.Conflicts + k*b.Conflicts,
+		Propagations:     a.Propagations + k*b.Propagations,
+		Restarts:         a.Restarts + k*b.Restarts,
+		AssumptionSolves: a.AssumptionSolves + k*b.AssumptionSolves,
+		Reductions:       a.Reductions + k*b.Reductions,
+		ClausesDeleted:   a.ClausesDeleted + k*b.ClausesDeleted,
+		Retries:          a.Retries + k*b.Retries,
+		Degraded:         a.Degraded + k*b.Degraded,
+		BudgetExhausted:  a.BudgetExhausted + k*b.BudgetExhausted,
+		CacheHits:        a.CacheHits + k*b.CacheHits,
+		ReuseHits:        a.ReuseHits + k*b.ReuseHits,
+	}
 }
 
 // WallStats is the wire form of a record's wall-time histogram: the raw
@@ -95,11 +125,11 @@ func (p *Profiler) Snapshot() *Snapshot {
 	if p == nil {
 		return snap
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	snap.Records = len(p.sigs)
-	snap.Solves = p.totalSolves.Load()
-	snap.Evictions = p.evictions.Load()
+	snap.Solves = p.totalSolves
+	snap.Evictions = p.evictions
 	keys := make([]string, 0, len(p.sigs))
 	for key := range p.sigs {
 		keys = append(keys, key)
@@ -120,7 +150,7 @@ func (p *Profiler) Snapshot() *Snapshot {
 			Violations:     c.violations,
 			EnvelopeFacts:  c.envelopeFacts,
 			InfluenceFacts: c.influenceFacts,
-			Counters:       c.export(),
+			Counters:       c.Counters,
 		})
 	}
 	return snap
@@ -130,7 +160,7 @@ func (r *sigRecord) profile() SignatureProfile {
 	count, sumNs, buckets := r.wall.Export()
 	sp := SignatureProfile{
 		Key:      r.key,
-		Counters: r.export(),
+		Counters: r.Counters,
 		Wall: WallStats{
 			Count: count,
 			SumNs: sumNs,
@@ -165,18 +195,19 @@ func trimZeros(buckets []int64) []int64 {
 
 // Merge folds a snapshot into the profiler (additive), restoring
 // persisted hardness history under live recording. Cluster shapes are
-// adopted from the snapshot when the profiler has none; restored
-// signatures arrive with heat equal to their solve count so they compete
-// fairly with live records under eviction. Restoring more signatures
-// than MaxRecords evicts coldest-first as usual. Nil-safe no-op.
+// adopted from the snapshot when the profiler has none; a restored
+// signature joins the clusters its ClusterIDs list and arrives with heat
+// equal to its solve count, so it competes fairly with live records under
+// eviction. Restoring more signatures than MaxRecords evicts
+// coldest-first as usual. Nil-safe no-op.
 func (p *Profiler) Merge(snap *Snapshot) {
 	if p == nil || snap == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.totalSolves.Add(snap.Solves)
-	p.evictions.Add(snap.Evictions)
+	p.totalSolves += snap.Solves
+	p.evictions += snap.Evictions
 	// Clusters first, so signature records created below find shapes.
 	for i := range snap.Clusters {
 		cp := &snap.Clusters[i]
@@ -186,14 +217,14 @@ func (p *Profiler) Merge(snap *Snapshot) {
 			c.envelopeFacts = cp.EnvelopeFacts
 			c.influenceFacts = cp.InfluenceFacts
 		}
-		c.merge(&cp.Counters)
+		c.Counters = c.Counters.Add(cp.Counters)
 	}
 	for i := range snap.Signatures {
 		sp := &snap.Signatures[i]
-		r := p.sigForLocked(sp.Key)
-		r.merge(&sp.Counters)
+		r := p.sigForLocked(sp.Key, sp.ClusterIDs)
+		r.Counters = r.Counters.Add(sp.Counters)
 		r.wall.Merge(sp.Wall.Count, sp.Wall.SumNs, sp.Wall.Buckets)
-		r.heat.Add(sp.Solves)
+		r.heat += sp.Solves
 	}
 }
 

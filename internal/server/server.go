@@ -415,37 +415,86 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	scenario := r.PathValue("name")
-	st := stateFrom(r.Context())
+// admitQuery is the prologue the query and explain handlers share before
+// reading their request: tag the tenant, join the drain group (503 while
+// draining), take an admission slot, and pin the scenario against a
+// concurrent unload (404 when unknown). On failure it has written the
+// response and returns a nil Scenario; otherwise the caller defers leave,
+// which undoes the steps in reverse.
+func (s *Server) admitQuery(w http.ResponseWriter, st *requestState, scenario string) (sc *Scenario, leave func()) {
 	if st != nil {
 		st.setTenant(scenario)
 	}
 	if !s.group.Enter() {
 		s.writeError(w, http.StatusServiceUnavailable, scenario, errors.New("server draining"))
-		return
+		return nil, nil
 	}
-	defer s.group.Leave()
-
 	// Admission: bounded concurrency across all tenants. Saturation is a
 	// normal overload signal, not an error — 429 with Retry-After tells
 	// well-behaved clients to back off.
 	select {
 	case s.admit <- struct{}{}:
-		defer func() { <-s.admit }()
 	default:
 		s.cfg.Metrics.Counter("xr_server_rejected_total").Inc()
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, scenario, errors.New("query capacity saturated"))
-		return
+		s.group.Leave()
+		return nil, nil
 	}
-
+	unadmit := func() {
+		<-s.admit
+		s.group.Leave()
+	}
 	sc, releaseRef, err := s.reg.Acquire(scenario)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, scenario, err)
+		unadmit()
+		return nil, nil
+	}
+	return sc, func() {
+		releaseRef()
+		unadmit()
+	}
+}
+
+// leaseLanes leases solver lanes for an admitted request from the
+// process-wide pool and keeps xr_lanes_in_use current. The request
+// context bounds the wait, so an abandoned request never holds a slot
+// (503 when canceled while waiting). It then gives the request its own
+// tracer, whose span tree the middleware harvests into the trace ring and
+// slowlog, and records the lane count and the hash of queryText for
+// /v1/inflight. On failure it has written the response and returns a nil
+// release; otherwise the caller defers release.
+func (s *Server) leaseLanes(w http.ResponseWriter, r *http.Request, st *requestState, scenario, queryText string) (lanes int, tracer *telemetry.Tracer, release func()) {
+	lanesGauge := s.cfg.Metrics.Gauge("xr_lanes_in_use")
+	lanes, free := s.lanes.lease(r.Context(), s.cfg.PerQueryLanes)
+	if free == nil {
+		s.writeError(w, http.StatusServiceUnavailable, scenario, errors.New("canceled while waiting for solver lanes"))
+		lanesGauge.Set(int64(s.lanes.inUse()))
+		return 0, nil, nil
+	}
+	lanesGauge.Set(int64(s.lanes.inUse()))
+	tracer = telemetry.NewTracer()
+	if st != nil {
+		tracer.SetRequestID(st.id)
+		st.setTracer(tracer)
+		st.lanes.Store(int64(lanes))
+		st.setQueryHash(queryTextHash(queryText))
+	}
+	return lanes, tracer, func() {
+		free()
+		lanesGauge.Set(int64(s.lanes.inUse()))
+	}
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	scenario := r.PathValue("name")
+	st := stateFrom(r.Context())
+	sc, leave := s.admitQuery(w, st, scenario)
+	if sc == nil {
 		return
 	}
-	defer releaseRef()
+	defer leave()
 	var req QueryRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -460,6 +509,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var q *repro.Query
+	var err error
 	switch {
 	case req.Name != "" && req.Query != "":
 		s.writeError(w, http.StatusBadRequest, scenario, errors.New("set either name or query, not both"))
@@ -480,36 +530,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Lease solver lanes from the process-wide pool; the request context
-	// bounds the wait so an abandoned request never holds a slot.
-	mt := s.cfg.Metrics
-	lanesGauge := mt.Gauge("xr_lanes_in_use")
-	defer func() { lanesGauge.Set(int64(s.lanes.inUse())) }() // runs after release
-	lanes, release := s.lanes.lease(r.Context(), s.cfg.PerQueryLanes)
+	queryText := req.Query
+	if req.Name != "" {
+		queryText = req.Name
+	}
+	lanes, tracer, release := s.leaseLanes(w, r, st, scenario, queryText)
 	if release == nil {
-		s.writeError(w, http.StatusServiceUnavailable, scenario, errors.New("canceled while waiting for solver lanes"))
 		return
 	}
 	defer release()
-	lanesGauge.Set(int64(s.lanes.inUse()))
-
-	// Per-request observability: a dedicated tracer (span tree harvested
-	// into the trace ring / slowlog by the middleware) and the query hash
-	// + lane count for /v1/inflight.
-	tracer := telemetry.NewTracer()
-	if st != nil {
-		tracer.SetRequestID(st.id)
-		st.setTracer(tracer)
-		st.lanes.Store(int64(lanes))
-		if req.Name != "" {
-			st.setQueryHash(queryTextHash(req.Name))
-		} else {
-			st.setQueryHash(queryTextHash(req.Query))
-		}
-	}
 
 	opts := s.queryOptions(r.Context(), &req, lanes, st, tracer)
 
+	mt := s.cfg.Metrics
 	mt.Counter(telemetry.Labeled("xr_server_queries_total", "scenario", scenario, "mode", mode)).Inc()
 	inflight := mt.Gauge(telemetry.Labeled("xr_server_inflight", "scenario", scenario))
 	inflight.Add(1)
@@ -636,29 +669,11 @@ func (s *Server) queryOptions(ctx context.Context, req *QueryRequest, lanes int,
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	scenario := r.PathValue("name")
 	st := stateFrom(r.Context())
-	if st != nil {
-		st.setTenant(scenario)
-	}
-	if !s.group.Enter() {
-		s.writeError(w, http.StatusServiceUnavailable, scenario, errors.New("server draining"))
+	sc, leave := s.admitQuery(w, st, scenario)
+	if sc == nil {
 		return
 	}
-	defer s.group.Leave()
-	select {
-	case s.admit <- struct{}{}:
-		defer func() { <-s.admit }()
-	default:
-		s.cfg.Metrics.Counter("xr_server_rejected_total").Inc()
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, scenario, errors.New("query capacity saturated"))
-		return
-	}
-	sc, releaseRef, err := s.reg.Acquire(scenario)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, scenario, err)
-		return
-	}
-	defer releaseRef()
+	defer leave()
 	qname := r.URL.Query().Get("query")
 	if qname == "" {
 		s.writeError(w, http.StatusBadRequest, scenario, errors.New("missing ?query= (a preloaded query name)"))
@@ -676,22 +691,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			args[i] = strings.TrimSpace(args[i])
 		}
 	}
-	lanesGauge := s.cfg.Metrics.Gauge("xr_lanes_in_use")
-	defer func() { lanesGauge.Set(int64(s.lanes.inUse())) }() // runs after release
-	lanes, release := s.lanes.lease(r.Context(), s.cfg.PerQueryLanes)
+	lanes, tracer, release := s.leaseLanes(w, r, st, scenario, qname)
 	if release == nil {
-		s.writeError(w, http.StatusServiceUnavailable, scenario, errors.New("canceled while waiting for solver lanes"))
 		return
 	}
 	defer release()
-	lanesGauge.Set(int64(s.lanes.inUse()))
-	tracer := telemetry.NewTracer()
-	if st != nil {
-		tracer.SetRequestID(st.id)
-		st.setTracer(tracer)
-		st.lanes.Store(int64(lanes))
-		st.setQueryHash(queryTextHash(qname))
-	}
 	e, err := sc.Why(q, args,
 		repro.WithContext(r.Context()),
 		repro.WithTimeout(s.cfg.DefaultTimeout),

@@ -4,15 +4,16 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
 
-// This file upgrades the flat Span timer (telemetry.go) into a hierarchical
-// execution trace: a Tracer collects SpanNodes with parent links, the
-// engines attach one node per phase (exchange, chase sub-phases, query,
-// signature program), and WriteChromeTrace exports the tree in the Chrome
-// trace-event JSON format, loadable in about:tracing and Perfetto.
+// This file is the hierarchical execution trace: a Tracer collects
+// SpanNodes with parent links, the engines attach one node per phase
+// (exchange, chase sub-phases, query, signature program), and
+// WriteChromeTrace exports the tree in the Chrome trace-event JSON format,
+// loadable in about:tracing and Perfetto.
 //
 // Design constraints match the rest of the package:
 //
@@ -147,7 +148,7 @@ func (s *ActiveSpan) Arg(key, value string) {
 
 // ArgInt attaches one integer annotation. Safe on a nil span.
 func (s *ActiveSpan) ArgInt(key string, value int64) {
-	s.Arg(key, itoa64(value))
+	s.Arg(key, strconv.FormatInt(value, 10))
 }
 
 // End records the span into its tracer. Safe on a nil span.
@@ -244,9 +245,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		for _, a := range s.Args {
 			args[a.Key] = a.Value
 		}
-		args["id"] = itoa64(int64(s.ID))
+		args["id"] = strconv.FormatInt(int64(s.ID), 10)
 		if s.Parent != NoSpan {
-			args["parent"] = itoa64(int64(s.Parent))
+			args["parent"] = strconv.FormatInt(int64(s.Parent), 10)
 		}
 		if reqID != "" {
 			args["request_id"] = reqID
@@ -270,7 +271,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for _, l := range laneIDs {
 		name := "main"
 		if l > 0 {
-			name = "worker-" + itoa64(int64(l))
+			name = "worker-" + strconv.Itoa(l)
 		}
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: l,
@@ -279,28 +280,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// itoa64 formats an int64 without pulling strconv into the hot path's
-// import graph (matching the package's no-dependency style).
-func itoa64(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

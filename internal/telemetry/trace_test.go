@@ -186,12 +186,3 @@ func TestWriteChromeTraceFormat(t *testing.T) {
 		t.Fatalf("metadata events = %d, want 2", meta)
 	}
 }
-
-func TestItoa64(t *testing.T) {
-	cases := map[int64]string{0: "0", 7: "7", -3: "-3", 12345: "12345", -9007199254740993: "-9007199254740993"}
-	for n, want := range cases {
-		if got := itoa64(n); got != want {
-			t.Fatalf("itoa64(%d) = %q, want %q", n, got, want)
-		}
-	}
-}

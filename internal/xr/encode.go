@@ -3,6 +3,7 @@ package xr
 import (
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/asp"
 	"repro/internal/chase"
@@ -97,23 +98,9 @@ func (e *encoder) atom(m map[chase.FactID]asp.AtomID, f chase.FactID, kind byte)
 	if a, ok := m[f]; ok {
 		return a
 	}
-	a := e.gp.Atom(string(kind) + "#" + itoa(int(f)))
+	a := e.gp.Atom(string(kind) + "#" + strconv.Itoa(int(f)))
 	m[f] = a
 	return a
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // build emits the complete program over every fact of the provenance.
@@ -136,7 +123,7 @@ func (e *encoder) buildFocused(focus map[chase.FactID]bool) {
 	for f := range focus {
 		ids = append(ids, f)
 	}
-	sortFactIDs(ids)
+	slices.Sort(ids)
 	e.emit(ids)
 	for _, f := range ids {
 		if e.state(f) == factVar {
@@ -153,14 +140,6 @@ func (e *encoder) specialize() *encoder {
 	spec := *e
 	spec.gp = e.gp.Clone()
 	return &spec
-}
-
-func sortFactIDs(ids []chase.FactID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 func (e *encoder) emit(universe []chase.FactID) {

@@ -3,6 +3,7 @@ package xr
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/asp"
 	"repro/internal/chase"
@@ -154,7 +155,7 @@ func (ex *Exchange) supportClosure(c *candidate) []chase.FactID {
 	for f := range closure {
 		out = append(out, f)
 	}
-	explain.SortFactIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -180,7 +181,7 @@ func (ex *Exchange) clusterInfos(sig []int) []explain.ClusterInfo {
 func (e *encoder) witnessFromModel(m []bool) *explain.Witness {
 	w := &explain.Witness{}
 	del := append([]chase.FactID(nil), e.deletable...)
-	explain.SortFactIDs(del)
+	slices.Sort(del)
 	for _, f := range del {
 		if m[e.d[f]] {
 			w.DroppedSource = append(w.DroppedSource, f)
@@ -194,7 +195,7 @@ func (e *encoder) witnessFromModel(m []bool) *explain.Witness {
 			derived = append(derived, f)
 		}
 	}
-	explain.SortFactIDs(derived)
+	slices.Sort(derived)
 	for _, f := range derived {
 		if !m[e.r[f]] {
 			w.MissingTarget = append(w.MissingTarget, f)

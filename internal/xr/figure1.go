@@ -3,6 +3,7 @@ package xr
 import (
 	"repro/internal/asp"
 	"repro/internal/chase"
+	"strconv"
 )
 
 // Figure1Program builds the *literal* Figure 1 program of the paper over
@@ -31,7 +32,7 @@ func Figure1Program(prov *chase.Provenance) (*asp.GroundProgram, map[chase.FactI
 		if a, ok := m[f]; ok {
 			return a
 		}
-		a := gp.Atom(string(kind) + "#" + itoa(int(f)))
+		a := gp.Atom(string(kind) + "#" + strconv.Itoa(int(f)))
 		m[f] = a
 		return a
 	}

@@ -2,6 +2,7 @@ package xr
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/asp"
@@ -174,7 +175,7 @@ func (e *encoder) candidateKey(c *candidate) (string, bool) {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(itoa(a))
+			b.WriteString(strconv.Itoa(a))
 		}
 		parts = append(parts, b.String())
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,13 +226,10 @@ type Options struct {
 	// the Exchange's profiler). The profiler accumulates per-signature and
 	// per-cluster solve records across the Exchange's lifetime — see
 	// internal/profile and Exchange.Profile. Profiling records at the same
-	// instrumentation points telemetry uses, with commuting atomic adds
-	// only, so answers, Unknown sets, and ExchangeStats are byte-identical
-	// with profiling on or off at any Parallelism.
+	// instrumentation points telemetry uses, adding commuting sums under
+	// one lock, so answers, Unknown sets, and ExchangeStats are
+	// byte-identical with profiling on or off at any Parallelism.
 	Profiling bool
-	// ProfileMaxRecords caps the profiler's signature-record table
-	// (0 = profile.DefaultMaxRecords). Ignored unless Profiling is set.
-	ProfileMaxRecords int
 }
 
 // Fault-injection site names passed to Options.FaultHook. Kept as plain
@@ -336,14 +334,6 @@ func isSentinel(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudget)
 }
 
-// forEach runs fn(ctx, i) for every i in [0, n) across at most workers
-// goroutines; see forEachWorker for the pool semantics.
-func forEach(ctx context.Context, workers, n int, fn func(context.Context, int) error) error {
-	return forEachWorker(ctx, workers, n, func(ctx context.Context, _, i int) error {
-		return fn(ctx, i)
-	})
-}
-
 // forEachWorker runs fn(ctx, worker, i) for every i in [0, n) across at
 // most workers goroutines; worker is the 1-based pool lane the job runs on
 // (0 on the sequential path), stable for the lifetime of the pool so spans
@@ -383,7 +373,7 @@ func forEachWorker(ctx context.Context, workers, n int, fn func(context.Context,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pprof.Do(wctx, pprof.Labels("xr_worker", itoa(w)), func(ctx context.Context) {
+			pprof.Do(wctx, pprof.Labels("xr_worker", strconv.Itoa(w)), func(ctx context.Context) {
 				for {
 					i := int(next.Add(1))
 					if i >= n || ctx.Err() != nil {

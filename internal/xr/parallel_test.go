@@ -352,7 +352,7 @@ func TestMonolithicCanceled(t *testing.T) {
 func TestForEachSemantics(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := forEach(context.Background(), workers, 8, func(_ context.Context, i int) error {
+		err := forEachWorker(context.Background(), workers, 8, func(_ context.Context, _, i int) error {
 			if i >= 3 {
 				return fmt.Errorf("job %d: %w", i, boom)
 			}
@@ -365,7 +365,7 @@ func TestForEachSemantics(t *testing.T) {
 		dead, cancel := context.WithCancel(context.Background())
 		cancel()
 		ran := 0
-		err = forEach(dead, workers, 8, func(context.Context, int) error { ran++; return nil })
+		err = forEachWorker(dead, workers, 8, func(context.Context, int, int) error { ran++; return nil })
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("workers=%d dead ctx: err = %v, want ErrCanceled", workers, err)
 		}
@@ -373,7 +373,7 @@ func TestForEachSemantics(t *testing.T) {
 			t.Fatalf("sequential pool ran %d jobs under a dead context", ran)
 		}
 
-		if err := forEach(context.Background(), workers, 0, func(context.Context, int) error {
+		if err := forEachWorker(context.Background(), workers, 0, func(context.Context, int, int) error {
 			t.Fatal("fn called for n=0")
 			return nil
 		}); err != nil {

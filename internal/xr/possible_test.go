@@ -2,6 +2,7 @@ package xr
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/logic"
@@ -164,7 +165,7 @@ func TestRepairsLimit(t *testing.T) {
 	aRel, _ := w.cat.ByName("A")
 	bRel, _ := w.cat.ByName("B")
 	for i := 0; i < 4; i++ {
-		name := "t" + itoa(i)
+		name := "t" + strconv.Itoa(i)
 		w.add(aRel, name, "1")
 		w.add(bRel, name, "2")
 	}

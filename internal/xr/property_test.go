@@ -2,6 +2,7 @@ package xr
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/chase"
@@ -172,4 +173,4 @@ func TestMonolithicTimeout(t *testing.T) {
 	}
 }
 
-func key(i int) string { return string(rune('a'+i%26)) + itoa(i) }
+func key(i int) string { return string(rune('a'+i%26)) + strconv.Itoa(i) }

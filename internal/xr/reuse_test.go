@@ -39,7 +39,7 @@ func freshResult(t testing.TB, ex *Exchange, q *logic.UCQ, brave bool, par int) 
 	res.Stats.Candidates = len(cands)
 	keys, groups := ex.partition(cands, res)
 	outs := make([]*groupOutcome, len(keys))
-	if err := forEach(context.Background(), par, len(keys), func(_ context.Context, i int) error {
+	if err := forEachWorker(context.Background(), par, len(keys), func(_ context.Context, _, i int) error {
 		outs[i] = freshSolve(t, ex, keys[i], groups[keys[i]], brave)
 		return nil
 	}); err != nil {

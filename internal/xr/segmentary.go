@@ -239,7 +239,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 	ex.mt = newMeters(opts.Metrics)
 	ex.mt.recordExchange(ex.Stats)
 	if opts.Profiling {
-		ex.prof = profile.New(profile.Config{MaxRecords: opts.ProfileMaxRecords, Metrics: opts.Metrics})
+		ex.prof = profile.New(profile.Config{Metrics: opts.Metrics})
 		// Seed cluster shapes now, while envelope construction is fresh:
 		// every later solve only touches counters.
 		for ci, c := range ex.Clusters {
@@ -253,12 +253,12 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		// sub-spans are laid back-to-back from the chase start.
 		t := opts.Tracer
 		exSpan := t.AddSpan(telemetry.NoSpan, "exchange", 0, start, end.Sub(start),
-			telemetry.SpanArg{Key: "clusters", Value: itoa(len(ex.Clusters))},
-			telemetry.SpanArg{Key: "facts", Value: itoa(prov.NumFacts())},
-			telemetry.SpanArg{Key: "violations", Value: itoa(len(prov.Violations))})
+			telemetry.SpanArg{Key: "clusters", Value: strconv.Itoa(len(ex.Clusters))},
+			telemetry.SpanArg{Key: "facts", Value: strconv.Itoa(prov.NumFacts())},
+			telemetry.SpanArg{Key: "violations", Value: strconv.Itoa(len(prov.Violations))})
 		t.AddSpan(exSpan, "reduce", 0, start, afterReduce.Sub(start))
 		chaseSpan := t.AddSpan(exSpan, "chase", 0, afterReduce, afterChase.Sub(afterReduce),
-			telemetry.SpanArg{Key: "rounds", Value: itoa(cst.Rounds)})
+			telemetry.SpanArg{Key: "rounds", Value: strconv.Itoa(cst.Rounds)})
 		t.AddSpan(chaseSpan, "chase/tgds", 0, afterReduce, cst.TgdDuration)
 		t.AddSpan(chaseSpan, "chase/violations", 0, afterReduce.Add(cst.TgdDuration), cst.ViolationDuration)
 		t.AddSpan(exSpan, "envelopes", 0, afterChase, end.Sub(afterChase))
@@ -517,7 +517,7 @@ func (ex *Exchange) solveSig(ctx context.Context, key string, g *sigGroup, brave
 	if opts.Partial && retryableSigErr(err) {
 		retries = 1
 		mt.recordRetry()
-		ex.prof.RecordRetry(key)
+		ex.prof.Record(key, g.sig, profile.Counters{Retries: 1})
 		out, err = ex.solveSigAttempt(ctx, key, g, brave, opts, mt, qname, parent, lane, 2)
 		if err == nil {
 			out.retries = retries
@@ -530,7 +530,7 @@ func (ex *Exchange) solveSig(ctx context.Context, key string, g *sigGroup, brave
 	if !opts.Partial {
 		return nil, fmt.Errorf("signature {%s}: %w", key, err)
 	}
-	ex.prof.RecordDegraded(key)
+	ex.prof.Record(key, g.sig, profile.Counters{Degraded: 1})
 	deg := &groupOutcome{
 		retries:  retries,
 		degraded: &SignatureError{Signature: key, Tuples: len(g.cands), Retries: retries, Err: err},
@@ -622,7 +622,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 		// Budget cutoffs are deterministic DPLL counters, so this record —
 		// unlike a wall-clock timeout — aggregates identically at any
 		// Parallelism.
-		ex.prof.RecordBudgetExhausted(key)
+		ex.prof.Record(key, g.sig, profile.Counters{BudgetExhausted: 1})
 		return nil, ErrBudget
 	}
 	if !sv.hasModel {
@@ -667,7 +667,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 			Duration:     time.Since(start),
 		}
 		mt.recordProgram(ev)
-		ex.prof.RecordSolve(key, profile.Solve{
+		ex.prof.RecordSolve(key, g.sig, profile.Solve{
 			Wall:         ev.Duration,
 			Candidates:   ev.Candidates,
 			Stats:        ev.Stats,

@@ -2,6 +2,7 @@ package xr
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/instance"
@@ -257,8 +258,8 @@ func TestPaperExample2(t *testing.T) {
 	const n = 4
 	var srcs, tgts []*schema.Relation
 	for i := 0; i < n; i++ {
-		srcs = append(srcs, w.srcRel("P"+itoa(i+1), 2))
-		tgts = append(tgts, w.tgtRel("Q"+itoa(i+1), 2))
+		srcs = append(srcs, w.srcRel("P"+strconv.Itoa(i+1), 2))
+		tgts = append(tgts, w.tgtRel("Q"+strconv.Itoa(i+1), 2))
 	}
 	for i := 0; i < n; i++ {
 		w.m.ST = append(w.m.ST, &logic.TGD{

@@ -201,16 +201,6 @@ func WithSolverTrace(f func(TraceEvent)) Option {
 	return queryOption("WithSolverTrace", func(o *xr.Options) { o.Trace = f })
 }
 
-// WithSolverReuse has no effect: the segmentary engine always keeps one
-// persistent solver per fact signature and decides candidates as
-// incremental sessions on it (DESIGN.md §17). Scope: query.
-//
-// Deprecated: the persistent solver is the only solve path; drop the
-// option.
-func WithSolverReuse(on bool) Option {
-	return queryOption("WithSolverReuse", func(*xr.Options) {})
-}
-
 // WithExplanations makes Exchange.Answer / Possible attach one rendered
 // Explanation per candidate tuple to the Answers (segmentary engine only):
 // support closures and touched clusters for accepted tuples, a concrete
@@ -296,24 +286,16 @@ const (
 // every signature solve of every later query accumulates into
 // per-signature and per-cluster records, retrievable as a deterministic
 // snapshot via Exchange.Profile. Recording happens at the same
-// instrumentation points telemetry uses, with commuting atomic updates
-// only, so answers, Unknown sets, and ExchangeStats are byte-identical
+// instrumentation points telemetry uses, adding commuting sums under one
+// lock, so answers, Unknown sets, and ExchangeStats are byte-identical
 // with profiling on or off at any WithParallelism setting; off (the
-// default) costs one nil check per solve. When WithMetrics is also set,
-// the profiler's own bookkeeping (records, evictions, total solves) is
-// exported as xr_profile_* series. Scope: exchange.
+// default) costs one nil check per solve. The profiler keeps at most
+// profile.DefaultMaxRecords (4096) signature records, evicting the
+// coldest past that. When WithMetrics is also set, the profiler's own
+// bookkeeping (records, evictions, total solves) is exported as
+// xr_profile_* series. Scope: exchange.
 func WithProfiling(on bool) Option {
 	return exchangeOption("WithProfiling", func(o *xr.Options) { o.Profiling = on })
-}
-
-// WithProfileCap bounds the profiler's signature-record table at n
-// records (0 keeps the default, profile.DefaultMaxRecords = 4096).
-// Inserting past the cap evicts the coldest record — smallest decayed
-// heat, ties toward the smallest key — and counts the eviction. Implies
-// nothing by itself: profiling still needs WithProfiling(true).
-// Scope: exchange.
-func WithProfileCap(n int) Option {
-	return exchangeOption("WithProfileCap", func(o *xr.Options) { o.ProfileMaxRecords = n })
 }
 
 // MetricsServer is a running HTTP metrics endpoint; see ServeMetrics.

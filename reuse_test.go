@@ -17,8 +17,7 @@ var k3Edges = [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}}
 // so the reference answers each semantics once, sequentially, on a fresh
 // Exchange whose solvers serve that one call and are dropped with it
 // (answers and stats do not depend on parallelism, which the parallelism
-// suites pin). The deprecated WithSolverReuse(false) rides along on the
-// long-lived side to pin that it changes nothing.
+// suites pin).
 func TestWithSolverReuseTricolorEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -43,7 +42,7 @@ func TestWithSolverReuseTricolorEquivalence(t *testing.T) {
 			exReuse, _ := tricolorSetup(t, tc.edges)
 			for pass := 0; pass < 2; pass++ { // second pass: warm cache + warm solver sessions
 				for _, par := range []int{1, 4} {
-					r, err := exReuse.Answer(q, WithParallelism(par), WithSolverReuse(false))
+					r, err := exReuse.Answer(q, WithParallelism(par))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -82,22 +81,5 @@ func TestWithSolverReuseTricolorEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWithSolverReuseScope: the deprecated WithSolverReuse stays a
-// query-scoped option and must be rejected at exchange construction per
-// the option-scope policy.
-func TestWithSolverReuseScope(t *testing.T) {
-	sys, err := Load(tricolorGadget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := sys.ParseFacts(tricolorFacts(k3Edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.NewExchange(in, WithSolverReuse(false)); err == nil {
-		t.Fatal("NewExchange accepted the query-scoped WithSolverReuse")
 	}
 }
