@@ -157,10 +157,10 @@ func writeReport(r *benchkit.Runner, profile, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	b := rep.Exchange.Breakdown
+	st := rep.Exchange
 	fmt.Fprintf(os.Stderr, "xrbench: wrote %s (profile %s, %d queries)\n", path, profile, len(rep.Queries))
 	fmt.Fprintf(os.Stderr, "xrbench: exchange %.3fs (chase %.3fs: %d rounds, %d/%d rule evals/skips, %d triggers, %d new facts, %d probes, %d index builds)\n",
-		rep.Exchange.Seconds, rep.Exchange.ChaseSeconds, b.ChaseRounds, b.ChaseRuleEvals, b.ChaseRuleSkips, b.ChaseTriggers, b.ChaseDeltaFacts, b.IndexProbes, b.IndexBuilds)
+		st.Duration.Seconds(), st.ChaseDuration.Seconds(), st.ChaseRounds, st.ChaseRuleEvals, st.ChaseRuleSkips, st.ChaseTriggers, st.ChaseDeltaFacts, st.IndexProbes, st.IndexBuilds)
 	return nil
 }
 
@@ -184,7 +184,8 @@ func writeTrace(t *telemetry.Tracer, path string) error {
 // runCompare diffs a baseline report against a current one (read from
 // -against, or produced by a fresh run of -profile when -against is empty)
 // and prints the per-metric deltas. It reports regressed=true when any
-// time-like metric or counter grew beyond the threshold percentage.
+// wall time grew beyond the threshold percentage or any work counter
+// changed (see benchkit.CompareReports).
 func runCompare(basePath, againstPath string, scale float64, monoTimeout time.Duration, parallel int, profile string, threshold float64) (bool, error) {
 	base, err := benchkit.LoadReport(basePath)
 	if err != nil {

@@ -766,6 +766,3 @@ func (s *Solver) ModelValue(v Var) bool { return s.model[v] == lTrue }
 
 // SetPhase sets the preferred polarity of v for future decisions.
 func (s *Solver) SetPhase(v Var, b bool) { s.phase[v] = b }
-
-// Okay reports whether the solver is still consistent at the top level.
-func (s *Solver) Okay() bool { return s.ok }

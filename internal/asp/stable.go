@@ -1,6 +1,10 @@
 package asp
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/graph"
+)
 
 // This file implements the stable-model semantics on top of the CDCL core,
 // in the generate-and-test lineage of GnT / claspD:
@@ -445,7 +449,7 @@ func (s *StableSolver) learnUnfounded(m, lfp []bool) {
 			}
 		}
 	}
-	for _, scc := range atomSCCs(atoms, edges) {
+	for _, scc := range graph.SCCs(atoms, func(a AtomID) []AtomID { return edges[a] }) {
 		if len(scc) == 1 && !selfLoop[scc[0]] {
 			// A singleton without a self-loop becomes founded once the
 			// components below it are constrained; no loop formula needed.
@@ -457,80 +461,6 @@ func (s *StableSolver) learnUnfounded(m, lfp []bool) {
 		}
 		s.learnLoopSet(scc, inLoop)
 	}
-}
-
-// atomSCCs computes strongly connected components (iterative Tarjan) over
-// the given atoms and edge map.
-func atomSCCs(atoms []AtomID, edges map[AtomID][]AtomID) [][]AtomID {
-	index := make(map[AtomID]int, len(atoms))
-	low := make(map[AtomID]int, len(atoms))
-	onStack := make(map[AtomID]bool, len(atoms))
-	var stack []AtomID
-	var comps [][]AtomID
-	next := 0
-
-	type frame struct {
-		node AtomID
-		ei   int
-	}
-	for _, start := range atoms {
-		if _, seen := index[start]; seen {
-			continue
-		}
-		call := []frame{{node: start}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			es := edges[f.node]
-			advanced := false
-			for f.ei < len(es) {
-				w := es[f.ei]
-				f.ei++
-				if _, seen := index[w]; !seen {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{node: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && low[f.node] > index[w] {
-					low[f.node] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			v := f.node
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				parent := call[len(call)-1].node
-				if low[parent] > low[v] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []AtomID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-		}
-	}
-	return comps
 }
 
 // learnLoopSet adds the loop formula for one atom set.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 // LoadReport reads a BenchReport previously written with WriteJSON.
@@ -22,8 +23,8 @@ func LoadReport(path string) (*BenchReport, error) {
 }
 
 // DiffLine is one compared metric: the baseline and current values and the
-// relative change. Regression marks a time-like metric or work counter that
-// grew beyond the comparison threshold.
+// relative change. Regression marks a wall time that grew beyond the
+// comparison threshold, or a work counter that changed at all.
 type DiffLine struct {
 	Metric     string
 	Base, Cur  float64
@@ -40,7 +41,7 @@ type ReportDiff struct {
 	Lines                   []DiffLine
 }
 
-// Regressed reports whether any compared metric exceeded the threshold.
+// Regressed reports whether any compared metric regressed.
 func (d *ReportDiff) Regressed() bool {
 	for _, l := range d.Lines {
 		if l.Regression {
@@ -52,37 +53,47 @@ func (d *ReportDiff) Regressed() bool {
 
 // CompareReports diffs two benchmark reports metric by metric: per-query
 // wall times, the exchange-phase breakdown, and every telemetry counter.
-// A metric regresses when the current value exceeds the baseline by more
-// than thresholdPct percent; only wall times and work counters (solver
-// decisions, conflicts, propagations, chase work) can regress — size-like
-// metrics (answers, facts, clusters) are compared for drift but flagged as
-// notes, not regressions, since a changed count means the workload itself
-// differs.
+// Wall times regress when the current value exceeds the baseline by more
+// than thresholdPct percent. Work counters (solver search, chase rule
+// evaluations and triggers, index probes) are deterministic for a fixed
+// profile, so they are gated exactly: any change regresses, and an
+// intended one needs a regenerated baseline. Size-like metrics (answers,
+// facts, clusters) are compared for drift but flagged as notes, not
+// regressions, since a changed count means the workload itself differs.
 func CompareReports(base, cur *BenchReport, thresholdPct float64) *ReportDiff {
 	d := &ReportDiff{BaseProfile: base.Profile, CurProfile: cur.Profile, ThresholdPct: thresholdPct}
-	add := func(metric string, b, c float64, timeLike bool) {
+	const (
+		size = iota
+		wall
+		work
+	)
+	add := func(metric string, b, c float64, kind int) {
 		l := DiffLine{Metric: metric, Base: b, Cur: c}
 		if b != 0 {
 			l.DeltaPct = 100 * (c - b) / b
 		} else if c != 0 {
 			l.DeltaPct = 100
 		}
-		if timeLike {
+		switch {
+		case kind == wall:
 			l.Regression = c > b*(1+thresholdPct/100)
-		} else if b != c {
+		case b != c && kind == work:
+			l.Regression, l.Note = true, "work counter changed"
+		case b != c:
 			l.Note = "count drift"
 		}
 		d.Lines = append(d.Lines, l)
 	}
 
-	add("exchange/seconds", base.Exchange.Seconds, cur.Exchange.Seconds, true)
-	add("exchange/reduce_seconds", base.Exchange.ReduceSeconds, cur.Exchange.ReduceSeconds, true)
-	add("exchange/chase_seconds", base.Exchange.ChaseSeconds, cur.Exchange.ChaseSeconds, true)
-	add("exchange/envelopes_seconds", base.Exchange.EnvelopesSeconds, cur.Exchange.EnvelopesSeconds, true)
-	add("exchange/chase_rounds", float64(base.Exchange.Breakdown.ChaseRounds), float64(cur.Exchange.Breakdown.ChaseRounds), false)
-	add("exchange/chase_rule_evals", float64(base.Exchange.Breakdown.ChaseRuleEvals), float64(cur.Exchange.Breakdown.ChaseRuleEvals), false)
-	add("exchange/total_facts", float64(base.Exchange.TotalFacts), float64(cur.Exchange.TotalFacts), false)
-	add("exchange/clusters", float64(base.Exchange.Clusters), float64(cur.Exchange.Clusters), false)
+	be, ce := &base.Exchange, &cur.Exchange
+	add("exchange/seconds", be.Duration.Seconds(), ce.Duration.Seconds(), wall)
+	add("exchange/reduce_seconds", be.ReduceDuration.Seconds(), ce.ReduceDuration.Seconds(), wall)
+	add("exchange/chase_seconds", be.ChaseDuration.Seconds(), ce.ChaseDuration.Seconds(), wall)
+	add("exchange/envelopes_seconds", be.EnvDuration.Seconds(), ce.EnvDuration.Seconds(), wall)
+	add("exchange/chase_rounds", float64(be.ChaseRounds), float64(ce.ChaseRounds), size)
+	add("exchange/chase_rule_evals", float64(be.ChaseRuleEvals), float64(ce.ChaseRuleEvals), size)
+	add("exchange/total_facts", float64(be.TotalFacts), float64(ce.TotalFacts), size)
+	add("exchange/clusters", float64(be.Clusters), float64(ce.Clusters), size)
 
 	curQ := make(map[string]QueryReport, len(cur.Queries))
 	for _, q := range cur.Queries {
@@ -93,22 +104,23 @@ func CompareReports(base, cur *BenchReport, thresholdPct float64) *ReportDiff {
 		seen[bq.Query] = true
 		cq, ok := curQ[bq.Query]
 		if !ok {
-			d.Lines = append(d.Lines, DiffLine{Metric: "query/" + bq.Query, Base: bq.Seconds, Note: "only in baseline"})
+			d.Lines = append(d.Lines, DiffLine{Metric: "query/" + bq.Query, Base: bq.Duration.Seconds(), Note: "only in baseline"})
 			continue
 		}
-		add("query/"+bq.Query+"/seconds", bq.Seconds, cq.Seconds, true)
-		add("query/"+bq.Query+"/answers", float64(bq.Answers), float64(cq.Answers), false)
-		add("query/"+bq.Query+"/candidates", float64(bq.Candidates), float64(cq.Candidates), false)
-		add("query/"+bq.Query+"/programs", float64(bq.Programs), float64(cq.Programs), false)
+		add("query/"+bq.Query+"/seconds", bq.Duration.Seconds(), cq.Duration.Seconds(), wall)
+		add("query/"+bq.Query+"/answers", float64(bq.Answers), float64(cq.Answers), size)
+		add("query/"+bq.Query+"/candidates", float64(bq.Candidates), float64(cq.Candidates), size)
+		add("query/"+bq.Query+"/programs", float64(bq.Programs), float64(cq.Programs), size)
 	}
 	for _, q := range cur.Queries {
 		if !seen[q.Query] {
-			d.Lines = append(d.Lines, DiffLine{Metric: "query/" + q.Query, Cur: q.Seconds, Note: "only in current"})
+			d.Lines = append(d.Lines, DiffLine{Metric: "query/" + q.Query, Cur: q.Duration.Seconds(), Note: "only in current"})
 		}
 	}
 
-	// Telemetry counters: solver/chase work is time-like (more work at equal
-	// answers is a regression); everything else compares as drift.
+	// Telemetry counters: solver/chase work is gated exactly (more or less
+	// work at equal answers is a changed trajectory); everything else
+	// compares as drift.
 	names := make([]string, 0, len(base.Metrics.Counters))
 	for name := range base.Metrics.Counters {
 		names = append(names, name)
@@ -127,22 +139,23 @@ func CompareReports(base, cur *BenchReport, thresholdPct float64) *ReportDiff {
 			d.Lines = append(d.Lines, DiffLine{Metric: "counter/" + name, Cur: float64(c), Note: "only in current"})
 		case !inCur:
 			d.Lines = append(d.Lines, DiffLine{Metric: "counter/" + name, Base: float64(b), Note: "only in baseline"})
+		case workCounter(name):
+			add("counter/"+name, float64(b), float64(c), work)
 		default:
-			add("counter/"+name, float64(b), float64(c), workCounter(name))
+			add("counter/"+name, float64(b), float64(c), size)
 		}
 	}
 	return d
 }
 
-// workCounter reports whether a telemetry counter measures solver or chase
-// effort (regression-eligible) rather than workload size.
+// workCounter reports whether a registered telemetry counter measures
+// solver or chase effort (gated exactly) rather than workload size.
 func workCounter(name string) bool {
-	for _, suffix := range []string{"decisions", "conflicts", "propagations", "restarts", "rule_evals", "triggers", "probes", "candidates_tested", "stability_fails", "assumption_solves", "reductions", "clauses_deleted"} {
-		if len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix {
-			return true
-		}
+	switch name {
+	case "xr_chase_rule_evals_total", "xr_chase_triggers_fired_total", "xr_index_probes_total":
+		return true
 	}
-	return false
+	return strings.HasPrefix(name, "xr_solver_") && strings.HasSuffix(name, "_total")
 }
 
 // Render writes the diff as an aligned table, regressions marked with "!".
@@ -163,8 +176,8 @@ func (d *ReportDiff) Render(w io.Writer) {
 		fmt.Fprintf(w, "%s %-48s %14.6g %14.6g %+8.1f%%%s\n", mark, l.Metric, l.Base, l.Cur, l.DeltaPct, note)
 	}
 	if regressions > 0 {
-		fmt.Fprintf(w, "REGRESSION: %d metric(s) exceeded the %.1f%% threshold\n", regressions, d.ThresholdPct)
+		fmt.Fprintf(w, "REGRESSION: %d metric(s) regressed (a wall time over the %.1f%% threshold, or a changed work counter)\n", regressions, d.ThresholdPct)
 	} else {
-		fmt.Fprintf(w, "ok: no metric exceeded the %.1f%% threshold\n", d.ThresholdPct)
+		fmt.Fprintf(w, "ok: no metric exceeded the %.1f%% threshold and no work counter changed\n", d.ThresholdPct)
 	}
 }

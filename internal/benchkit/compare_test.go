@@ -1,30 +1,33 @@
 package benchkit
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/xr"
 )
 
 func sampleReport() *BenchReport {
 	return &BenchReport{
 		Profile: "S3",
-		Exchange: ExchangeReport{
-			Seconds:      1.0,
-			ChaseSeconds: 0.6,
-			TotalFacts:   500,
-			Clusters:     3,
+		Exchange: xr.ExchangeStats{
+			Duration:      time.Second,
+			ChaseDuration: 600 * time.Millisecond,
+			TotalFacts:    500,
+			Clusters:      3,
 		},
 		Queries: []QueryReport{
-			{Query: "ep1", Answers: 4, Candidates: 5, Programs: 1, Seconds: 0.10},
-			{Query: "ep2", Answers: 7, Candidates: 9, Programs: 2, Seconds: 0.20},
+			{Query: "ep1", Answers: 4, QueryStats: xr.QueryStats{Candidates: 5, Programs: 1, Duration: 100 * time.Millisecond}},
+			{Query: "ep2", Answers: 7, QueryStats: xr.QueryStats{Candidates: 9, Programs: 2, Duration: 200 * time.Millisecond}},
 		},
 		Metrics: telemetry.Snapshot{Counters: map[string]int64{
-			"xr_sat_decisions": 1000,
-			"xr_cache_hits":    12,
+			"xr_solver_decisions_total": 1000,
+			"xr_sigcache_hits_total":    12,
 		}},
 	}
 }
@@ -44,7 +47,7 @@ func TestCompareReportsNoRegression(t *testing.T) {
 
 func TestCompareReportsRegression(t *testing.T) {
 	base, cur := sampleReport(), sampleReport()
-	cur.Queries[1].Seconds = 0.5 // +150% on ep2
+	cur.Queries[1].Duration = 500 * time.Millisecond // +150% on ep2
 	d := CompareReports(base, cur, 10)
 	if !d.Regressed() {
 		t.Fatal("a +150% query wall time did not regress at a 10% threshold")
@@ -89,9 +92,9 @@ func TestCompareReportsCountDrift(t *testing.T) {
 
 func TestCompareReportsWorkCounters(t *testing.T) {
 	base, cur := sampleReport(), sampleReport()
-	cur.Metrics.Counters["xr_sat_decisions"] = 5000 // 5x solver effort
+	cur.Metrics.Counters["xr_solver_decisions_total"] = 5000 // 5x solver effort
 	cur.Metrics.Counters["xr_new_counter"] = 1
-	delete(cur.Metrics.Counters, "xr_cache_hits")
+	delete(cur.Metrics.Counters, "xr_sigcache_hits_total")
 	d := CompareReports(base, cur, 50)
 	if !d.Regressed() {
 		t.Fatal("a 5x decisions counter did not regress")
@@ -99,7 +102,7 @@ func TestCompareReportsWorkCounters(t *testing.T) {
 	var onlyBase, onlyCur bool
 	for _, l := range d.Lines {
 		switch l.Metric {
-		case "counter/xr_cache_hits":
+		case "counter/xr_sigcache_hits_total":
 			onlyBase = l.Note == "only in baseline"
 		case "counter/xr_new_counter":
 			onlyCur = l.Note == "only in current"
@@ -107,6 +110,56 @@ func TestCompareReportsWorkCounters(t *testing.T) {
 	}
 	if !onlyBase || !onlyCur {
 		t.Fatalf("structural counter differences not noted (base=%v cur=%v)", onlyBase, onlyCur)
+	}
+}
+
+// TestCompareReportsGatesRegisteredCounters takes its counter names from
+// a real report, so the gate is checked against the names the engine
+// registers: +1 on any work counter (solver search, chase rule evaluations
+// and triggers, index probes) regresses however generous the threshold,
+// and a change in any other counter stays a drift note.
+func TestCompareReportsGatesRegisteredCounters(t *testing.T) {
+	base, err := tinyRunner(t).Report("L20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := map[string]bool{
+		"xr_chase_rule_evals_total":         true,
+		"xr_chase_triggers_fired_total":     true,
+		"xr_index_probes_total":             true,
+		"xr_solver_assumption_solves_total": true,
+		"xr_solver_candidates_tested_total": true,
+		"xr_solver_clauses_deleted_total":   true,
+		"xr_solver_conflicts_total":         true,
+		"xr_solver_decisions_total":         true,
+		"xr_solver_loops_learned_total":     true,
+		"xr_solver_propagations_total":      true,
+		"xr_solver_reductions_total":        true,
+		"xr_solver_restarts_total":          true,
+		"xr_solver_reuse_builds_total":      true,
+		"xr_solver_reuse_sessions_total":    true,
+		"xr_solver_stability_fails_total":   true,
+		"xr_solver_theory_rejects_total":    true,
+		"xr_solver_verdict_memo_hits_total": true,
+	}
+	for name := range work {
+		if _, ok := base.Metrics.Counters[name]; !ok {
+			t.Errorf("work counter %s is not in the report", name)
+		}
+	}
+	for name, v := range base.Metrics.Counters {
+		cur := *base
+		cur.Metrics.Counters = maps.Clone(base.Metrics.Counters)
+		cur.Metrics.Counters[name] = v + 1
+		d := CompareReports(base, &cur, 1000)
+		if d.Regressed() != work[name] {
+			t.Errorf("+1 on %s: regressed = %v, want %v", name, d.Regressed(), work[name])
+		}
+		for _, l := range d.Lines {
+			if l.Metric == "counter/"+name && !work[name] && l.Note != "count drift" {
+				t.Errorf("+1 on size counter %s: note %q, want count drift", name, l.Note)
+			}
+		}
 	}
 }
 

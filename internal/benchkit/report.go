@@ -5,61 +5,18 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"repro/internal/profile"
 	"repro/internal/telemetry"
+	"repro/internal/xr"
 )
 
-// ExchangeReport is the machine-readable form of one exchange phase — the
-// Table 4 row for an instance, with durations in seconds.
-type ExchangeReport struct {
-	SourceFacts      int     `json:"source_facts"`
-	TotalFacts       int     `json:"total_facts"`
-	Violations       int     `json:"violations"`
-	Clusters         int     `json:"clusters"`
-	SuspectSource    int     `json:"suspect_source"`
-	SafeDerivable    int     `json:"safe_derivable"`
-	ReduceSeconds    float64 `json:"reduce_seconds"`
-	ChaseSeconds     float64 `json:"chase_seconds"`
-	EnvelopesSeconds float64 `json:"envelopes_seconds"`
-	Seconds          float64 `json:"seconds"`
-
-	Breakdown ExchangeBreakdown `json:"exchange_breakdown"`
-}
-
-// ExchangeBreakdown decomposes the chase column: semi-naive fixpoint
-// rounds, rule evaluations performed vs skipped by the rule→relation
-// dependency index, ground derivations fired, new facts added, instance
-// index activity, and the tgd/violation split of the chase wall time.
-type ExchangeBreakdown struct {
-	ChaseRounds           int     `json:"chase_rounds"`
-	ChaseRuleEvals        int     `json:"chase_rule_evals"`
-	ChaseRuleSkips        int     `json:"chase_rule_skips"`
-	ChaseTriggers         int     `json:"chase_triggers"`
-	ChaseDeltaFacts       int     `json:"chase_delta_facts"`
-	IndexProbes           uint64  `json:"index_probes"`
-	IndexBuilds           uint64  `json:"index_builds"`
-	ChaseTgdSeconds       float64 `json:"chase_tgd_seconds"`
-	ChaseViolationSeconds float64 `json:"chase_violation_seconds"`
-}
-
-// QueryReport is one segmentary query's wall time and stats.
+// QueryReport is one segmentary query's answer count and stats; the stats
+// marshal inline with the same field names as the wire Answers.
 type QueryReport struct {
-	Query          string `json:"query"`
-	Answers        int    `json:"answers"`
-	Candidates     int    `json:"candidates"`
-	SafeAccepted   int    `json:"safe_accepted"`
-	SolverAccepted int    `json:"solver_accepted"`
-	Programs       int    `json:"programs"`
-	CacheHits      int    `json:"cache_hits"`
-	GroundRules    int    `json:"ground_rules"`
-	GroundAtoms    int    `json:"ground_atoms"`
-	// DegradedSignatures and UnknownTuples record graceful degradation
-	// under partial-results mode; both stay 0 on an unbudgeted run.
-	DegradedSignatures int     `json:"degraded_signatures"`
-	UnknownTuples      int     `json:"unknown_tuples"`
-	Seconds            float64 `json:"seconds"`
+	Query   string `json:"query"`
+	Answers int    `json:"answers"`
+	xr.QueryStats
 }
 
 // BenchReport is the machine-readable result of one benchmark run on a
@@ -76,7 +33,7 @@ type BenchReport struct {
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
 
-	Exchange ExchangeReport     `json:"exchange"`
+	Exchange xr.ExchangeStats   `json:"exchange"`
 	Queries  []QueryReport      `json:"queries"`
 	Metrics  telemetry.Snapshot `json:"metrics"`
 
@@ -108,7 +65,6 @@ func (r *Runner) Report(profileName string) (*BenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := ex.Stats
 	rep := &BenchReport{
 		Profile:     profileName,
 		Scale:       r.Scale,
@@ -117,51 +73,15 @@ func (r *Runner) Report(profileName string) (*BenchReport, error) {
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
-		Exchange: ExchangeReport{
-			SourceFacts:      st.SourceFacts,
-			TotalFacts:       st.TotalFacts,
-			Violations:       st.Violations,
-			Clusters:         st.Clusters,
-			SuspectSource:    st.SuspectSource,
-			SafeDerivable:    st.SafeDerivable,
-			ReduceSeconds:    st.ReduceDuration.Seconds(),
-			ChaseSeconds:     st.ChaseDuration.Seconds(),
-			EnvelopesSeconds: st.EnvDuration.Seconds(),
-			Seconds:          st.Duration.Seconds(),
-			Breakdown: ExchangeBreakdown{
-				ChaseRounds:           st.ChaseRounds,
-				ChaseRuleEvals:        st.ChaseRuleEvals,
-				ChaseRuleSkips:        st.ChaseRuleSkips,
-				ChaseTriggers:         st.ChaseTriggers,
-				ChaseDeltaFacts:       st.ChaseDeltaFacts,
-				IndexProbes:           st.IndexProbes,
-				IndexBuilds:           st.IndexBuilds,
-				ChaseTgdSeconds:       st.ChaseTgdDuration.Seconds(),
-				ChaseViolationSeconds: st.ChaseViolationDuration.Seconds(),
-			},
-		},
+		Exchange:    ex.Stats,
 	}
 	for _, q := range qs {
 		r.logf("report query %s on %s...", q.Name, profileName)
-		start := time.Now()
 		res, err := r.answer(ex, q)
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: report query %s: %w", q.Name, err)
 		}
-		rep.Queries = append(rep.Queries, QueryReport{
-			Query:              q.Name,
-			Answers:            res.Answers.Len(),
-			Candidates:         res.Stats.Candidates,
-			SafeAccepted:       res.Stats.SafeAccepted,
-			SolverAccepted:     res.Stats.SolverAccepted,
-			Programs:           res.Stats.Programs,
-			CacheHits:          res.Stats.CacheHits,
-			GroundRules:        res.Stats.GroundRules,
-			GroundAtoms:        res.Stats.GroundAtoms,
-			DegradedSignatures: res.Stats.DegradedSignatures,
-			UnknownTuples:      res.Stats.UnknownTuples,
-			Seconds:            time.Since(start).Seconds(),
-		})
+		rep.Queries = append(rep.Queries, QueryReport{Query: q.Name, Answers: res.Answers.Len(), QueryStats: res.Stats})
 	}
 	rep.Metrics = r.Metrics.Snapshot()
 	if snap := ex.Profile(); snap.Records > 0 {

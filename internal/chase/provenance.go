@@ -104,10 +104,6 @@ func (p *Provenance) FactIDOfGen(g uint64) (FactID, bool) {
 // modify.
 func (p *Provenance) Supports(id FactID) [][]FactID { return p.supports[id] }
 
-// UsedIn returns the reverse hyperedges of a fact: every (fact, set index)
-// pair whose support set contains it. The result is shared; do not modify.
-func (p *Provenance) UsedIn(id FactID) []SupportRef { return p.usedIn[id] }
-
 // intern assigns the next id to f. The chase interns each fact exactly once,
 // when it first appears in Instance, and records the id under its generation.
 func (p *Provenance) intern(f instance.Fact, source bool) FactID {

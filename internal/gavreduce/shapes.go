@@ -43,9 +43,6 @@ type Shape struct {
 // IsConst reports whether this is the constant shape.
 func (s *Shape) IsConst() bool { return s.sk == nil }
 
-// Width returns the number of flat columns this shape occupies.
-func (s *Shape) Width() int { return s.width }
-
 // Name returns the canonical shape name.
 func (s *Shape) Name() string { return s.name }
 

@@ -64,17 +64,6 @@ func NewAtom(cat *schema.Catalog, rel *schema.Relation, terms ...Term) Atom {
 	return a
 }
 
-// Vars appends the variable names occurring in the atom to dst, in order of
-// occurrence, without de-duplication.
-func (a Atom) Vars(dst []string) []string {
-	for _, t := range a.Terms {
-		if t.IsVar() {
-			dst = append(dst, t.Var)
-		}
-	}
-	return dst
-}
-
 // String renders the atom.
 func (a Atom) String(cat *schema.Catalog, u *symtab.Universe) string {
 	parts := make([]string, len(a.Terms))

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"repro/internal/graph"
 	"repro/internal/schema"
 )
 
@@ -8,12 +9,6 @@ import (
 type position struct {
 	rel schema.RelID
 	idx int
-}
-
-// depEdge is an edge of the position dependency graph.
-type depEdge struct {
-	to      position
-	special bool
 }
 
 // WeaklyAcyclic reports whether the given set of tgds is weakly acyclic,
@@ -28,13 +23,13 @@ type depEdge struct {
 //     variable y occurring in the head at position q', add a special edge
 //     p → q'.
 func WeaklyAcyclic(tgds []*TGD) bool {
-	edges := make(map[position][]depEdge)
-	nodes := make(map[position]bool)
-
-	addEdge := func(from, to position, special bool) {
-		edges[from] = append(edges[from], depEdge{to: to, special: special})
-		nodes[from] = true
-		nodes[to] = true
+	succ := make(map[position][]position)
+	var special [][2]position // from, to
+	addEdge := func(from, to position, isSpecial bool) {
+		succ[from] = append(succ[from], to)
+		if isSpecial {
+			special = append(special, [2]position{from, to})
+		}
 	}
 
 	for _, d := range tgds {
@@ -79,91 +74,23 @@ func WeaklyAcyclic(tgds []*TGD) bool {
 		}
 	}
 
-	// Tarjan SCC; weak acyclicity fails iff some special edge has both
-	// endpoints in the same strongly connected component.
-	comp := sccs(nodes, edges)
-	for from, es := range edges {
-		for _, e := range es {
-			if e.special && comp[from] == comp[e.to] {
-				return false
-			}
+	// Weak acyclicity fails iff some special edge has both endpoints in the
+	// same strongly connected component. Every edge source is a start, so
+	// every endpoint gets a component.
+	starts := make([]position, 0, len(succ))
+	for p := range succ {
+		starts = append(starts, p)
+	}
+	comp := make(map[position]int)
+	for i, c := range graph.SCCs(starts, func(p position) []position { return succ[p] }) {
+		for _, p := range c {
+			comp[p] = i
+		}
+	}
+	for _, e := range special {
+		if comp[e[0]] == comp[e[1]] {
+			return false
 		}
 	}
 	return true
-}
-
-// sccs computes strongly connected components (iterative Tarjan) and returns
-// a component id per node.
-func sccs(nodes map[position]bool, edges map[position][]depEdge) map[position]int {
-	index := make(map[position]int)
-	low := make(map[position]int)
-	onStack := make(map[position]bool)
-	comp := make(map[position]int)
-	var stack []position
-	next, ncomp := 0, 0
-
-	type frame struct {
-		node position
-		ei   int
-	}
-	for start := range nodes {
-		if _, seen := index[start]; seen {
-			continue
-		}
-		var call []frame
-		call = append(call, frame{node: start})
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			es := edges[f.node]
-			advanced := false
-			for f.ei < len(es) {
-				w := es[f.ei].to
-				f.ei++
-				if _, seen := index[w]; !seen {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{node: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && low[f.node] > index[w] {
-					low[f.node] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// f.node finished
-			v := f.node
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				parent := call[len(call)-1].node
-				if low[parent] > low[v] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
-		}
-	}
-	return comp
 }

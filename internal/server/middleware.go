@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -197,35 +195,6 @@ func (w *statusWriter) Flush() {
 // Unwrap supports http.ResponseController.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// newRequestID returns a 16-hex-char random ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is catastrophic enough elsewhere; fall back
-		// to a time-derived ID rather than refusing the request.
-		return fmt.Sprintf("t%015x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID accepts a client-supplied X-Request-Id only when it is
-// short and shell/log-safe; anything else is discarded and regenerated.
-func sanitizeRequestID(id string) string {
-	if id == "" || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.':
-		default:
-			return ""
-		}
-	}
-	return id
-}
-
 // queryTextHash is the FNV-64a hash of the query text, hex-encoded: stable
 // across requests so an operator can group slowlog/inflight entries by
 // query without the log carrying (possibly sensitive) query text.
@@ -247,9 +216,9 @@ func (s *Server) observe(next http.Handler) http.Handler {
 // table for its whole lifetime.
 func (s *Server) withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get("X-Request-Id"))
-		if id == "" {
-			id = newRequestID()
+		id := r.Header.Get("X-Request-Id")
+		if !telemetry.SafeToken(id) {
+			id = telemetry.NewRequestID()
 		}
 		st := &requestState{id: id, method: r.Method, start: time.Now()}
 		w.Header().Set("X-Request-Id", id)

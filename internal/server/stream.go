@@ -3,9 +3,9 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"repro"
+	"repro/internal/xr"
 )
 
 // NDJSON framing for streamed query answers: one JSON object per line,
@@ -53,18 +53,11 @@ type StreamExplanation struct {
 	Explanation repro.Explanation `json:"explanation"`
 }
 
-// StreamStats closes the answer section with the per-query measurements.
+// StreamStats closes the answer section with the per-query measurements,
+// marshaled inline after the frame tag exactly as in Answers.
 type StreamStats struct {
-	Frame              string        `json:"frame"` // "stats"
-	Candidates         int           `json:"candidates"`
-	SafeAccepted       int           `json:"safe_accepted"`
-	SolverAccepted     int           `json:"solver_accepted"`
-	Programs           int           `json:"programs"`
-	CacheHits          int           `json:"cache_hits"`
-	DegradedSignatures int           `json:"degraded_signatures"`
-	UnknownTuples      int           `json:"unknown_tuples"`
-	Retries            int           `json:"retries"`
-	Duration           time.Duration `json:"duration_ns"`
+	Frame string `json:"frame"` // "stats"
+	xr.QueryStats
 }
 
 // StreamEnd terminates a stream; its counts let clients verify they saw
@@ -102,17 +95,6 @@ func streamAnswers(w http.ResponseWriter, scenario, query, mode string, arity in
 	for _, e := range ans.Explanations {
 		emit(StreamExplanation{Frame: "explanation", Explanation: e})
 	}
-	emit(StreamStats{
-		Frame:              "stats",
-		Candidates:         ans.Candidates,
-		SafeAccepted:       ans.SafeAccepted,
-		SolverAccepted:     ans.SolverAccepted,
-		Programs:           ans.Programs,
-		CacheHits:          ans.CacheHits,
-		DegradedSignatures: ans.DegradedSignatures,
-		UnknownTuples:      ans.UnknownTuples,
-		Retries:            ans.Retries,
-		Duration:           ans.Duration,
-	})
+	emit(StreamStats{Frame: "stats", QueryStats: ans.QueryStats})
 	emit(StreamEnd{Frame: "end", Rows: len(ans.Tuples), Unknown: len(ans.Unknown)})
 }

@@ -16,7 +16,6 @@
 package store
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -679,7 +678,7 @@ func (s *Store) Quarantine(name string, reason error) QuarantineRecord {
 // disk) into quarantine/ under a name suffixed with a fresh request-style
 // ID, records it, and logs at ERROR.
 func (s *Store) quarantineLocked(rep *RecoveryReport, name, src, reason string) {
-	rec := QuarantineRecord{ID: newID(), Name: name, Reason: reason}
+	rec := QuarantineRecord{ID: telemetry.NewRequestID(), Name: name, Reason: reason}
 	if src != "" {
 		dest := filepath.Join(s.dir, quarantineDir, filepath.Base(src)+"-"+rec.ID)
 		if err := os.Rename(src, dest); err != nil && !os.IsNotExist(err) {
@@ -779,17 +778,8 @@ func (s *Store) scenarioDirPath(dir string) string {
 // itself when it is short and filesystem-safe, else a hashed form. The
 // manifest records the mapping, so recovery never re-derives it.
 func dirFor(name string) string {
-	if name == "" || name == "." || name == ".." || len(name) > 64 {
+	if name == "." || name == ".." || !telemetry.SafeToken(name) {
 		return hashedDir(name)
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.':
-		default:
-			return hashedDir(name)
-		}
 	}
 	return name
 }
@@ -797,15 +787,4 @@ func dirFor(name string) string {
 func hashedDir(name string) string {
 	sum := sha256.Sum256([]byte(name))
 	return "h-" + hex.EncodeToString(sum[:8])
-}
-
-// newID returns a 16-hex-char random ID, the same request-style shape the
-// server stamps on HTTP requests, so quarantine ERROR log lines correlate
-// like any other request-scoped record.
-func newID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("t%015x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
 }

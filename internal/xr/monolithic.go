@@ -135,8 +135,6 @@ func solveProgram(ctx context.Context, prov *chase.Provenance, rq *logic.UCQ, st
 		live = append(live, c)
 	}
 	res.Stats.Programs++
-	res.Stats.GroundRules += len(enc.gp.Rules)
-	res.Stats.GroundAtoms += enc.gp.NumAtoms()
 
 	solver := asp.NewStableSolver(enc.gp)
 	solver.SetContext(ctx)

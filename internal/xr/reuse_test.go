@@ -74,7 +74,7 @@ func freshSolve(t testing.TB, ex *Exchange, key string, g *sigGroup, brave bool)
 	if !ok {
 		t.Errorf("signature {%s}: program has no stable model", key)
 	}
-	out := &groupOutcome{rules: len(spec.gp.Rules), atoms: spec.gp.NumAtoms(), cacheHit: hit}
+	out := &groupOutcome{cacheHit: hit}
 	for i, c := range live {
 		if slices.Contains(kept, atoms[i]) {
 			out.tuples = append(out.tuples, c.tuple)
@@ -84,12 +84,9 @@ func freshSolve(t testing.TB, ex *Exchange, key string, g *sigGroup, brave bool)
 }
 
 // requireCrossModeResult compares a fresh-reference and a reuse-path
-// result. Answers and every decision-relevant stat must match exactly. The
-// two grounding-size stats are compared as an envelope instead: the
-// reference reports a throwaway per-query program while the persistent
-// solver honestly reports its accumulated program (base + every candidate
-// wired so far), so the absolute rule/atom totals legitimately differ
-// while remaining deterministic within each mode.
+// result: answers and stats must match exactly. (Grounding sizes are not
+// query stats: the persistent solver's program accumulates every candidate
+// wired so far, so its sizes live on TraceEvent only.)
 func requireCrossModeResult(t *testing.T, label string, fresh, reuse *Result) {
 	t.Helper()
 	fT, rT := tupleStrings(fresh), tupleStrings(reuse)
@@ -101,14 +98,8 @@ func requireCrossModeResult(t *testing.T, label string, fresh, reuse *Result) {
 			t.Fatalf("%s: answer %d differs: %q vs %q", label, i, fT[i], rT[i])
 		}
 	}
-	fS, rS := fresh.Stats, reuse.Stats
-	if (fS.GroundRules > 0) != (rS.GroundRules > 0) || (fS.GroundAtoms > 0) != (rS.GroundAtoms > 0) {
-		t.Fatalf("%s: grounding stats envelope broken:\nfresh: %+v\nreuse: %+v", label, fS, rS)
-	}
-	fS.GroundRules, rS.GroundRules = 0, 0
-	fS.GroundAtoms, rS.GroundAtoms = 0, 0
-	if !statsEqual(fS, rS) {
-		t.Fatalf("%s: stats differ:\nfresh: %+v\nreuse: %+v", label, fS, rS)
+	if !statsEqual(fresh.Stats, reuse.Stats) {
+		t.Fatalf("%s: stats differ:\nfresh: %+v\nreuse: %+v", label, fresh.Stats, reuse.Stats)
 	}
 }
 

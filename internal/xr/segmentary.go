@@ -476,8 +476,6 @@ func (res *Result) merge(out *groupOutcome) {
 	}
 	res.Stats.SolverAccepted += len(out.tuples)
 	res.Stats.Programs++
-	res.Stats.GroundRules += out.rules
-	res.Stats.GroundAtoms += out.atoms
 	if out.cacheHit {
 		res.Stats.CacheHits++
 	}
@@ -487,8 +485,6 @@ func (res *Result) merge(out *groupOutcome) {
 // the Result after all groups finish.
 type groupOutcome struct {
 	tuples   [][]symtab.Value
-	rules    int
-	atoms    int
 	cacheHit bool
 	retries  int
 
@@ -629,11 +625,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 		return nil, fmt.Errorf("internal error: signature program has no stable model")
 	}
 
-	out = &groupOutcome{
-		rules:    sv.rules,
-		atoms:    sv.numAtoms,
-		cacheHit: hit,
-	}
+	out = &groupOutcome{cacheHit: hit}
 	for i, c := range sv.live {
 		if sv.holds[sv.atoms[i]] {
 			out.tuples = append(out.tuples, c.tuple)
@@ -659,8 +651,8 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 			SignatureKey: key,
 			RequestID:    telemetry.RequestIDFromContext(ctx),
 			Candidates:   len(sv.atoms),
-			Atoms:        out.atoms,
-			Rules:        out.rules,
+			Atoms:        sv.numAtoms,
+			Rules:        sv.rules,
 			CacheHit:     hit,
 			SolverReused: sv.reused,
 			Stats:        sv.stats,

@@ -55,21 +55,26 @@ type Result struct {
 	Err error
 }
 
-// QueryStats records per-query execution measurements.
+// QueryStats records per-query execution measurements. Per-program
+// grounding sizes are not summed here: they live on TraceEvent and in the
+// xr_program_ground_* counters.
+//
+// QueryStats is part of the JSON wire format: the root Answers and the
+// server's NDJSON stats frame embed it, so its snake_case field names and
+// their order are a compatibility contract (DESIGN.md §14); the duration
+// travels as integer nanoseconds.
 type QueryStats struct {
-	Candidates     int // candidate answers (Definition 2 upper bound)
-	SafeAccepted   int // candidates accepted without solving
-	SolverAccepted int // candidates accepted by cautious reasoning
-	Programs       int // DLP programs solved
-	GroundRules    int // total ground rules across programs
-	GroundAtoms    int // total ground atoms across programs
-	CacheHits      int // programs served from the signature-program cache
+	Candidates     int `json:"candidates"`      // candidate answers (Definition 2 upper bound)
+	SafeAccepted   int `json:"safe_accepted"`   // candidates accepted without solving
+	SolverAccepted int `json:"solver_accepted"` // candidates accepted by cautious reasoning
+	Programs       int `json:"programs"`        // DLP programs solved
+	CacheHits      int `json:"cache_hits"`      // programs served from the signature-program cache
 
-	DegradedSignatures int // signature groups left undecided (Partial mode)
-	UnknownTuples      int // candidate tuples moved to Unknown
-	Retries            int // signature retries with a doubled budget
+	DegradedSignatures int `json:"degraded_signatures"` // signature groups left undecided (Partial mode)
+	UnknownTuples      int `json:"unknown_tuples"`      // candidate tuples moved to Unknown
+	Retries            int `json:"retries"`             // signature retries with a doubled budget
 
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns"`
 }
 
 // candidate is one candidate answer tuple with its support sets (ground

@@ -81,15 +81,17 @@ func TestWireAnswers(t *testing.T) {
 				Text:    "q(tx5, 2): unknown — signature {2,7} degraded (budget)\n",
 			},
 		},
-		Candidates:         3,
-		SafeAccepted:       1,
-		SolverAccepted:     1,
-		Programs:           2,
-		CacheHits:          1,
-		DegradedSignatures: 1,
-		UnknownTuples:      1,
-		Retries:            1,
-		Duration:           1500 * time.Microsecond,
+		QueryStats: xr.QueryStats{
+			Candidates:         3,
+			SafeAccepted:       1,
+			SolverAccepted:     1,
+			Programs:           2,
+			CacheHits:          1,
+			DegradedSignatures: 1,
+			UnknownTuples:      1,
+			Retries:            1,
+			Duration:           1500 * time.Microsecond,
+		},
 	}
 	var out Answers
 	checkGolden(t, "answers.golden.json", in, &out)
@@ -100,8 +102,8 @@ func TestWireAnswers(t *testing.T) {
 	if !reflect.DeepEqual(out.Explanations, in.Explanations) {
 		t.Errorf("explanations round trip: got %+v", out.Explanations)
 	}
-	if out.Duration != in.Duration || out.Candidates != in.Candidates || out.CacheHits != in.CacheHits {
-		t.Errorf("stats round trip: got %+v", out)
+	if out.QueryStats != in.QueryStats {
+		t.Errorf("stats round trip: got %+v", out.QueryStats)
 	}
 	if len(out.Degraded) != 1 {
 		t.Fatalf("degraded round trip: got %+v", out.Degraded)

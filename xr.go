@@ -26,7 +26,6 @@ package repro
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/chase"
 	"repro/internal/instance"
@@ -134,22 +133,13 @@ type Answers struct {
 	// candidate order, when the query ran with WithExplanations(true)
 	// (segmentary engine only). Empty otherwise.
 	Explanations []Explanation `json:"explanations,omitempty"`
-	// Stats carries per-query measurements (candidates, programs solved,
-	// duration); see the xr package for field meanings.
-	Candidates     int `json:"candidates"`
-	SafeAccepted   int `json:"safe_accepted"`
-	SolverAccepted int `json:"solver_accepted"`
-	Programs       int `json:"programs"`
-	// CacheHits counts the programs served from the exchange's
-	// signature-program cache (always 0 for the monolithic engine).
-	CacheHits int `json:"cache_hits"`
-	// DegradedSignatures, UnknownTuples, and Retries summarize graceful
-	// degradation: signatures skipped, candidate tuples left undecided,
-	// and budget-doubling retry attempts.
-	DegradedSignatures int           `json:"degraded_signatures"`
-	UnknownTuples      int           `json:"unknown_tuples"`
-	Retries            int           `json:"retries"`
-	Duration           time.Duration `json:"duration_ns"`
+	// QueryStats carries the per-query measurements, marshaled inline:
+	// candidates, safe and solver-accepted counts, programs solved,
+	// signature-program cache hits (always 0 for the monolithic engine),
+	// the graceful-degradation summary (signatures skipped, candidate
+	// tuples left undecided, budget-doubling retries) and the duration.
+	// Its fields read directly, as in ans.Candidates.
+	xr.QueryStats
 }
 
 // Partial reports whether the answers are a (sound) lower bound rather
@@ -158,18 +148,10 @@ func (a *Answers) Partial() bool { return len(a.Degraded) > 0 }
 
 func (s *System) answersOf(res *xr.Result) *Answers {
 	a := &Answers{
-		Tuples:             [][]string{},
-		Unknown:            [][]string{},
-		Degraded:           res.Degraded,
-		Candidates:         res.Stats.Candidates,
-		SafeAccepted:       res.Stats.SafeAccepted,
-		SolverAccepted:     res.Stats.SolverAccepted,
-		Programs:           res.Stats.Programs,
-		CacheHits:          res.Stats.CacheHits,
-		DegradedSignatures: res.Stats.DegradedSignatures,
-		UnknownTuples:      res.Stats.UnknownTuples,
-		Retries:            res.Stats.Retries,
-		Duration:           res.Stats.Duration,
+		Tuples:     [][]string{},
+		Unknown:    [][]string{},
+		Degraded:   res.Degraded,
+		QueryStats: res.Stats,
 	}
 	render := func(t []symtab.Value) []string {
 		row := make([]string, len(t))
