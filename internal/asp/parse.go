@@ -2,6 +2,7 @@ package asp
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -243,14 +244,6 @@ func FormatModel(gp *GroundProgram, m []bool) string {
 			names = append(names, gp.Name(AtomID(a)))
 		}
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return strings.Join(names, " ")
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }

@@ -3,47 +3,16 @@ package server
 import (
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 )
 
-// Live request introspection: every request in the middleware stack
-// registers its requestState here for its lifetime, and GET /v1/inflight
-// renders the table. The table holds *requestState pointers keyed by
-// identity (not request ID — a client may reuse an X-Request-Id across
-// concurrent requests), so add/remove are O(1) and the snapshot reads the
-// live atomics without blocking the handlers.
-
-type inflightTable struct {
-	mu sync.Mutex
-	m  map[*requestState]struct{}
-}
-
-func newInflightTable() *inflightTable {
-	return &inflightTable{m: make(map[*requestState]struct{})}
-}
-
-func (t *inflightTable) add(st *requestState) {
-	t.mu.Lock()
-	t.m[st] = struct{}{}
-	t.mu.Unlock()
-}
-
-func (t *inflightTable) remove(st *requestState) {
-	t.mu.Lock()
-	delete(t.m, st)
-	t.mu.Unlock()
-}
-
-func (t *inflightTable) snapshot() []*requestState {
-	t.mu.Lock()
-	out := make([]*requestState, 0, len(t.m))
-	for st := range t.m {
-		out = append(out, st)
-	}
-	t.mu.Unlock()
-	return out
-}
+// Live request introspection: observe stores every request's
+// requestState in Server.inflight for the request's lifetime, and GET
+// /v1/inflight renders the set. The keys are *requestState pointers, not
+// request IDs (a client may reuse an X-Request-Id across concurrent
+// requests). Each request stores its own key once and deletes it once —
+// the disjoint-keys case sync.Map is built for — and the snapshot reads
+// the live atomics without blocking the handlers.
 
 // InflightEntry is one live request in GET /v1/inflight.
 type InflightEntry struct {
@@ -73,10 +42,10 @@ type InflightResponse struct {
 }
 
 func (s *Server) handleInflight(w http.ResponseWriter, _ *http.Request) {
-	states := s.inflight.snapshot()
 	now := time.Now()
-	resp := InflightResponse{Requests: make([]InflightEntry, 0, len(states))}
-	for _, st := range states {
+	resp := InflightResponse{Requests: []InflightEntry{}}
+	s.inflight.Range(func(key, _ any) bool {
+		st := key.(*requestState)
 		route, tenant, queryHash, _ := st.labels()
 		resp.Requests = append(resp.Requests, InflightEntry{
 			RequestID:      st.id,
@@ -91,7 +60,8 @@ func (s *Server) handleInflight(w http.ResponseWriter, _ *http.Request) {
 			Decisions:      st.decisions.Load(),
 			Conflicts:      st.conflicts.Load(),
 		})
-	}
+		return true
+	})
 	// Oldest first: the request most likely to be stuck leads the list.
 	sort.Slice(resp.Requests, func(i, j int) bool {
 		if resp.Requests[i].StartTime != resp.Requests[j].StartTime {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,23 +17,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The observability middleware stack. Every endpoint is served through
-//
-//	withRequestID → withAccessLog → withMetrics → withRecover → mux
-//
-// withRequestID is outermost so the ID exists for everything downstream
-// (context, response header, inflight table). withRecover is innermost —
-// deliberately inside the observers — so a panic is converted to a 500
-// *before* the access log and RED metrics read the response status;
-// an outermost recover would log status 0 for panicking handlers.
-//
-// All middlewares share one per-request state object (requestState) and
-// one response-writer wrapper (statusWriter), both created by
-// withRequestID, so the stack costs a single allocation pair per request
-// and never disagrees about status or byte counts.
+// The request pipeline: every endpoint is served through observe, which
+// wraps the route mux (see observe for its order).
 
-// requestState is the per-request record shared by the middleware stack,
-// the handlers, and the /v1/inflight view. Counter fields are atomics
+// requestState is the per-request record shared by observe, the
+// handlers, and the /v1/inflight view. Counter fields are atomics
 // because the solver-trace hook updates them from worker goroutines while
 // /v1/inflight reads them; string fields set after creation are guarded
 // by mu for the same reason.
@@ -154,8 +143,8 @@ func (st *requestState) labels() (route, tenant, queryHash string, tracer *telem
 
 type stateKey struct{}
 
-// stateFrom returns the request state attached by withRequestID (nil when
-// the handler runs outside the middleware stack, e.g. in direct tests).
+// stateFrom returns the request state attached by observe. Every route
+// is reached through observe, so a handler never sees nil.
 func stateFrom(ctx context.Context) *requestState {
 	st, _ := ctx.Value(stateKey{}).(*requestState)
 	return st
@@ -204,17 +193,25 @@ func queryTextHash(text string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// observe wraps next in the full middleware stack; see the file comment
-// for the ordering rationale.
+// observe wraps next in the request pipeline. It assigns the request ID
+// (honoring a well-formed inbound X-Request-Id), echoes it on the
+// response, registers the request state in the inflight set, and runs
+// next. Afterwards it works in a fixed order:
+//
+//  1. a handler panic becomes a 500 before anything reads the status
+//     (http.ErrAbortHandler is re-raised: it is the sanctioned way to abort
+//     a response mid-stream);
+//  2. the RED series are written: the per-route/code/tenant request
+//     count and the per-route latency (the in-flight gauge drops when
+//     observe returns);
+//  3. the span tree goes into the trace ring, then the INFO access line is
+//     written;
+//  4. a slow request's slowlog entry is added, then its WARN line;
+//  5. the inflight entry is removed last.
+//
+// Rings are written before their log lines, so a reader that sees a line
+// finds its ring entry.
 func (s *Server) observe(next http.Handler) http.Handler {
-	return s.withRequestID(s.withAccessLog(s.withMetrics(s.withRecover(next))))
-}
-
-// withRequestID assigns the request ID (honoring a well-formed inbound
-// X-Request-Id), echoes it on the response, creates the shared request
-// state and status writer, and registers the request in the inflight
-// table for its whole lifetime.
-func (s *Server) withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
 		if !telemetry.SafeToken(id) {
@@ -225,91 +222,46 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		ctx := telemetry.ContextWithRequestID(r.Context(), id)
 		ctx = context.WithValue(ctx, stateKey{}, st)
-		s.inflight.add(st)
-		defer s.inflight.remove(st)
-		next.ServeHTTP(sw, r.WithContext(ctx))
-	})
-}
+		s.inflight.Store(st, struct{}{})
+		defer s.inflight.Delete(st)
+		mt := s.cfg.Metrics
+		gauge := mt.Gauge("xr_inflight_requests")
+		gauge.Add(1)
+		defer gauge.Add(-1)
 
-// withAccessLog emits one structured log line per request after it
-// completes, harvests the per-request span tree into the trace ring, and
-// feeds the slow-query log when the request exceeded the threshold.
-func (s *Server) withAccessLog(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(w, r)
-		st := stateFrom(r.Context())
-		sw, _ := w.(*statusWriter)
-		if st == nil || sw == nil {
-			return
-		}
-		rec := s.buildRecord(st, sw)
+		func() {
+			defer func() {
+				p := recover()
+				if p == nil {
+					return
+				}
+				if p == http.ErrAbortHandler {
+					panic(p)
+				}
+				s.log.Error("panic in handler",
+					"request_id", id, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+				if sw.status == 0 {
+					writeJSON(sw, http.StatusInternalServerError, ErrorResponse{Error: "internal server error"})
+				}
+			}()
+			next.ServeHTTP(sw, r.WithContext(ctx))
+		}()
+
+		elapsed := time.Since(st.start)
+		rec := s.buildRecord(st, sw, elapsed)
+		mt.Counter(telemetry.Labeled("xr_http_requests_total",
+			"route", rec.Route, "code", strconv.Itoa(rec.Status), "tenant", rec.Tenant)).Inc()
+		mt.Histogram(telemetry.Labeled("xr_http_request_seconds", "route", rec.Route)).Observe(elapsed)
 		var spans []telemetry.SpanNode
 		if _, _, _, tracer := st.labels(); tracer != nil {
 			spans = tracer.Spans()
-			s.traces.put(st.id, spans)
+			s.traces.put(id, spans)
 		}
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request", rec.logAttrs()...)
-		if s.cfg.SlowQuery > 0 && time.Since(st.start) >= s.cfg.SlowQuery {
+		s.log.LogAttrs(ctx, slog.LevelInfo, "request", rec.logAttrs()...)
+		if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
 			s.slow.add(SlowEntry{AccessRecord: rec, Trace: spans})
-			s.log.LogAttrs(r.Context(), slog.LevelWarn, "slow query", rec.logAttrs()...)
+			s.log.LogAttrs(ctx, slog.LevelWarn, "slow query", rec.logAttrs()...)
 		}
-	})
-}
-
-// withMetrics maintains the RED series: per-route/code/tenant request
-// counts, per-route latency histograms, and the in-flight gauge.
-func (s *Server) withMetrics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mt := s.cfg.Metrics
-		g := mt.Gauge("xr_inflight_requests")
-		g.Add(1)
-		defer g.Add(-1)
-		start := time.Now()
-		next.ServeHTTP(w, r)
-		st := stateFrom(r.Context())
-		sw, _ := w.(*statusWriter)
-		if st == nil || sw == nil {
-			return
-		}
-		route, tenant, _, _ := st.labels()
-		if route == "" {
-			route = "unmatched"
-		}
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		mt.Counter(telemetry.Labeled("xr_http_requests_total",
-			"route", route, "code", fmt.Sprintf("%d", status), "tenant", tenant)).Inc()
-		mt.Histogram(telemetry.Labeled("xr_http_request_seconds", "route", route)).Observe(time.Since(start))
-	})
-}
-
-// withRecover converts a handler panic into a 500 (when no response has
-// started) and logs it with the stack. It sits innermost so the observers
-// above it see the final status. http.ErrAbortHandler is re-raised: it is
-// the sanctioned way to abort a response mid-stream.
-func (s *Server) withRecover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			id := ""
-			if st := stateFrom(r.Context()); st != nil {
-				id = st.id
-			}
-			s.log.Error("panic in handler",
-				"request_id", id, "panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			if sw, ok := w.(*statusWriter); !ok || sw.status == 0 {
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "internal server error"})
-			}
-		}()
-		next.ServeHTTP(w, r)
 	})
 }
 
@@ -319,9 +271,7 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 // cardinality. It runs after mux dispatch, so only matched routes tag.
 func (s *Server) route(pattern string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if st := stateFrom(r.Context()); st != nil {
-			st.setRoute(pattern)
-		}
+		stateFrom(r.Context()).setRoute(pattern)
 		h(w, r)
 	})
 }
@@ -351,7 +301,10 @@ type AccessRecord struct {
 	HotSignatures []string `json:"hot_signatures,omitempty"`
 }
 
-func (s *Server) buildRecord(st *requestState, sw *statusWriter) AccessRecord {
+// buildRecord renders a completed request that took elapsed. It is the one
+// place a request that matched no route is labeled "unmatched" and a
+// handler that wrote no header is recorded as 200.
+func (s *Server) buildRecord(st *requestState, sw *statusWriter, elapsed time.Duration) AccessRecord {
 	route, tenant, queryHash, _ := st.labels()
 	if route == "" {
 		route = "unmatched"
@@ -368,7 +321,7 @@ func (s *Server) buildRecord(st *requestState, sw *statusWriter) AccessRecord {
 		Tenant:        tenant,
 		Status:        status,
 		Bytes:         sw.bytes,
-		DurationMS:    float64(time.Since(st.start).Nanoseconds()) / 1e6,
+		DurationMS:    float64(elapsed.Nanoseconds()) / 1e6,
 		Lanes:         int(st.lanes.Load()),
 		Degraded:      int(st.degraded.Load()),
 		Unknown:       int(st.unknown.Load()),

@@ -429,7 +429,9 @@ func TestHealthzObservabilityFields(t *testing.T) {
 }
 
 // TestRecoverMiddleware checks a handler panic surfaces as a JSON 500
-// with the request ID echoed, and the process (and suite) survives.
+// with the request ID echoed, and the process (and suite) survives. The
+// panic is recovered before anything reads the status, so the access log
+// and the RED series record the 500.
 func TestRecoverMiddleware(t *testing.T) {
 	sink := &logBuffer{}
 	s := New(Config{Logger: jsonLogger(sink)})
@@ -455,5 +457,13 @@ func TestRecoverMiddleware(t *testing.T) {
 	}
 	if rec := findLog(sink.lines(), "panic in handler", ""); rec == nil {
 		t.Errorf("panic not logged:\n%s", &sink.buf)
+	}
+	rec := findLog(sink.lines(), "request", resp.Header.Get("X-Request-Id"))
+	if rec == nil || rec["status"] != float64(500) || rec["route"] != "unmatched" {
+		t.Errorf("access-log line of the panicking request = %v, want status 500, route unmatched", rec)
+	}
+	red := `xr_http_requests_total{code="500",route="unmatched",tenant=""}`
+	if got := s.cfg.Metrics.Counter(red).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", red, got)
 	}
 }

@@ -29,8 +29,9 @@ func newLanePool(total int) *lanePool {
 
 // lease acquires between 1 and max lanes: it blocks (cancellably) for the
 // first lane, then opportunistically takes immediately available extras.
-// On success it returns the lane count and a release function; when ctx
-// expires first it returns 0 and a nil release.
+// On success it returns the lane count and a release function that is
+// safe to call more than once; when ctx expires first it returns 0 and a
+// nil release.
 func (p *lanePool) lease(ctx context.Context, max int) (int, func()) {
 	if max < 1 {
 		max = 1
@@ -55,11 +56,15 @@ func (p *lanePool) lease(ctx context.Context, max int) (int, func()) {
 	return n, p.releaser(n)
 }
 
+// releaser returns the idempotent release of n leased lanes.
 func (p *lanePool) releaser(n int) func() {
+	var once sync.Once
 	return func() {
-		for i := 0; i < n; i++ {
-			<-p.sem
-		}
+		once.Do(func() {
+			for i := 0; i < n; i++ {
+				<-p.sem
+			}
+		})
 	}
 }
 

@@ -32,8 +32,8 @@ type ProfileResponse struct {
 }
 
 // ProfileHealth is the /healthz "profile" block: the cross-tenant
-// aggregate of live profiler state, present whenever at least one loaded
-// scenario records a profile.
+// aggregate of live profiler state, present whenever at least one
+// scenario is loaded (every tenant records a profile).
 type ProfileHealth struct {
 	Scenarios int   `json:"scenarios"`
 	Records   int   `json:"records"`
@@ -43,9 +43,7 @@ type ProfileHealth struct {
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	scenario := r.PathValue("name")
-	if st := stateFrom(r.Context()); st != nil {
-		st.setTenant(scenario)
-	}
+	stateFrom(r.Context()).setTenant(scenario)
 	sc, err := s.reg.Get(scenario)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, scenario, err)
@@ -81,13 +79,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 // profileHealth aggregates live profiler state across tenants for
-// /healthz (nil when no loaded scenario profiles).
+// /healthz (nil when no scenario is loaded).
 func (s *Server) profileHealth() *ProfileHealth {
 	var h ProfileHealth
 	for _, sc := range s.reg.List() {
-		if !sc.ProfilingEnabled() {
-			continue
-		}
 		snap := sc.Profile()
 		h.Scenarios++
 		h.Records += snap.Records
@@ -132,19 +127,16 @@ func (s *Server) restoreProfile(name string) {
 		"scenario", name, "signatures", len(snap.Signatures), "solves", snap.Solves)
 }
 
-// persistProfiles writes every profiling tenant's cumulative snapshot to
-// the store. Called once the drain group is quiescent, so every recorded
-// solve is in the snapshot; a restart with the same -data-dir then serves
-// the pre-restart cumulative profile.
+// persistProfiles writes every tenant's cumulative snapshot to the store.
+// Called once the drain group is quiescent, so every recorded solve is in
+// the snapshot; a restart with the same -data-dir then serves the
+// pre-restart cumulative profile.
 func (s *Server) persistProfiles() {
 	st := s.cfg.Store
 	if st == nil {
 		return
 	}
 	for _, sc := range s.reg.List() {
-		if !sc.ProfilingEnabled() {
-			continue
-		}
 		snap := sc.Profile()
 		if snap.Solves == 0 && len(snap.Signatures) == 0 {
 			continue

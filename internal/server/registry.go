@@ -230,10 +230,6 @@ func (sc *Scenario) MergeProfile(p *repro.Profile) {
 	sc.ex.MergeProfile(p)
 }
 
-// ProfilingEnabled reports whether the tenant's exchange carries a
-// workload profiler.
-func (sc *Scenario) ProfilingEnabled() bool { return sc.ex.ProfilingEnabled() }
-
 // Registry is the multi-tenant scenario table: named Scenarios with
 // load/unload/list lifecycle. All methods are safe for concurrent use.
 type Registry struct {

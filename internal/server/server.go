@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"repro"
@@ -128,9 +129,8 @@ type Server struct {
 	admit    chan struct{}
 	lanes    *lanePool
 	group    *drainGroup
-	mux      *http.ServeMux
 	root     http.Handler
-	inflight *inflightTable
+	inflight sync.Map // *requestState → struct{} while observe serves it
 	slow     *slowRing
 	traces   *traceRing
 	start    time.Time
@@ -141,17 +141,16 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		log:      cfg.Logger,
-		reg:      NewRegistry(cfg.MaxScenarios),
-		admit:    make(chan struct{}, cfg.MaxConcurrentQueries),
-		lanes:    newLanePool(cfg.TotalLanes),
-		group:    newDrainGroup(),
-		inflight: newInflightTable(),
-		slow:     newSlowRing(cfg.SlowLogSize),
-		traces:   newTraceRing(cfg.TraceRingSize),
-		start:    time.Now(),
-		version:  buildVersion(),
+		cfg:     cfg,
+		log:     cfg.Logger,
+		reg:     NewRegistry(cfg.MaxScenarios),
+		admit:   make(chan struct{}, cfg.MaxConcurrentQueries),
+		lanes:   newLanePool(cfg.TotalLanes),
+		group:   newDrainGroup(),
+		slow:    newSlowRing(cfg.SlowLogSize),
+		traces:  newTraceRing(cfg.TraceRingSize),
+		start:   time.Now(),
+		version: buildVersion(),
 	}
 	mux := http.NewServeMux()
 	// Routes register through s.route so logs and metrics carry the route
@@ -175,7 +174,6 @@ func New(cfg Config) *Server {
 	mux.Handle("/metrics", s.route("/metrics", obs.ServeHTTP))
 	mux.Handle("/metrics.json", s.route("/metrics.json", obs.ServeHTTP))
 	mux.Handle("/debug/", s.route("/debug/", obs.ServeHTTP))
-	s.mux = mux
 	s.root = s.observe(mux)
 	return s
 }
@@ -189,12 +187,9 @@ func buildVersion() string {
 	return "devel"
 }
 
-// Handler returns the daemon's HTTP handler (the mux wrapped in the
-// observability middleware stack; see middleware.go).
+// Handler returns the daemon's HTTP handler: the route mux wrapped in the
+// request pipeline (observe, in middleware.go).
 func (s *Server) Handler() http.Handler { return s.root }
-
-// Registry exposes the tenant table (used by cmd/xrserved for preloading).
-func (s *Server) Registry() *Registry { return s.reg }
 
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *repro.Metrics { return s.cfg.Metrics }
@@ -343,11 +338,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if st := stateFrom(r.Context()); st != nil {
-		st.setTenant(req.Name)
-	}
-	sc, err := s.reg.Load(req.Name, req.Mapping, req.Facts, req.Queries,
-		repro.WithMetrics(s.cfg.Metrics), repro.WithProfiling(true))
+	stateFrom(r.Context()).setTenant(req.Name)
+	sc, err := s.loadScenario(req.Name, req.Mapping, req.Facts, req.Queries)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrScenarioExists):
@@ -373,6 +365,14 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
+// loadScenario builds and registers one tenant. It is the one load call
+// behind POST /v1/scenarios and RecoverFromStore: every tenant reports to
+// the server's metrics registry and records a workload profile.
+func (s *Server) loadScenario(name, mapping, facts, queries string) (*Scenario, error) {
+	return s.reg.Load(name, mapping, facts, queries,
+		repro.WithMetrics(s.cfg.Metrics), repro.WithProfiling(true))
+}
+
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	scs := s.reg.List()
 	resp := ListResponse{Scenarios: make([]ScenarioInfo, 0, len(scs))}
@@ -383,9 +383,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	if st := stateFrom(r.Context()); st != nil {
-		st.setTenant(r.PathValue("name"))
-	}
+	stateFrom(r.Context()).setTenant(r.PathValue("name"))
 	sc, err := s.reg.Get(r.PathValue("name"))
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, r.PathValue("name"), err)
@@ -396,9 +394,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if st := stateFrom(r.Context()); st != nil {
-		st.setTenant(name)
-	}
+	stateFrom(r.Context()).setTenant(name)
 	sc, err := s.reg.Remove(name)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, name, err)
@@ -422,9 +418,7 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 // response and returns a nil Scenario; otherwise the caller defers leave,
 // which undoes the steps in reverse.
 func (s *Server) admitQuery(w http.ResponseWriter, st *requestState, scenario string) (sc *Scenario, leave func()) {
-	if st != nil {
-		st.setTenant(scenario)
-	}
+	st.setTenant(scenario)
 	if !s.group.Enter() {
 		s.writeError(w, http.StatusServiceUnavailable, scenario, errors.New("server draining"))
 		return nil, nil
@@ -461,10 +455,12 @@ func (s *Server) admitQuery(w http.ResponseWriter, st *requestState, scenario st
 // process-wide pool and keeps xr_lanes_in_use current. The request
 // context bounds the wait, so an abandoned request never holds a slot
 // (503 when canceled while waiting). It then gives the request its own
-// tracer, whose span tree the middleware harvests into the trace ring and
+// tracer, whose span tree observe harvests into the trace ring and
 // slowlog, and records the lane count and the hash of queryText for
 // /v1/inflight. On failure it has written the response and returns a nil
-// release; otherwise the caller defers release.
+// release. Otherwise the caller calls release as soon as the engine
+// returns, so the lanes are free while the body is written, and also
+// defers it for a panicking engine call; release is idempotent.
 func (s *Server) leaseLanes(w http.ResponseWriter, r *http.Request, st *requestState, scenario, queryText string) (lanes int, tracer *telemetry.Tracer, release func()) {
 	lanesGauge := s.cfg.Metrics.Gauge("xr_lanes_in_use")
 	lanes, free := s.lanes.lease(r.Context(), s.cfg.PerQueryLanes)
@@ -475,12 +471,10 @@ func (s *Server) leaseLanes(w http.ResponseWriter, r *http.Request, st *requestS
 	}
 	lanesGauge.Set(int64(s.lanes.inUse()))
 	tracer = telemetry.NewTracer()
-	if st != nil {
-		tracer.SetRequestID(st.id)
-		st.setTracer(tracer)
-		st.lanes.Store(int64(lanes))
-		st.setQueryHash(queryTextHash(queryText))
-	}
+	tracer.SetRequestID(st.id)
+	st.setTracer(tracer)
+	st.lanes.Store(int64(lanes))
+	st.setQueryHash(queryTextHash(queryText))
 	return lanes, tracer, func() {
 		free()
 		lanesGauge.Set(int64(s.lanes.inUse()))
@@ -539,7 +533,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-
 	opts := s.queryOptions(r.Context(), &req, lanes, st, tracer)
 
 	mt := s.cfg.Metrics
@@ -558,32 +551,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ans, err = sc.Answer(q, opts...)
 	}
+	release()
 	if err != nil {
 		mt.Counter(telemetry.Labeled("xr_server_query_errors_total", "scenario", scenario)).Inc()
-		switch {
-		case errors.Is(err, repro.ErrTimeout):
-			s.writeError(w, http.StatusGatewayTimeout, scenario, err)
-		case errors.Is(err, repro.ErrCanceled):
-			// The client went away; the status is best-effort.
-			s.writeError(w, http.StatusServiceUnavailable, scenario, err)
-		case errors.Is(err, repro.ErrBudget):
-			// Only reachable with partial=false: the caller asked for
-			// exact-or-error semantics and the budget lost.
-			s.writeError(w, http.StatusUnprocessableEntity, scenario, err)
-		default:
-			s.writeError(w, http.StatusInternalServerError, scenario, err)
-		}
+		s.writeEngineError(w, scenario, err)
 		return
 	}
 	if ans.Partial() {
 		mt.Counter(telemetry.Labeled("xr_server_degraded_total", "scenario", scenario)).Inc()
 	}
-	requestID := ""
-	if st != nil {
-		st.degraded.Store(int64(ans.DegradedSignatures))
-		st.unknown.Store(int64(ans.UnknownTuples))
-		requestID = st.id
-	}
+	st.degraded.Store(int64(ans.DegradedSignatures))
+	st.unknown.Store(int64(ans.UnknownTuples))
 
 	if req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
 		streamAnswers(w, scenario, q.Name(), mode, q.Arity(), ans)
@@ -594,7 +572,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Query:     q.Name(),
 		Mode:      mode,
 		Partial:   ans.Partial(),
-		RequestID: requestID,
+		RequestID: st.id,
 		Answers:   ans,
 	}
 	// ?trace=1 inlines the span tree; it is also retained in the trace
@@ -642,17 +620,13 @@ func (s *Server) queryOptions(ctx context.Context, req *QueryRequest, lanes int,
 		repro.WithParallelism(lanes),
 		repro.WithPartialResults(partial),
 		repro.WithMetrics(s.cfg.Metrics),
-	}
-	if tracer != nil {
-		opts = append(opts, repro.WithTracer(tracer))
-	}
-	if st != nil {
-		opts = append(opts, repro.WithSolverTrace(func(ev repro.TraceEvent) {
+		repro.WithTracer(tracer),
+		repro.WithSolverTrace(func(ev repro.TraceEvent) {
 			st.sigsDone.Add(1)
 			st.decisions.Add(ev.Decisions)
 			st.conflicts.Add(ev.Conflicts)
 			st.noteSignature(ev.SignatureKey, ev.Duration)
-		}))
+		}),
 	}
 	if sigTimeout > 0 {
 		opts = append(opts, repro.WithSignatureTimeout(sigTimeout))
@@ -691,28 +665,40 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			args[i] = strings.TrimSpace(args[i])
 		}
 	}
+	if len(args) != q.Arity() {
+		s.writeError(w, http.StatusBadRequest, scenario, fmt.Errorf("%w: query %s has arity %d, got %d tuple constants",
+			ErrBadQuery, qname, q.Arity(), len(args)))
+		return
+	}
 	lanes, tracer, release := s.leaseLanes(w, r, st, scenario, qname)
 	if release == nil {
 		return
 	}
 	defer release()
-	e, err := sc.Why(q, args,
-		repro.WithContext(r.Context()),
-		repro.WithTimeout(s.cfg.DefaultTimeout),
-		repro.WithParallelism(lanes),
-		repro.WithTracer(tracer),
-		repro.WithMetrics(s.cfg.Metrics))
+	e, err := sc.Why(q, args, s.queryOptions(r.Context(), &QueryRequest{Name: qname}, lanes, st, tracer)...)
+	release()
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, repro.ErrTimeout) {
-			code = http.StatusGatewayTimeout
-		} else if strings.Contains(err.Error(), "arity") {
-			code = http.StatusBadRequest
-		}
-		s.writeError(w, code, scenario, err)
+		s.writeEngineError(w, scenario, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ExplainResponse{Scenario: scenario, Explanation: e})
+}
+
+// writeEngineError maps an error from Answer, Possible or Why onto its
+// status: 504 on timeout, 503 when the client went away (best-effort: it
+// may not be listening), 422 when a budget lost under partial=false (the
+// caller asked for exact-or-error), and 500 otherwise.
+func (s *Server) writeEngineError(w http.ResponseWriter, scenario string, err error) {
+	code := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, repro.ErrTimeout):
+		code = http.StatusGatewayTimeout
+	case errors.Is(err, repro.ErrCanceled):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, repro.ErrBudget):
+		code = http.StatusUnprocessableEntity
+	}
+	s.writeError(w, code, scenario, err)
 }
 
 // ---------------------------------------------------------------------------

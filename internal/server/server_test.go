@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -572,6 +573,143 @@ func TestExplainEndpoint(t *testing.T) {
 	code, _, _ = doJSON(t, http.MethodGet, ts.URL+"/v1/scenarios/genome/explain?query=nope", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("explain unknown query: status %d, want 404", code)
+	}
+	for _, tuple := range []string{"tx2", "tx2,7,9"} {
+		code, body, _ = doJSON(t, http.MethodGet, ts.URL+"/v1/scenarios/genome/explain?query=q&tuple="+tuple, nil)
+		if code != http.StatusBadRequest {
+			t.Fatalf("explain q(%s) of arity 2: status %d, want 400; body %s", tuple, code, body)
+		}
+	}
+}
+
+// TestExplainUsesServerBudgets checks /explain runs under the server's
+// default budgets and partial-by-default, as /query does: on tri-K4 a
+// one-decision budget degrades the marker's signature, so /query reports
+// it degraded by budget and /explain answers "unknown" with cause
+// "budget" and HTTP 200 instead of solving unbudgeted to "certain".
+func TestExplainUsesServerBudgets(t *testing.T) {
+	_, ts := newTestServer(t, Config{DefaultMaxDecisions: 1})
+	loadScenario(t, ts.URL, "tri-k4", tricolorMapping, k4Facts, k4Query)
+
+	code, body, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/scenarios/tri-k4/query",
+		QueryRequest{Name: "inAllRepairs"})
+	if code != http.StatusOK {
+		t.Fatalf("query: status %d, body %s", code, body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if !qr.Partial || len(qr.Answers.Degraded) != 1 || !errors.Is(&qr.Answers.Degraded[0], repro.ErrBudget) {
+		t.Fatalf("query under DefaultMaxDecisions 1 not degraded by budget: %s", body)
+	}
+
+	code, body, _ = doJSON(t, http.MethodGet, ts.URL+"/v1/scenarios/tri-k4/explain?query=inAllRepairs", nil)
+	if code != http.StatusOK {
+		t.Fatalf("explain: status %d, body %s", code, body)
+	}
+	var er ExplainResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if e := er.Explanation; e == nil || e.Verdict != "unknown" || e.Cause != "budget" {
+		t.Fatalf("explain under DefaultMaxDecisions 1 = %s, want verdict unknown, cause budget", body)
+	}
+}
+
+// TestExplainAccessLogCarriesSolverWork checks an /explain request
+// attributes its solver work to itself, as a query does: its access-log
+// line carries decisions and the hardest signatures.
+func TestExplainAccessLogCarriesSolverWork(t *testing.T) {
+	sink := &logBuffer{}
+	_, ts := newTestServer(t, Config{Logger: jsonLogger(sink)})
+	loadScenario(t, ts.URL, "genome", demoMapping, demoFacts, demoQueries)
+
+	const reqID = "explain-work-1"
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/scenarios/genome/explain?query=q&tuple=tx1,4", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", reqID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"verdict":"rejected"`) {
+		t.Fatalf("explain: status %d, body %s", resp.StatusCode, body)
+	}
+	rec := findLog(sink.lines(), "request", reqID)
+	if rec == nil {
+		t.Fatalf("no access-log line for %s in:\n%s", reqID, &sink.buf)
+	}
+	if d, _ := rec["decisions"].(float64); d <= 0 {
+		t.Errorf("explain access log decisions = %v, want > 0: %v", rec["decisions"], rec)
+	}
+	if rec["hot_signatures"] == nil {
+		t.Errorf("explain access log missing hot_signatures: %v", rec)
+	}
+}
+
+// blockingWriter is a ResponseWriter whose first Write blocks until
+// unblock is closed, standing in for a client that does not read.
+type blockingWriter struct {
+	header  http.Header
+	blocked chan struct{} // closed when the first Write starts blocking
+	unblock chan struct{}
+	once    sync.Once
+	body    bytes.Buffer
+}
+
+func newBlockingWriter() *blockingWriter {
+	return &blockingWriter{header: http.Header{}, blocked: make(chan struct{}), unblock: make(chan struct{})}
+}
+
+func (w *blockingWriter) Header() http.Header { return w.header }
+func (w *blockingWriter) WriteHeader(int)     {}
+
+func (w *blockingWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.blocked)
+		<-w.unblock
+	})
+	return w.body.Write(b)
+}
+
+// TestLanesFreedBeforeResponseWrite checks a request hands its solver
+// lanes back when the engine returns, not when the body is written: while
+// the first response Write blocks, no lane stays leased. Query (buffered
+// and NDJSON) and explain share the path.
+func TestLanesFreedBeforeResponseWrite(t *testing.T) {
+	s, ts := newTestServer(t, Config{TotalLanes: 2})
+	loadScenario(t, ts.URL, "genome", demoMapping, demoFacts, demoQueries)
+
+	for _, c := range []struct {
+		name, method, target, body string
+	}{
+		{"query", http.MethodPost, "/v1/scenarios/genome/query", `{"name":"q"}`},
+		{"stream", http.MethodPost, "/v1/scenarios/genome/query", `{"name":"q","stream":true}`},
+		{"explain", http.MethodGet, "/v1/scenarios/genome/explain?query=q&tuple=tx1,4", ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newBlockingWriter()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
+			}()
+			<-w.blocked
+			inUse := s.lanes.inUse()
+			close(w.unblock)
+			<-done
+			if inUse != 0 {
+				t.Fatalf("%d lane(s) still leased while the response write blocks", inUse)
+			}
+			if w.body.Len() == 0 {
+				t.Fatal("empty response body")
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 
-	"repro"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -78,8 +77,7 @@ func (s *Server) RecoverFromStore() (RecoverySummary, error) {
 	sum.Adopted = len(rep.Adopted)
 	sum.Quarantined = len(rep.Quarantined)
 	for _, sn := range rep.Recovered {
-		if _, err := s.reg.Load(sn.Name, sn.Mapping, sn.Facts, sn.Queries,
-			repro.WithMetrics(s.cfg.Metrics), repro.WithProfiling(true)); err != nil {
+		if _, err := s.loadScenario(sn.Name, sn.Mapping, sn.Facts, sn.Queries); err != nil {
 			if errors.Is(err, ErrRegistryFull) || errors.Is(err, ErrScenarioExists) {
 				// The snapshot is intact; the registry just cannot host it
 				// right now. Leave it persisted for a roomier boot.

@@ -742,12 +742,13 @@ func (s *Store) Status() Status {
 		Quarantine:  append([]QuarantineRecord(nil), s.quarantined...),
 	}
 	for name, e := range s.manifest {
+		_, dirty := s.dirty[name]
 		st.Scenarios = append(st.Scenarios, EntryStatus{
 			Name:          name,
 			Bytes:         e.Bytes,
 			SHA256:        e.SnapshotSHA256,
 			SavedAtUnixMS: e.SavedAtUnixMS,
-			Dirty:         hasKey(s.dirty, name),
+			Dirty:         dirty,
 		})
 	}
 	for name := range s.dirty {
@@ -758,8 +759,6 @@ func (s *Store) Status() Status {
 	sort.Slice(st.Scenarios, func(i, j int) bool { return st.Scenarios[i].Name < st.Scenarios[j].Name })
 	return st
 }
-
-func hasKey(m map[string]Snapshot, k string) bool { _, ok := m[k]; return ok }
 
 func (s *Store) updateGauges() {
 	s.met.Gauge("xr_store_persisted").Set(int64(len(s.manifest)))

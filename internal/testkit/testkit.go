@@ -209,10 +209,3 @@ func RandomQuery(rng *rand.Rand, w *World, name string) *logic.UCQ {
 	}
 	return &logic.UCQ{Name: name, Arity: nh, Clauses: []logic.CQ{{Head: head, Body: body}}}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -84,6 +84,29 @@ func BruteForce(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ
 // xr_repairs_enumerated_total.
 func BruteForceOpts(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ, opts Options) (results []*Result, err error) {
 	defer recoverInternal("bruteforce", &err)
+	return bruteForceEval(m, src, queries, opts, func(acc, a *cq.AnswerSet) { acc.Intersect(a) })
+}
+
+// BruteForcePossible computes XR-Possible answers by explicit repair
+// enumeration:
+//
+//	XR-Possible(q, I, M) = ⋃ { q↓(chase(I', M)) : I' a source repair of I }.
+//
+// Like BruteForce, it serves as an independent oracle for the brave
+// reasoning path of the segmentary pipeline.
+func BruteForcePossible(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ) (results []*Result, err error) {
+	defer recoverInternal("bruteforce-possible", &err)
+	return bruteForceEval(m, src, queries, Options{}, func(acc, a *cq.AnswerSet) {
+		for _, t := range a.Tuples() {
+			acc.Add(t)
+		}
+	})
+}
+
+// bruteForceEval enumerates the source repairs of src, chases each one
+// natively, and evaluates every query over every repair's solution,
+// folding the per-repair answers into the first with combine.
+func bruteForceEval(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ, opts Options, combine func(acc, a *cq.AnswerSet)) ([]*Result, error) {
 	mt := newMeters(opts.Metrics)
 	repairs, err := SourceRepairs(m, src)
 	if err != nil {
@@ -101,7 +124,7 @@ func BruteForceOpts(m *mapping.Mapping, src *instance.Instance, queries []*logic
 		}
 		solutions[i] = j
 	}
-	results = make([]*Result, len(queries))
+	results := make([]*Result, len(queries))
 	for qi, q := range queries {
 		start := time.Now()
 		var ans *cq.AnswerSet
@@ -110,46 +133,12 @@ func BruteForceOpts(m *mapping.Mapping, src *instance.Instance, queries []*logic
 			if ans == nil {
 				ans = a
 			} else {
-				ans.Intersect(a)
+				combine(ans, a)
 			}
 		}
 		results[qi] = &Result{Query: q, Answers: ans}
 		results[qi].Stats.Duration = time.Since(start)
 		mt.recordQuery("bruteforce", results[qi].Stats)
-	}
-	return results, nil
-}
-
-// BruteForcePossible computes XR-Possible answers by explicit repair
-// enumeration:
-//
-//	XR-Possible(q, I, M) = ⋃ { q↓(chase(I', M)) : I' a source repair of I }.
-//
-// Like BruteForce, it serves as an independent oracle for the brave
-// reasoning path of the segmentary pipeline.
-func BruteForcePossible(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ) (results []*Result, err error) {
-	defer recoverInternal("bruteforce-possible", &err)
-	repairs, err := SourceRepairs(m, src)
-	if err != nil {
-		return nil, err
-	}
-	solutions := make([]*instance.Instance, len(repairs))
-	for i, rep := range repairs {
-		j, err := chase.Native(m, rep)
-		if err != nil {
-			return nil, fmt.Errorf("xr: repair has no solution: %w", err)
-		}
-		solutions[i] = j
-	}
-	results = make([]*Result, len(queries))
-	for qi, q := range queries {
-		ans := cq.NewAnswerSet()
-		for _, j := range solutions {
-			for _, t := range cq.EvalUCQ(q, j).WithoutNulls().Tuples() {
-				ans.Add(t)
-			}
-		}
-		results[qi] = &Result{Query: q, Answers: ans}
 	}
 	return results, nil
 }

@@ -113,11 +113,13 @@ func NewExchange(m *mapping.Mapping, src *instance.Instance) (*Exchange, error) 
 	return NewExchangeOpts(m, src, Options{})
 }
 
-// NewExchangeOpts is NewExchange with Options. Only Metrics is consulted:
-// the exchange phase is polynomial and uninterruptible (the chase has no
-// cancellation points), so Ctx/Timeout/Parallelism apply to the query
-// phase only. The registry also becomes the Exchange's default for later
-// query calls that don't carry their own.
+// NewExchangeOpts is NewExchange with Options. Metrics, Profiling and
+// Tracer are consulted: the exchange phase is polynomial and
+// uninterruptible (the chase has no cancellation points), so
+// Ctx/Timeout/Parallelism apply to the query phase only. The registry
+// also becomes the Exchange's default for later query calls that don't
+// carry their own; Profiling attaches a workload profiler seeded with the
+// cluster shapes; Tracer receives the exchange phase's span tree.
 func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (*Exchange, error) {
 	start := time.Now()
 	red, err := gavreduce.Reduce(m)
