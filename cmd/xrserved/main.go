@@ -17,7 +17,7 @@
 //	GET    /v1/scenarios/{name}/explain?query=Q[&tuple=a,b]
 //	GET    /v1/scenarios/{name}/profile?top=N&sort=wall|conflicts|degraded
 //	GET    /v1/store                  persistence status (data dir, tracked/dirty/quarantined)
-//	GET    /v1/inflight               live requests (id, tenant, lanes, progress)
+//	GET    /v1/inflight               live requests (id, tenant, lane wait, progress)
 //	GET    /v1/slowlog                recent slow requests (record + span tree)
 //	GET    /v1/requests/{id}/trace    span tree of a recently completed request
 //	GET    /healthz                   liveness + drain state, uptime, version
@@ -61,7 +61,7 @@ func main() {
 		addrFile    = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 		maxQueries  = flag.Int("max-queries", 0, "max concurrent queries across all tenants (0 = 2x GOMAXPROCS)")
 		lanes       = flag.Int("lanes", 0, "total solver lanes shared across tenants (0 = GOMAXPROCS)")
-		queryLanes  = flag.Int("query-lanes", 0, "max solver lanes one query may lease (0 = all)")
+		queryLanes  = flag.Int("query-lanes", 0, "signature workers per query, each taking a lane per job (0 = -lanes)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 		maxTimeout  = flag.Duration("max-timeout", 5*time.Minute, "hard cap on requested per-query timeouts")
 		sigTimeout  = flag.Duration("signature-timeout", 0, "default per-signature solve timeout (0 = none)")

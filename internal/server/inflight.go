@@ -25,9 +25,9 @@ type InflightEntry struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// QueryHash is the FNV-64a hash of the query text (query routes only).
 	QueryHash string `json:"query_hash,omitempty"`
-	// Lanes is the solver-lane count leased by the request (0 before the
-	// lease and on non-query routes).
-	Lanes int `json:"lanes,omitempty"`
+	// LaneWaitMS sums the request's completed solver-lane waits, one per
+	// signature job (0 on non-query routes and when no job had to wait).
+	LaneWaitMS float64 `json:"lane_wait_ms,omitempty"`
 	// SignaturesDone counts signature programs solved so far; the total is
 	// unknown until the candidate partition completes, so only progress is
 	// reported.
@@ -55,7 +55,7 @@ func (s *Server) handleInflight(w http.ResponseWriter, _ *http.Request) {
 			StartTime:      st.start.UTC().Format(time.RFC3339Nano),
 			ElapsedMS:      float64(now.Sub(st.start).Nanoseconds()) / 1e6,
 			QueryHash:      queryHash,
-			Lanes:          int(st.lanes.Load()),
+			LaneWaitMS:     st.laneWaitMS(),
 			SignaturesDone: st.sigsDone.Load(),
 			Decisions:      st.decisions.Load(),
 			Conflicts:      st.conflicts.Load(),

@@ -41,7 +41,9 @@ type requestState struct {
 	// solver-trace hook feeds it from worker goroutines.
 	hot []hotSig
 
-	lanes     atomic.Int64
+	// laneWait sums the request's solver-lane waits in nanoseconds, fed
+	// by the lane pool's wait callback (see queryOptions).
+	laneWait  atomic.Int64
 	sigsDone  atomic.Int64
 	decisions atomic.Int64
 	conflicts atomic.Int64
@@ -108,6 +110,11 @@ func (st *requestState) hotSignatures() []string {
 		keys[i] = h.key
 	}
 	return keys
+}
+
+// laneWaitMS is the request's summed lane wait so far, in milliseconds.
+func (st *requestState) laneWaitMS() float64 {
+	return float64(st.laneWait.Load()) / 1e6
 }
 
 func (st *requestState) setRoute(route string) {
@@ -288,7 +295,7 @@ type AccessRecord struct {
 	Status     int     `json:"status"`
 	Bytes      int64   `json:"bytes"`
 	DurationMS float64 `json:"duration_ms"`
-	Lanes      int     `json:"lanes,omitempty"`
+	LaneWaitMS float64 `json:"lane_wait_ms,omitempty"`
 	Degraded   int     `json:"degraded,omitempty"`
 	Unknown    int     `json:"unknown,omitempty"`
 	Decisions  int64   `json:"decisions,omitempty"`
@@ -322,7 +329,7 @@ func (s *Server) buildRecord(st *requestState, sw *statusWriter, elapsed time.Du
 		Status:        status,
 		Bytes:         sw.bytes,
 		DurationMS:    float64(elapsed.Nanoseconds()) / 1e6,
-		Lanes:         int(st.lanes.Load()),
+		LaneWaitMS:    st.laneWaitMS(),
 		Degraded:      int(st.degraded.Load()),
 		Unknown:       int(st.unknown.Load()),
 		Decisions:     st.decisions.Load(),
@@ -344,8 +351,8 @@ func (r AccessRecord) logAttrs() []slog.Attr {
 		slog.Int64("bytes", r.Bytes),
 		slog.Float64("duration_ms", r.DurationMS),
 	}
-	if r.Lanes > 0 {
-		attrs = append(attrs, slog.Int("lanes", r.Lanes))
+	if r.LaneWaitMS > 0 {
+		attrs = append(attrs, slog.Float64("lane_wait_ms", r.LaneWaitMS))
 	}
 	if r.Degraded > 0 || r.Unknown > 0 {
 		attrs = append(attrs,

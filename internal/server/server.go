@@ -28,10 +28,12 @@ type Config struct {
 	// Default 2×GOMAXPROCS.
 	MaxConcurrentQueries int
 	// TotalLanes is the process-wide solver-lane pool shared by all
-	// tenants (see lanePool). Default GOMAXPROCS.
+	// tenants (see xr.LanePool): every signature job of every query holds
+	// one lane while it solves. Default GOMAXPROCS.
 	TotalLanes int
-	// PerQueryLanes caps the lanes a single query may lease.
-	// Default TotalLanes.
+	// PerQueryLanes caps the signature workers per query (the query's
+	// parallelism); each worker still takes a lane per job. Default
+	// TotalLanes.
 	PerQueryLanes int
 
 	// DefaultTimeout bounds each query unless the request asks for less;
@@ -127,7 +129,7 @@ type Server struct {
 	log      *slog.Logger
 	reg      *Registry
 	admit    chan struct{}
-	lanes    *lanePool
+	lanes    *xr.LanePool
 	group    *drainGroup
 	root     http.Handler
 	inflight sync.Map // *requestState → struct{} while observe serves it
@@ -145,7 +147,7 @@ func New(cfg Config) *Server {
 		log:     cfg.Logger,
 		reg:     NewRegistry(cfg.MaxScenarios),
 		admit:   make(chan struct{}, cfg.MaxConcurrentQueries),
-		lanes:   newLanePool(cfg.TotalLanes),
+		lanes:   xr.NewLanePool(cfg.TotalLanes, cfg.Metrics),
 		group:   newDrainGroup(),
 		slow:    newSlowRing(cfg.SlowLogSize),
 		traces:  newTraceRing(cfg.TraceRingSize),
@@ -315,8 +317,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Scenarios:     s.reg.Len(),
 		Inflight:      s.group.Inflight(),
-		LanesBusy:     s.lanes.inUse(),
-		LanesMax:      s.lanes.capacity(),
+		LanesBusy:     s.lanes.InUse(),
+		LanesMax:      s.lanes.Cap(),
 		Store:         s.storeHealth(),
 		Profile:       s.profileHealth(),
 	}
@@ -451,34 +453,15 @@ func (s *Server) admitQuery(w http.ResponseWriter, st *requestState, scenario st
 	}
 }
 
-// leaseLanes leases solver lanes for an admitted request from the
-// process-wide pool and keeps xr_lanes_in_use current. The request
-// context bounds the wait, so an abandoned request never holds a slot
-// (503 when canceled while waiting). It then gives the request its own
-// tracer, whose span tree observe harvests into the trace ring and
-// slowlog, and records the lane count and the hash of queryText for
-// /v1/inflight. On failure it has written the response and returns a nil
-// release. Otherwise the caller calls release as soon as the engine
-// returns, so the lanes are free while the body is written, and also
-// defers it for a panicking engine call; release is idempotent.
-func (s *Server) leaseLanes(w http.ResponseWriter, r *http.Request, st *requestState, scenario, queryText string) (lanes int, tracer *telemetry.Tracer, release func()) {
-	lanesGauge := s.cfg.Metrics.Gauge("xr_lanes_in_use")
-	lanes, free := s.lanes.lease(r.Context(), s.cfg.PerQueryLanes)
-	if free == nil {
-		s.writeError(w, http.StatusServiceUnavailable, scenario, errors.New("canceled while waiting for solver lanes"))
-		lanesGauge.Set(int64(s.lanes.inUse()))
-		return 0, nil, nil
-	}
-	lanesGauge.Set(int64(s.lanes.inUse()))
-	tracer = telemetry.NewTracer()
+// requestTracer gives an admitted request its own tracer, whose span
+// tree observe harvests into the trace ring and slowlog, and records the
+// hash of queryText for /v1/inflight.
+func requestTracer(st *requestState, queryText string) *telemetry.Tracer {
+	tracer := telemetry.NewTracer()
 	tracer.SetRequestID(st.id)
 	st.setTracer(tracer)
-	st.lanes.Store(int64(lanes))
 	st.setQueryHash(queryTextHash(queryText))
-	return lanes, tracer, func() {
-		free()
-		lanesGauge.Set(int64(s.lanes.inUse()))
-	}
+	return tracer
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -528,12 +511,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Name != "" {
 		queryText = req.Name
 	}
-	lanes, tracer, release := s.leaseLanes(w, r, st, scenario, queryText)
-	if release == nil {
-		return
-	}
-	defer release()
-	opts := s.queryOptions(r.Context(), &req, lanes, st, tracer)
+	tracer := requestTracer(st, queryText)
+	opts := s.queryOptions(r.Context(), &req, st, tracer)
 
 	mt := s.cfg.Metrics
 	mt.Counter(telemetry.Labeled("xr_server_queries_total", "scenario", scenario, "mode", mode)).Inc()
@@ -551,7 +530,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ans, err = sc.Answer(q, opts...)
 	}
-	release()
 	if err != nil {
 		mt.Counter(telemetry.Labeled("xr_server_query_errors_total", "scenario", scenario)).Inc()
 		s.writeEngineError(w, scenario, err)
@@ -584,12 +562,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryOptions maps the wire request onto the options API, applying the
-// server-side default budgets. The per-request tracer and the solver-trace
-// hook attribute spans and solver work (decisions/conflicts, signature
-// progress) to this request: the hook accumulates into the request state's
-// atomics, so concurrent tenants never contaminate each other's deltas the
-// way a shared-registry snapshot diff would.
-func (s *Server) queryOptions(ctx context.Context, req *QueryRequest, lanes int, st *requestState, tracer *telemetry.Tracer) []repro.Option {
+// server-side default budgets. The call context carries the process-wide
+// lane pool, so every signature job waits for a lane within the request's
+// timeout, and PerQueryLanes caps the query's workers. The per-request
+// tracer, the solver-trace hook and the lane-wait callback attribute
+// spans, solver work (decisions/conflicts, signature progress) and lane
+// waits to this request: they accumulate into the request state's atomics,
+// so concurrent tenants never contaminate each other's deltas the way a
+// shared-registry snapshot diff would.
+func (s *Server) queryOptions(ctx context.Context, req *QueryRequest, st *requestState, tracer *telemetry.Tracer) []repro.Option {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < s.cfg.MaxTimeout {
@@ -614,10 +595,11 @@ func (s *Server) queryOptions(ctx context.Context, req *QueryRequest, lanes int,
 	if req.Partial != nil {
 		partial = *req.Partial
 	}
+	ctx = xr.ContextWithLanes(ctx, s.lanes, func(d time.Duration) { st.laneWait.Add(int64(d)) })
 	opts := []repro.Option{
 		repro.WithContext(ctx),
 		repro.WithTimeout(timeout),
-		repro.WithParallelism(lanes),
+		repro.WithParallelism(s.cfg.PerQueryLanes),
 		repro.WithPartialResults(partial),
 		repro.WithMetrics(s.cfg.Metrics),
 		repro.WithTracer(tracer),
@@ -670,13 +652,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			ErrBadQuery, qname, q.Arity(), len(args)))
 		return
 	}
-	lanes, tracer, release := s.leaseLanes(w, r, st, scenario, qname)
-	if release == nil {
-		return
-	}
-	defer release()
-	e, err := sc.Why(q, args, s.queryOptions(r.Context(), &QueryRequest{Name: qname}, lanes, st, tracer)...)
-	release()
+	tracer := requestTracer(st, qname)
+	e, err := sc.Why(q, args, s.queryOptions(r.Context(), &QueryRequest{Name: qname}, st, tracer)...)
 	if err != nil {
 		s.writeEngineError(w, scenario, err)
 		return

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -700,7 +701,7 @@ func TestLanesFreedBeforeResponseWrite(t *testing.T) {
 				s.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
 			}()
 			<-w.blocked
-			inUse := s.lanes.inUse()
+			inUse := s.lanes.InUse()
 			close(w.unblock)
 			<-done
 			if inUse != 0 {
@@ -710,6 +711,43 @@ func TestLanesFreedBeforeResponseWrite(t *testing.T) {
 				t.Fatal("empty response body")
 			}
 		})
+	}
+}
+
+// TestLaneWaitCountsAgainstTimeout holds the pool's only lane. A query
+// whose signature job must wait for it fails with 504 once its timeout_ms
+// passes, and succeeds when the lane frees in time; either way its access
+// line reports the wait as lane_wait_ms.
+func TestLaneWaitCountsAgainstTimeout(t *testing.T) {
+	sink := &logBuffer{}
+	s, ts := newTestServer(t, Config{TotalLanes: 1, Logger: jsonLogger(sink)})
+	loadScenario(t, ts.URL, "genome", demoMapping, demoFacts, demoQueries)
+	serve := func(id, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/scenarios/genome/query", strings.NewReader(body))
+		req.Header.Set("X-Request-Id", id)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		return w
+	}
+
+	if _, err := s.lanes.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if w := serve("lane-timeout", `{"name":"q","timeout_ms":50}`); w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("query behind a held lane: status %d, want 504 (body %s)", w.Code, w.Body)
+	}
+	time.AfterFunc(50*time.Millisecond, s.lanes.Release)
+	if w := serve("lane-wait", `{"name":"q"}`); w.Code != http.StatusOK {
+		t.Fatalf("query after the lane frees: status %d, want 200 (body %s)", w.Code, w.Body)
+	}
+	for _, id := range []string{"lane-timeout", "lane-wait"} {
+		rec := findLog(sink.lines(), "request", id)
+		if wait, _ := rec["lane_wait_ms"].(float64); wait <= 0 {
+			t.Errorf("%s: access log lane_wait_ms = %v, want > 0: %v", id, rec["lane_wait_ms"], rec)
+		}
+	}
+	if n := s.lanes.InUse(); n != 0 {
+		t.Fatalf("%d lane(s) held after both requests returned", n)
 	}
 }
 

@@ -167,7 +167,9 @@ type Options struct {
 	// Parallelism is the number of independent programs solved
 	// concurrently (per-signature programs for the segmentary engine,
 	// per-query programs for the monolithic engine). Values below 2 select
-	// the sequential path. Results are deterministic at any setting.
+	// the sequential path. Results are deterministic at any setting. A
+	// LanePool carried by Ctx (ContextWithLanes) further bounds the jobs
+	// solving at once across every call that shares it.
 	Parallelism int
 	// Trace, when non-nil, receives one event per program solved. Calls
 	// are serialized even when solving in parallel.
@@ -335,10 +337,13 @@ func isSentinel(err error) bool {
 }
 
 // forEachWorker runs fn(ctx, worker, i) for every i in [0, n) across at
-// most workers goroutines; worker is the 1-based pool lane the job runs on
-// (0 on the sequential path), stable for the lifetime of the pool so spans
-// and profiles can attribute work to lanes. Pool goroutines carry a pprof
-// label xr_worker=<lane>, so goroutine profiles group by lane.
+// most workers goroutines; worker is the 1-based index of the goroutine the
+// job runs on (0 on the sequential path), stable for the lifetime of the
+// call so spans and profiles can attribute work to lanes. Pool goroutines
+// carry a pprof label xr_worker=<worker>, so goroutine profiles group by
+// lane. When ctx carries a LanePool (ContextWithLanes), each job holds one
+// of its lanes while fn runs; a lane wait cut short by ctx fails the job
+// with ErrCanceled or ErrTimeout.
 //
 // New work stops being issued once ctx is done or an fn returns an error;
 // work already completed for other indexes is kept by the caller. All
@@ -352,6 +357,7 @@ func forEachWorker(ctx context.Context, workers, n int, fn func(context.Context,
 	if workers > n {
 		workers = n
 	}
+	fn = withLanes(ctx, fn)
 	errs := make([]error, n)
 	if workers < 2 {
 		for i := 0; i < n; i++ {

@@ -6,10 +6,12 @@
 # K3: 3-colorable, it is not), queries both end-to-end, and asserts the
 # exact answer bodies. Also checks the graceful-degradation contract: a
 # budget-capped request stays HTTP 200 with degraded signatures and
-# ?-marked unknowns, and saturating admission yields 429. Finally it
-# drives the request-observability chain: one correlated request whose
-# X-Request-Id shows up in the response header and body, the JSON access
-# log, /v1/slowlog, and the fetched span tree. Run via `make serve-smoke`.
+# ?-marked unknowns, and saturating admission yields 429. Once the
+# queries return, /healthz must show every solver lane free and /metrics
+# the lane-wait histogram. Finally it drives the request-observability
+# chain: one correlated request whose X-Request-Id shows up in the
+# response header and body, the JSON access log, /v1/slowlog, and the
+# fetched span tree. Run via `make serve-smoke`.
 #
 # The script then exercises crash-safe persistence: the daemon runs with
 # -data-dir, so a SIGTERM + reboot over the same directory must bring both
@@ -202,6 +204,15 @@ q4=$(curl -fsS -D "$workdir/corr_headers" -X POST -H "X-Request-Id: $rid" \
 q3=$(curl -fsS -X POST -d '{"name":"inAllRepairs"}' "$base/v1/scenarios/tri-k3/query")
 [[ "$(jq -c '.answers.tuples' <<<"$q3")" == "[]" ]] \
   || fail "tri-k3 tuples = $(jq -c '.answers.tuples' <<<"$q3"), want []"
+
+# Both queries have returned, so every solver lane is back in the pool (a
+# job that leaked its lane would show here), and the lane waits of their
+# signature jobs were timed.
+lanes_busy=$(curl -fsS "$base/healthz" | jq '.lanes_busy')
+[[ "$lanes_busy" == "0" ]] || fail "healthz lanes_busy = $lanes_busy after every query returned, want 0"
+metrics=$(curl -fsS "$base/metrics")
+grep -q '^xr_lane_wait_seconds_count [1-9]' <<<"$metrics" \
+  || fail "metrics lack a moving xr_lane_wait_seconds histogram"
 
 # Now that tri-k4's verdict is known, the verdict memo answers a budgeted
 # re-ask exactly: no session runs, so no budget is spent and nothing
