@@ -67,40 +67,20 @@ func SourceRepairs(m *mapping.Mapping, src *instance.Instance) (repairs []*insta
 	return repairs, nil
 }
 
-// BruteForce computes XR-Certain answers by explicit repair enumeration:
+// BruteForceOpts computes XR-Certain answers by explicit repair
+// enumeration:
 //
 //	XR-Certain(q, I, M) = ⋂ { q↓(chase(I', M)) : I' a source repair of I }.
 //
 // It uses the native GLAV chase and no reduction or solver, making it an
 // independent oracle for validating the monolithic and segmentary
-// pipelines on small instances.
-func BruteForce(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ) ([]*Result, error) {
-	return BruteForceOpts(m, src, queries, Options{})
-}
-
-// BruteForceOpts is BruteForce with Options. Only Metrics is consulted
-// (the enumeration has no solver to cancel); each query is counted under
-// the engine name "bruteforce" and enumerated repairs feed
+// pipelines on small instances. Only Metrics is consulted (the
+// enumeration has no solver to cancel); each query is counted under the
+// engine name "bruteforce" and enumerated repairs feed
 // xr_repairs_enumerated_total.
 func BruteForceOpts(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ, opts Options) (results []*Result, err error) {
 	defer recoverInternal("bruteforce", &err)
 	return bruteForceEval(m, src, queries, opts, func(acc, a *cq.AnswerSet) { acc.Intersect(a) })
-}
-
-// BruteForcePossible computes XR-Possible answers by explicit repair
-// enumeration:
-//
-//	XR-Possible(q, I, M) = ⋃ { q↓(chase(I', M)) : I' a source repair of I }.
-//
-// Like BruteForce, it serves as an independent oracle for the brave
-// reasoning path of the segmentary pipeline.
-func BruteForcePossible(m *mapping.Mapping, src *instance.Instance, queries []*logic.UCQ) (results []*Result, err error) {
-	defer recoverInternal("bruteforce-possible", &err)
-	return bruteForceEval(m, src, queries, Options{}, func(acc, a *cq.AnswerSet) {
-		for _, t := range a.Tuples() {
-			acc.Add(t)
-		}
-	})
 }
 
 // bruteForceEval enumerates the source repairs of src, chases each one

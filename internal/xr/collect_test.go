@@ -231,11 +231,11 @@ constant(x) :- T(x, 'a'), T(x, v).
 // collectSink keeps BenchmarkCollectCandidates' result live.
 var collectSink []*candidate
 
-// BenchmarkCollectCandidates measures candidate collection, one
-// sub-benchmark per query of the genome suite, on the genome-read shape of
-// the xrperf benchmark (1,600 transcripts, 20% suspect). The exchange is
-// built once; each iteration collects the candidates of one rewritten query.
-func BenchmarkCollectCandidates(b *testing.B) {
+// readShape builds the exchange of the genome-read shape of the xrperf
+// benchmark (1,600 transcripts, 20% suspect) and returns it with the
+// genome query suite.
+func readShape(b *testing.B) (*Exchange, []*logic.UCQ) {
+	b.Helper()
 	w, err := genome.NewWorld()
 	if err != nil {
 		b.Fatal(err)
@@ -249,6 +249,15 @@ func BenchmarkCollectCandidates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return ex, queries
+}
+
+// BenchmarkCollectCandidates measures candidate collection, one
+// sub-benchmark per query of the genome suite, on the genome-read shape.
+// The exchange is built once; each iteration collects the candidates of
+// one rewritten query.
+func BenchmarkCollectCandidates(b *testing.B) {
+	ex, queries := readShape(b)
 	for _, q := range queries {
 		rq, err := ex.Red.RewriteQuery(q)
 		if err != nil {
@@ -260,5 +269,26 @@ func BenchmarkCollectCandidates(b *testing.B) {
 				collectSink = collectCandidates(rq, ex.Prov)
 			}
 		})
+	}
+}
+
+// BenchmarkWarmSuite measures one sequential Answer pass over the genome
+// suite on a warmed exchange of the genome-read shape: every query's plan
+// is cached and every verdict memoized, so an iteration is the warm query
+// path with no solver search.
+func BenchmarkWarmSuite(b *testing.B) {
+	ex, queries := readShape(b)
+	pass := func() {
+		for _, q := range queries {
+			if _, err := ex.Answer(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
 }

@@ -44,7 +44,8 @@ import (
 // group (out.degraded != nil) yields Unknown explanations without solving;
 // otherwise the group's candidates share one fresh solver and each gets
 // its own witness session.
-func (ex *Exchange) explainGroup(ctx context.Context, key string, g *sigGroup, out *groupOutcome, brave bool, qname string) (es []*explain.Explanation, err error) {
+func (ex *Exchange) explainGroup(ctx context.Context, g *sigGroup, out *groupOutcome, brave bool, qname string) (es []*explain.Explanation, err error) {
+	key := g.key
 	es = make([]*explain.Explanation, 0, len(g.cands))
 	if out.degraded != nil {
 		cause := classifyCause(out.degraded.Err)

@@ -42,6 +42,7 @@ import (
 // query, on state that depends only on the (per-exchange) query history,
 // never on sibling groups or worker scheduling.
 type incSolver struct {
+	id     uint64            // unique in its Exchange; tags the plan group wirings made on it
 	spec   *encoder          // persistent specialization; its program grows with memoized candidates
 	solver *asp.StableSolver // persistent solver over spec.gp
 
@@ -104,12 +105,13 @@ func (v verdict) with(brave, holds bool) verdict {
 // incSolverLocked returns the signature's persistent solver, building it
 // on first use. The caller must hold sp.incMu; the solver is only ever
 // touched under that lock.
-func (sp *sigProgram) incSolverLocked(mt *meters) *incSolver {
+func (sp *sigProgram) incSolverLocked(ex *Exchange, mt *meters) *incSolver {
 	if sp.inc != nil {
 		return sp.inc
 	}
 	spec := sp.enc.specialize()
 	sp.inc = &incSolver{
+		id:       ex.solverIDs.Add(1),
 		spec:     spec,
 		solver:   asp.NewStableSolver(spec.gp),
 		cands:    make(map[string]asp.AtomID),
@@ -128,8 +130,19 @@ func (sp *sigProgram) poison() { sp.inc = nil }
 // wireCandidates resolves each group candidate to its query atom, wiring
 // unseen body structures into the persistent program and extending the
 // solver once for the batch. Candidates without a covered support set are
-// dropped (they cannot hold in the sub-world).
-func (inc *incSolver) wireCandidates(g *sigGroup) (atoms []asp.AtomID, live []*candidate) {
+// dropped (they cannot hold in the sub-world). The wiring is cached on the
+// group, tagged with the solver's id: a later ask of the same plan group
+// reads it back without computing a candidateKey, and a solver rebuilt
+// after a poison or an eviction has a new id, so it wires the group again.
+// The caller holds the incMu of the solver's signature program; two asks
+// holding different programs of one signature (an eviction in between)
+// may wire the same group at once, which the atomic publication and the
+// tag check keep apart.
+func (inc *incSolver) wireCandidates(g *sigGroup) *groupWiring {
+	if w := g.wired.Load(); w != nil && w.solver == inc.id {
+		return w
+	}
+	w := &groupWiring{solver: inc.id}
 	grew := false
 	for _, c := range g.cands {
 		key, any := inc.spec.candidateKey(c)
@@ -142,13 +155,14 @@ func (inc *incSolver) wireCandidates(g *sigGroup) (atoms []asp.AtomID, live []*c
 			inc.cands[key] = qa
 			grew = true
 		}
-		atoms = append(atoms, qa)
-		live = append(live, c)
+		w.atoms = append(w.atoms, qa)
+		w.live = append(w.live, c)
 	}
 	if grew {
 		inc.solver.Extend()
 	}
-	return atoms, live
+	g.wired.Store(w)
+	return w
 }
 
 // candidateKey returns the canonical body-structure key of a candidate:

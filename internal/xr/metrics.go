@@ -82,6 +82,11 @@ type meters struct {
 	reuseBuilds   *telemetry.Counter
 	memoHits      *telemetry.Counter
 
+	// Query plans (DESIGN.md §9.3): asks served from a cached plan, and
+	// plans evicted to keep the cache within its byte bound.
+	planHits      *telemetry.Counter
+	planEvictions *telemetry.Counter
+
 	// Degradation (partial-results mode; DESIGN.md §11).
 	partialQueries   *telemetry.Counter
 	degradedSigs     *telemetry.Counter
@@ -151,6 +156,9 @@ func newMeters(reg *telemetry.Registry) *meters {
 		reuseSessions: reg.Counter("xr_solver_reuse_sessions_total"),
 		reuseBuilds:   reg.Counter("xr_solver_reuse_builds_total"),
 		memoHits:      reg.Counter("xr_solver_verdict_memo_hits_total"),
+
+		planHits:      reg.Counter("xr_query_plan_hits_total"),
+		planEvictions: reg.Counter("xr_query_plan_evictions_total"),
 
 		partialQueries:   reg.Counter("xr_partial_queries_total"),
 		degradedSigs:     reg.Counter("xr_signatures_degraded_total"),
@@ -274,6 +282,22 @@ func (m *meters) recordMemoHits(n int) {
 		return
 	}
 	m.memoHits.Add(int64(n))
+}
+
+// recordPlanHit counts one query served from a cached plan.
+func (m *meters) recordPlanHit() {
+	if m == nil {
+		return
+	}
+	m.planHits.Inc()
+}
+
+// recordPlanEvictions counts plans evicted past the plan cache's bound.
+func (m *meters) recordPlanEvictions(n int) {
+	if m == nil {
+		return
+	}
+	m.planEvictions.Add(int64(n))
 }
 
 // recordLearned counts one distinct maximality clause learned by one

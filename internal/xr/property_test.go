@@ -6,9 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/chase"
+	"repro/internal/instance"
 	"repro/internal/logic"
 	"repro/internal/testkit"
 )
+
+// IsSuspect reports whether a source fact is suspect (Definition 5).
+func (ex *Exchange) IsSuspect(f instance.Fact) bool {
+	id, ok := ex.Prov.FactIDOf(f)
+	return ok && ex.suspect[id]
+}
 
 // TestSourceRepairProperties checks Definition 1's invariants on random
 // inputs: every repair is a consistent sub-instance, maximal, and the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/cq"
 	"repro/internal/genome"
 )
 
@@ -13,7 +12,7 @@ import (
 // query's signature groups in canonical order. Candidate collection and
 // grounding run once, so iterating the returned closure measures only the
 // per-signature solve stage (the subject of DESIGN.md §17).
-func benchGroups(b *testing.B, profile string) (*Exchange, []string, []*sigGroup) {
+func benchGroups(b *testing.B, profile string) (*Exchange, []*sigGroup) {
 	b.Helper()
 	w, err := genome.NewWorld()
 	if err != nil {
@@ -40,17 +39,15 @@ func benchGroups(b *testing.B, profile string) (*Exchange, []string, []*sigGroup
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys, groups := ex.partition(collectCandidates(rq, ex.Prov), &Result{Answers: cq.NewAnswerSet()})
-	ordered := make([]*sigGroup, len(keys))
-	for i, k := range keys {
-		sp, _ := ex.sigProgramFor(k)
-		sp.ensure(ex, groups[k].sig)
-		ordered[i] = groups[k]
+	groups := ex.newPlan(collectCandidates(rq, ex.Prov)).groups
+	for _, g := range groups {
+		sp, _ := ex.sigProgramFor(g.key)
+		sp.ensure(ex, g.sig)
 	}
-	if len(ordered) == 0 {
+	if len(groups) == 0 {
 		b.Fatalf("profile %s produced no solver groups for ep3", profile)
 	}
-	return ex, keys, ordered
+	return ex, groups
 }
 
 // BenchmarkIncrementalSolve measures the per-signature solve stage of the
@@ -73,10 +70,10 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 		b.Run("cold/"+profile, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				ex, keys, gs := benchGroups(b, profile)
+				ex, gs := benchGroups(b, profile)
 				b.StartTimer()
-				for j, g := range gs {
-					freshSolve(b, ex, keys[j], g, false)
+				for _, g := range gs {
+					freshSolve(b, ex, g, false)
 				}
 			}
 		})
@@ -84,10 +81,10 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 		// solver, and one emptying every verdict memo; the solvers are
 		// built and have answered once.
 		warm := func(b *testing.B) (solveAll, forget func()) {
-			ex, keys, gs := benchGroups(b, profile)
-			sps := make([]*sigProgram, len(keys))
-			for j, k := range keys {
-				sps[j], _ = ex.sigProgramFor(k)
+			ex, gs := benchGroups(b, profile)
+			sps := make([]*sigProgram, len(gs))
+			for j, g := range gs {
+				sps[j], _ = ex.sigProgramFor(g.key)
 			}
 			solveAll = func() {
 				for j, g := range gs {

@@ -35,12 +35,11 @@ func freshResult(t testing.TB, ex *Exchange, q *logic.UCQ, brave bool, par int) 
 		t.Fatal(err)
 	}
 	res := &Result{Query: q, Answers: cq.NewAnswerSet()}
-	cands := collectCandidates(rq, ex.Prov)
-	res.Stats.Candidates = len(cands)
-	keys, groups := ex.partition(cands, res)
-	outs := make([]*groupOutcome, len(keys))
-	if err := forEachWorker(context.Background(), par, len(keys), func(_ context.Context, _, i int) error {
-		outs[i] = freshSolve(t, ex, keys[i], groups[keys[i]], brave)
+	plan := ex.newPlan(collectCandidates(rq, ex.Prov))
+	res.acceptSafe(plan)
+	outs := make([]*groupOutcome, len(plan.groups))
+	if err := forEachWorker(context.Background(), par, len(plan.groups), func(_ context.Context, _, i int) error {
+		outs[i] = freshSolve(t, ex, plan.groups[i], brave)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -52,8 +51,8 @@ func freshResult(t testing.TB, ex *Exchange, q *logic.UCQ, brave bool, par int) 
 }
 
 // freshSolve decides one signature group on a throwaway solver.
-func freshSolve(t testing.TB, ex *Exchange, key string, g *sigGroup, brave bool) *groupOutcome {
-	sp, hit := ex.sigProgramFor(key)
+func freshSolve(t testing.TB, ex *Exchange, g *sigGroup, brave bool) *groupOutcome {
+	sp, hit := ex.sigProgramFor(g.key)
 	sp.ensure(ex, g.sig)
 	spec := sp.enc.specialize()
 	var atoms []asp.AtomID
@@ -72,7 +71,7 @@ func freshSolve(t testing.TB, ex *Exchange, key string, g *sigGroup, brave bool)
 	}
 	kept, ok := solve(atoms)
 	if !ok {
-		t.Errorf("signature {%s}: program has no stable model", key)
+		t.Errorf("signature {%s}: program has no stable model", g.key)
 	}
 	out := &groupOutcome{cacheHit: hit}
 	for i, c := range live {

@@ -1,6 +1,7 @@
 package xr
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/asp"
@@ -91,6 +93,20 @@ type Exchange struct {
 	// key (see sigcache.go). Guarded by progMu; safe for concurrent queries.
 	progMu    sync.Mutex
 	progCache map[string]*sigProgram
+	// solverIDs numbers the persistent solvers built for progCache. A plan
+	// group's wiring names its solver by id rather than by pointer, so a
+	// cached plan never keeps a poisoned or evicted solver alive.
+	solverIDs atomic.Uint64
+
+	// plans holds one queryPlan per canonical rewritten query (see
+	// plancache.go), at most planCap estimated bytes of them; planLRU
+	// orders the built entries by last use, most recent first. Guarded by
+	// planMu.
+	planMu    sync.Mutex
+	plans     map[string]*planEntry
+	planLRU   list.List
+	planBytes int64
+	planCap   int64
 
 	// mt is the instrument set of the registry the Exchange was built with
 	// (nil when telemetry is off); per-call registries override it.
@@ -140,6 +156,8 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		suspect:    make(map[chase.FactID]bool),
 		clustersOf: make(map[chase.FactID][]int),
 		progCache:  make(map[string]*sigProgram),
+		plans:      make(map[string]*planEntry),
+		planCap:    maxPlanBytes,
 	}
 
 	// Support closure per violation; cluster by overlapping source envelopes
@@ -288,12 +306,6 @@ func (ex *Exchange) MergeProfile(snap *profile.Snapshot) { ex.prof.Merge(snap) }
 // profiles (Options.Profiling at construction).
 func (ex *Exchange) ProfilingEnabled() bool { return ex.prof != nil }
 
-// IsSuspect reports whether a source fact is suspect (Definition 5).
-func (ex *Exchange) IsSuspect(f instance.Fact) bool {
-	id, ok := ex.Prov.FactIDOf(f)
-	return ok && ex.suspect[id]
-}
-
 // Consistent reports whether the source instance has a solution (no
 // violations at all).
 func (ex *Exchange) Consistent() bool { return len(ex.Prov.Violations) == 0 }
@@ -329,10 +341,11 @@ func (ex *Exchange) PossibleOpts(q *logic.UCQ, opts Options) (*Result, error) {
 	return ex.query(q, true, opts)
 }
 
-// query is the shared segmentary query phase: partition candidates into
-// safe-accepted and signature groups, solve one program per signature
-// (cautious for certain answers, brave for possible answers) across a
-// bounded worker pool, and merge the outcomes in canonical key order.
+// query is the shared segmentary query phase: take the query's plan (its
+// candidates split into safe-accepted and signature groups, cached on the
+// Exchange), solve one program per signature (cautious for certain
+// answers, brave for possible answers) across a bounded worker pool, and
+// merge the outcomes in canonical key order.
 //
 // Results are deterministic at any parallelism: the answer set is merge-
 // order independent (AnswerSet iterates in sorted key order) and every
@@ -375,28 +388,38 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	if len(rq.Clauses) == 0 {
 		return res, nil
 	}
-	cands := collectCandidates(rq, ex.Prov)
-	res.Stats.Candidates = len(cands)
-	keys, groups := ex.partition(cands, res)
+	var plan *queryPlan
+	var cands []*candidate
+	if opts.Explain {
+		// Explanations name every candidate's support facts, which a cached
+		// plan does not keep for the safe ones: collect them afresh.
+		cands = collectCandidates(rq, ex.Prov)
+		plan = ex.newPlan(cands)
+	} else {
+		plan = ex.planFor(rq, mt)
+	}
+	res.acceptSafe(plan)
+	groups := plan.groups
 
 	// Solve one program per signature, fanning out across the pool. With
 	// Options.Explain, each worker also runs the deterministic explanation
 	// pass for its group right after deciding it (results are slotted by
 	// group index, so parallel order never shows).
-	outcomes := make([]*groupOutcome, len(keys))
+	outcomes := make([]*groupOutcome, len(groups))
 	var groupExpl [][]*explain.Explanation
 	if opts.Explain {
-		groupExpl = make([][]*explain.Explanation, len(keys))
+		groupExpl = make([][]*explain.Explanation, len(groups))
 	}
-	ferr := forEachWorker(ctx, opts.workers(), len(keys), func(ctx context.Context, worker, i int) error {
-		out, err := ex.solveSig(ctx, keys[i], groups[keys[i]], brave, &opts, mt, q.Name, qspan.ID(), worker)
+	ferr := forEachWorker(ctx, opts.workers(), len(groups), func(ctx context.Context, worker, i int) error {
+		g := groups[i]
+		out, err := ex.solveSig(ctx, g, brave, &opts, mt, q.Name, qspan.ID(), worker)
 		if err != nil {
 			return err
 		}
 		if opts.Explain {
-			espan := opts.Tracer.StartSpan(qspan.ID(), "explain {"+keys[i]+"}")
+			espan := opts.Tracer.StartSpan(qspan.ID(), "explain {"+g.key+"}")
 			espan.SetLane(worker)
-			es, err := ex.explainGroup(ctx, keys[i], groups[keys[i]], out, brave, q.Name)
+			es, err := ex.explainGroup(ctx, g, out, brave, q.Name)
 			espan.End()
 			if err != nil {
 				return err
@@ -416,8 +439,8 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 		// Explanations follow candidate collection order (deterministic):
 		// candidates outside every group were accepted as safe.
 		solved := make(map[*candidate]*explain.Explanation, len(cands))
-		for i, key := range keys {
-			for j, c := range groups[key].cands {
+		for i, g := range groups {
+			for j, c := range g.cands {
 				solved[c] = groupExpl[i][j]
 			}
 		}
@@ -434,31 +457,18 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	return res, nil
 }
 
-// partition accepts the safe candidates into res and groups the rest by
-// fact signature, returning the group keys in canonical order.
-func (ex *Exchange) partition(cands []*candidate, res *Result) ([]string, map[string]*sigGroup) {
-	groups := make(map[string]*sigGroup)
-	var keys []string
-	var sig []int
-	var key []byte
-	for _, c := range cands {
-		if ex.safeCandidate(c) {
-			res.Answers.Add(c.tuple)
-			res.Stats.SafeAccepted++
-			continue
-		}
-		sig, key = ex.signature(c, sig[:0], key[:0])
-		g, ok := groups[string(key)]
-		if !ok {
-			g = &sigGroup{sig: slices.Clone(sig)}
-			k := string(key)
-			groups[k] = g
-			keys = append(keys, k)
-		}
-		g.cands = append(g.cands, c)
+// acceptSafe records a plan's candidate count and accepts its safe
+// candidates.
+func (res *Result) acceptSafe(p *queryPlan) {
+	res.Stats.Candidates = p.candidates
+	res.Stats.SafeAccepted = p.nsafe
+	if p.nsafe == 0 {
+		return
 	}
-	sort.Strings(keys)
-	return keys, groups
+	arity := len(p.safe) / p.nsafe // 0 for a boolean query's empty tuple
+	for i := 0; i < p.nsafe; i++ {
+		res.Answers.Add(p.safe[i*arity : (i+1)*arity])
+	}
 }
 
 // merge folds one signature group's outcome into the result.
@@ -503,8 +513,9 @@ type groupOutcome struct {
 // and then degrade the group to unknown (Options.Partial), or fail the
 // query (strict mode). A parent-context cancellation is never degradable —
 // the whole query is ending — and always propagates.
-func (ex *Exchange) solveSig(ctx context.Context, key string, g *sigGroup, brave bool, opts *Options, mt *meters, qname string, parent telemetry.SpanID, lane int) (*groupOutcome, error) {
-	out, err := ex.solveSigAttempt(ctx, key, g, brave, opts, mt, qname, parent, lane, 1)
+func (ex *Exchange) solveSig(ctx context.Context, g *sigGroup, brave bool, opts *Options, mt *meters, qname string, parent telemetry.SpanID, lane int) (*groupOutcome, error) {
+	key := g.key
+	out, err := ex.solveSigAttempt(ctx, g, brave, opts, mt, qname, parent, lane, 1)
 	if err == nil {
 		return out, nil
 	}
@@ -516,7 +527,7 @@ func (ex *Exchange) solveSig(ctx context.Context, key string, g *sigGroup, brave
 		retries = 1
 		mt.recordRetry()
 		ex.prof.Record(key, g.sig, profile.Counters{Retries: 1})
-		out, err = ex.solveSigAttempt(ctx, key, g, brave, opts, mt, qname, parent, lane, 2)
+		out, err = ex.solveSigAttempt(ctx, g, brave, opts, mt, qname, parent, lane, 2)
 		if err == nil {
 			out.retries = retries
 			return out, nil
@@ -570,7 +581,8 @@ type sigSolve struct {
 // scaled by scale. Panics are converted to *InternalError (the worker pool
 // must never crash the process); a panic inside the solver session also
 // poisons the persistent solver, so the next query rebuilds it.
-func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup, brave bool, opts *Options, mt *meters, qname string, parent telemetry.SpanID, lane int, scale int64) (out *groupOutcome, err error) {
+func (ex *Exchange) solveSigAttempt(ctx context.Context, g *sigGroup, brave bool, opts *Options, mt *meters, qname string, parent telemetry.SpanID, lane int, scale int64) (out *groupOutcome, err error) {
+	key := g.key
 	defer recoverInternal("segmentary signature {"+key+"}", &err)
 	start := time.Now()
 	span := opts.Tracer.StartSpan(parent, "signature {"+key+"}")
@@ -649,7 +661,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, key string, g *sigGroup
 		ev := TraceEvent{
 			Engine:       engine,
 			Query:        qname,
-			Signature:    g.sig,
+			Signature:    slices.Clone(g.sig), // g.sig belongs to a shared plan
 			SignatureKey: key,
 			RequestID:    telemetry.RequestIDFromContext(ctx),
 			Candidates:   len(sv.atoms),
@@ -695,9 +707,10 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 			panic(r)
 		}
 	}()
-	inc := sp.incSolverLocked(mt)
+	inc := sp.incSolverLocked(ex, mt)
 	sv = &sigSolve{reused: inc.sessions > 0}
-	sv.atoms, sv.live = inc.wireCandidates(g)
+	w := inc.wireCandidates(g)
+	sv.atoms, sv.live = w.atoms, w.live
 	sv.rules = len(inc.spec.gp.Rules)
 	sv.numAtoms = inc.spec.gp.NumAtoms()
 
@@ -761,11 +774,6 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	return sv
 }
 
-type sigGroup struct {
-	sig   []int
-	cands []*candidate
-}
-
 // safeCandidate reports whether some support set lies entirely in the safe
 // part (the candidate then appears in every XR-solution).
 func (ex *Exchange) safeCandidate(c *candidate) bool {
@@ -786,7 +794,7 @@ func (ex *Exchange) safeCandidate(c *candidate) bool {
 
 // signature appends to sig the clusters whose influences contain the
 // candidate (Section 6.4), ascending and distinct, and to key their
-// canonical key (the ids joined by commas). partition passes the same two
+// canonical key (the ids joined by commas). newPlan passes the same two
 // buffers for every candidate.
 func (ex *Exchange) signature(c *candidate, sig []int, key []byte) ([]int, []byte) {
 	for _, set := range c.supports {

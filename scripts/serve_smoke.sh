@@ -6,9 +6,12 @@
 # K3: 3-colorable, it is not), queries both end-to-end, and asserts the
 # exact answer bodies. Also checks the graceful-degradation contract: a
 # budget-capped request stays HTTP 200 with degraded signatures and
-# ?-marked unknowns, and saturating admission yields 429. Once the
+# ?-marked unknowns. (It sends no saturating load: that admission answers
+# 429 is covered by TestSaturation429 in internal/server.) Once the
 # queries return, /healthz must show every solver lane free and /metrics
-# the lane-wait histogram. Finally it drives the request-observability
+# the lane-wait histogram. A budgeted re-ask of a decided query is then
+# answered from the verdict memo and the cached query plan, and both
+# counters move. Finally it drives the request-observability
 # chain: one correlated request whose X-Request-Id shows up in the
 # response header and body, the JSON access log, /v1/slowlog, and the
 # fetched span tree. Run via `make serve-smoke`.
@@ -216,11 +219,17 @@ grep -q '^xr_lane_wait_seconds_count [1-9]' <<<"$metrics" \
 
 # Now that tri-k4's verdict is known, the verdict memo answers a budgeted
 # re-ask exactly: no session runs, so no budget is spent and nothing
-# degrades, and the memo-hit counter moves.
-memo_hits() {
-  curl -fsS "$base/metrics" | awk '$1 == "xr_solver_verdict_memo_hits_total" {print $2}'
+# degrades, and the memo-hit counter moves. The query's plan (its
+# candidates, safe answers and signature groups) was built by its first
+# ask above, so the re-ask is served from it and the plan-hit counter
+# moves too.
+counter() {
+  curl -fsS "$base/metrics" | awk -v s="$1" '$1 == s {print $2}'
 }
+memo_hits() { counter xr_solver_verdict_memo_hits_total; }
+plan_hits() { counter xr_query_plan_hits_total; }
 hits_before=$(memo_hits)
+plans_before=$(plan_hits)
 memo=$(curl -fsS -X POST -d '{"name":"inAllRepairs","max_decisions":1}' \
   "$base/v1/scenarios/tri-k4/query")
 [[ "$(jq '.partial' <<<"$memo")" == "false" ]] \
@@ -230,6 +239,9 @@ memo=$(curl -fsS -X POST -d '{"name":"inAllRepairs","max_decisions":1}' \
 hits_after=$(memo_hits)
 [[ -n "$hits_after" && "$hits_after" -gt "${hits_before:-0}" ]] \
   || fail "budgeted re-ask did not move xr_solver_verdict_memo_hits_total ($hits_before -> $hits_after)"
+plans_after=$(plan_hits)
+[[ -n "$plans_after" && "$plans_after" -gt "${plans_before:-0}" ]] \
+  || fail "budgeted re-ask did not move xr_query_plan_hits_total ($plans_before -> $plans_after)"
 
 # Per-tenant metrics are exposed on the same mux. Capture the body before
 # grepping: `curl | grep -q` races (grep exits on match, curl dies with
