@@ -7,10 +7,9 @@ import (
 )
 
 // This file implements the classic Chandra–Merlin machinery for conjunctive
-// queries: containment via canonical instances and homomorphisms, semantic
-// equivalence, and query minimization (computing the core). The pipelines
-// use it to simplify the clause sets produced by shape expansion; it is
-// exposed for general use.
+// queries: containment via canonical instances and homomorphisms, and query
+// minimization (computing the core). The pipelines use it to simplify the
+// clause sets produced by shape expansion; it is exposed for general use.
 
 // Contains reports whether q1 ⊆ q2 (every answer of q1 on every instance is
 // an answer of q2), for single-clause conjunctive queries of equal arity.
@@ -22,12 +21,6 @@ func Contains(cat *schema.Catalog, q1, q2 *logic.CQ) bool {
 	}
 	frozen := newFrozenCQ(cat, q1)
 	return homIntoFrozen(q2, frozen)
-}
-
-// Equivalent reports whether two conjunctive queries are semantically
-// equivalent (mutual containment).
-func Equivalent(cat *schema.Catalog, q1, q2 *logic.CQ) bool {
-	return Contains(cat, q1, q2) && Contains(cat, q2, q1)
 }
 
 // Minimize returns the core of a conjunctive query: an equivalent query

@@ -9,7 +9,9 @@
 package cq
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"repro/internal/instance"
 	"repro/internal/logic"
@@ -319,56 +321,80 @@ func (p *Plan) matchDelta(st *evalState, depth, seed int, fn func([]symtab.Value
 	})
 }
 
-// AnswerSet is a deduplicated set of answer tuples.
+// AnswerSet is a deduplicated set of answer tuples, held as one slice
+// sorted in key order (see CompareTuples): the order Tuples returns, and
+// the order in which the segmentary engine collects candidates, so a set
+// built from candidates in their collection order only ever appends.
 type AnswerSet struct {
-	tuples map[string][]symtab.Value
+	tuples [][]symtab.Value
 }
 
 // NewAnswerSet returns an empty answer set.
-func NewAnswerSet() *AnswerSet {
-	return &AnswerSet{tuples: make(map[string][]symtab.Value)}
+func NewAnswerSet() *AnswerSet { return &AnswerSet{} }
+
+// SortedAnswerSet returns the set holding tuples, which must be sorted in
+// key order without duplicates. The set takes the slice over: the caller
+// must not use it afterwards.
+func SortedAnswerSet(tuples [][]symtab.Value) *AnswerSet {
+	return &AnswerSet{tuples: tuples}
 }
 
-// Add inserts a tuple (copied) and reports whether it was new.
+// CompareTuples orders tuples as their instance.EncodeTuple keys compare
+// as strings: value by value, each by its four little-endian bytes, so by
+// the byte-reversed value rather than numerically, and a proper prefix
+// first.
+func CompareTuples(a, b []symtab.Value) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(uint32(a[i])), bits.ReverseBytes32(uint32(b[i])))
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// Add inserts a tuple (copied) and reports whether it was new. A tuple
+// that sorts after every other is appended; any other is placed by binary
+// search.
 func (s *AnswerSet) Add(t []symtab.Value) bool {
-	k := instance.EncodeTuple(t)
-	if _, ok := s.tuples[k]; ok {
+	n := len(s.tuples)
+	if n == 0 || CompareTuples(s.tuples[n-1], t) < 0 {
+		s.tuples = append(s.tuples, slices.Clone(t))
+		return true
+	}
+	i, found := slices.BinarySearchFunc(s.tuples, t, CompareTuples)
+	if found {
 		return false
 	}
-	s.tuples[k] = append([]symtab.Value(nil), t...)
+	s.tuples = slices.Insert(s.tuples, i, slices.Clone(t))
 	return true
 }
 
 // Contains reports membership.
 func (s *AnswerSet) Contains(t []symtab.Value) bool {
-	_, ok := s.tuples[instance.EncodeTuple(t)]
-	return ok
+	_, found := slices.BinarySearchFunc(s.tuples, t, CompareTuples)
+	return found
 }
 
 // Len returns the number of tuples.
 func (s *AnswerSet) Len() int { return len(s.tuples) }
 
-// Tuples returns the tuples in a deterministic (key-sorted) order.
-func (s *AnswerSet) Tuples() [][]symtab.Value {
-	keys := make([]string, 0, len(s.tuples))
-	for k := range s.tuples {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]symtab.Value, len(keys))
-	for i, k := range keys {
-		out[i] = s.tuples[k]
-	}
-	return out
-}
+// Tuples returns the tuples in key order. The slice is the set's own:
+// callers may read it and change tuple values, but not reorder it.
+func (s *AnswerSet) Tuples() [][]symtab.Value { return s.tuples[:len(s.tuples):len(s.tuples)] }
 
 // Intersect removes tuples not present in other and returns s.
 func (s *AnswerSet) Intersect(other *AnswerSet) *AnswerSet {
-	for k := range s.tuples {
-		if _, ok := other.tuples[k]; !ok {
-			delete(s.tuples, k)
+	kept, j := s.tuples[:0], 0
+	for _, t := range s.tuples {
+		for j < len(other.tuples) && CompareTuples(other.tuples[j], t) < 0 {
+			j++
+		}
+		if j < len(other.tuples) && CompareTuples(other.tuples[j], t) == 0 {
+			kept = append(kept, t)
 		}
 	}
+	clear(s.tuples[len(kept):])
+	s.tuples = kept
 	return s
 }
 
@@ -377,15 +403,8 @@ func (s *AnswerSet) Intersect(other *AnswerSet) *AnswerSet {
 func (s *AnswerSet) WithoutNulls() *AnswerSet {
 	out := NewAnswerSet()
 	for _, t := range s.tuples {
-		hasNull := false
-		for _, v := range t {
-			if v.IsNull() {
-				hasNull = true
-				break
-			}
-		}
-		if !hasNull {
-			out.Add(t)
+		if !slices.ContainsFunc(t, symtab.Value.IsNull) {
+			out.tuples = append(out.tuples, slices.Clone(t))
 		}
 	}
 	return out
@@ -393,11 +412,7 @@ func (s *AnswerSet) WithoutNulls() *AnswerSet {
 
 // Clone returns a copy of the answer set.
 func (s *AnswerSet) Clone() *AnswerSet {
-	out := NewAnswerSet()
-	for k, t := range s.tuples {
-		out.tuples[k] = t
-	}
-	return out
+	return &AnswerSet{tuples: slices.Clone(s.tuples)}
 }
 
 // EvalUCQ evaluates q over in and returns all answers (q(I), including
@@ -421,21 +436,4 @@ func EvalUCQ(q *logic.UCQ, in *instance.Instance) *AnswerSet {
 		})
 	}
 	return out
-}
-
-// EvalBoolean evaluates a boolean UCQ (arity 0) and reports whether it holds.
-func EvalBoolean(q *logic.UCQ, in *instance.Instance) bool {
-	for ci := range q.Clauses {
-		c := &q.Clauses[ci]
-		plan := Compile(c.Body)
-		found := false
-		plan.ForEach(in, func([]symtab.Value) bool {
-			found = true
-			return false
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }

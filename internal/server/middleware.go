@@ -7,7 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,31 +70,30 @@ func (st *requestState) noteSignature(key string, d time.Duration) {
 	if key == "" {
 		return
 	}
-	ns := int64(d)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	found := false
-	for i := range st.hot {
-		if st.hot[i].key == key {
-			if ns > st.hot[i].ns {
-				st.hot[i].ns = ns
-			}
-			found = true
-			break
+	st.hot = insertHot(st.hot, hotSig{key: key, ns: int64(d)})
+}
+
+// insertHot inserts h into hot, a list sorted hottest first (longest
+// solve first, ties by key) and capped at hotSignatureCap, and returns
+// the list. A key already in the list keeps its longest solve.
+func insertHot(hot []hotSig, h hotSig) []hotSig {
+	if i := slices.IndexFunc(hot, func(e hotSig) bool { return e.key == h.key }); i >= 0 {
+		if h.ns <= hot[i].ns {
+			return hot
 		}
+		hot = slices.Delete(hot, i, i+1)
 	}
-	if !found {
-		st.hot = append(st.hot, hotSig{key: key, ns: ns})
+	i := 0
+	for i < len(hot) && (hot[i].ns > h.ns || hot[i].ns == h.ns && hot[i].key < h.key) {
+		i++
 	}
-	sort.Slice(st.hot, func(i, j int) bool {
-		if st.hot[i].ns != st.hot[j].ns {
-			return st.hot[i].ns > st.hot[j].ns
-		}
-		return st.hot[i].key < st.hot[j].key
-	})
-	if len(st.hot) > hotSignatureCap {
-		st.hot = st.hot[:hotSignatureCap]
+	if i == hotSignatureCap {
+		return hot
 	}
+	hot = slices.Insert(hot, i, h)
+	return hot[:min(len(hot), hotSignatureCap)]
 }
 
 // hotSignatures returns the tracked hardest signature keys, hottest

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -289,6 +290,45 @@ func TestSlowRingEviction(t *testing.T) {
 		if got[i].RequestID != want {
 			t.Errorf("list[%d] = %s, want %s (newest first, oldest evicted)", i, got[i].RequestID, want)
 		}
+	}
+}
+
+// TestNoteSignatureOrder pins the request's hardest-signature list: the
+// longest solves first, ties by key, a key solved twice keeps its longest
+// solve, at most hotSignatureCap entries, and an empty key is ignored.
+func TestNoteSignatureOrder(t *testing.T) {
+	type note struct {
+		key string
+		ms  int
+	}
+	for _, tc := range []struct {
+		name  string
+		notes []note
+		want  []string
+	}{
+		{"empty", nil, nil},
+		{"one", []note{{"3", 5}}, []string{"3"}},
+		{"longest first", []note{{"1", 2}, {"2", 9}, {"3", 5}}, []string{"2", "3", "1"}},
+		{"ties by key", []note{{"7", 4}, {"10", 4}, {"2", 4}}, []string{"10", "2", "7"}},
+		{"retry keeps its maximum", []note{{"1", 9}, {"2", 5}, {"1", 1}}, []string{"1", "2"}},
+		{"retry raises", []note{{"1", 1}, {"2", 5}, {"1", 9}}, []string{"1", "2"}},
+		{"retry ties", []note{{"b", 3}, {"a", 3}, {"b", 3}}, []string{"a", "b"}},
+		{"cap", []note{{"1", 1}, {"2", 2}, {"3", 3}, {"4", 4}, {"5", 5}}, []string{"5", "4", "3"}},
+		{"cap drops the coldest", []note{{"5", 5}, {"4", 4}, {"3", 3}, {"2", 2}}, []string{"5", "4", "3"}},
+		{"cap tie drops the larger key", []note{{"a", 1}, {"b", 1}, {"c", 1}, {"d", 1}, {"0", 1}}, []string{"0", "a", "b"}},
+		{"evicted key returns hotter", []note{{"1", 1}, {"2", 2}, {"3", 3}, {"4", 4}, {"1", 9}}, []string{"1", "4", "3"}},
+		{"retry at the cap", []note{{"1", 1}, {"2", 2}, {"3", 3}, {"1", 4}}, []string{"1", "3", "2"}},
+		{"empty key ignored", []note{{"", 9}, {"1", 1}}, []string{"1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &requestState{}
+			for _, n := range tc.notes {
+				st.noteSignature(n.key, time.Duration(n.ms)*time.Millisecond)
+			}
+			if got := st.hotSignatures(); !slices.Equal(got, tc.want) {
+				t.Fatalf("hot signatures %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

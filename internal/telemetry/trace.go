@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -184,7 +186,7 @@ func (t *Tracer) AddSpan(parent SpanID, name string, lane int, start time.Time, 
 }
 
 func (t *Tracer) add(n SpanNode) {
-	sort.Slice(n.Args, func(i, j int) bool { return n.Args[i].Key < n.Args[j].Key })
+	slices.SortFunc(n.Args, func(a, b SpanArg) int { return strings.Compare(a.Key, b.Key) })
 	t.mu.Lock()
 	t.spans = append(t.spans, n)
 	t.mu.Unlock()
@@ -200,11 +202,8 @@ func (t *Tracer) Spans() []SpanNode {
 	out := make([]SpanNode, len(t.spans))
 	copy(out, t.spans)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b SpanNode) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }
@@ -267,7 +266,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for l := range lanes {
 		laneIDs = append(laneIDs, l)
 	}
-	sort.Ints(laneIDs)
+	slices.Sort(laneIDs)
 	for _, l := range laneIDs {
 		name := "main"
 		if l > 0 {

@@ -1,12 +1,15 @@
 package xr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chase"
 	"repro/internal/cq"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/symtab"
+	"repro/internal/telemetry"
 	"repro/internal/testkit"
 )
 
@@ -85,6 +89,7 @@ func referenceCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 			}
 			return len(a) < len(b)
 		})
+		byKey[k].rank = i
 		out[i] = byKey[k]
 	}
 	return out
@@ -232,9 +237,9 @@ constant(x) :- T(x, 'a'), T(x, v).
 var collectSink []*candidate
 
 // readShape builds the exchange of the genome-read shape of the xrperf
-// benchmark (1,600 transcripts, 20% suspect) and returns it with the
-// genome query suite.
-func readShape(b *testing.B) (*Exchange, []*logic.UCQ) {
+// benchmark (1,600 transcripts, 20% suspect) with opts and returns it with
+// the genome query suite.
+func readShape(b *testing.B, opts Options) (*Exchange, []*logic.UCQ) {
 	b.Helper()
 	w, err := genome.NewWorld()
 	if err != nil {
@@ -245,7 +250,7 @@ func readShape(b *testing.B) (*Exchange, []*logic.UCQ) {
 		b.Fatal(err)
 	}
 	src := genome.Generate(w, genome.Profile{Name: "read", Transcripts: 1600, SuspectRate: 0.20, Seed: 7004})
-	ex, err := NewExchange(w.M, src)
+	ex, err := NewExchangeOpts(w.M, src, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +262,7 @@ func readShape(b *testing.B) (*Exchange, []*logic.UCQ) {
 // The exchange is built once; each iteration collects the candidates of
 // one rewritten query.
 func BenchmarkCollectCandidates(b *testing.B) {
-	ex, queries := readShape(b)
+	ex, queries := readShape(b, Options{})
 	for _, q := range queries {
 		rq, err := ex.Red.RewriteQuery(q)
 		if err != nil {
@@ -272,15 +277,51 @@ func BenchmarkCollectCandidates(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmSuite measures one sequential Answer pass over the genome
-// suite on a warmed exchange of the genome-read shape: every query's plan
-// is cached and every verdict memoized, so an iteration is the warm query
-// path with no solver search.
+// BenchmarkWarmSuite measures one sequential pass over the genome suite
+// on a warmed exchange of the genome-read shape: every query's plan is
+// cached and every verdict memoized, so an iteration is the warm query
+// path with no solver search. It asks in two ways:
+//
+//   - bare: Answer with no options;
+//   - served: AnswerOpts with what xrserved passes: a profiling exchange,
+//     a metrics registry, a fresh Tracer per ask, a solver-trace hook, a
+//     2-lane pool in the context, Parallelism 2 and Partial.
 func BenchmarkWarmSuite(b *testing.B) {
-	ex, queries := readShape(b)
+	b.Run("bare", func(b *testing.B) {
+		ex, queries := readShape(b, Options{})
+		benchWarmPasses(b, queries, func(q *logic.UCQ) error {
+			_, err := ex.Answer(q)
+			return err
+		})
+	})
+	b.Run("served", func(b *testing.B) {
+		reg := telemetry.NewRegistry()
+		ex, queries := readShape(b, Options{Metrics: reg, Profiling: true})
+		var laneWait, sigs, decisions atomic.Int64
+		ctx := ContextWithLanes(context.Background(), NewLanePool(2, reg), func(d time.Duration) { laneWait.Add(int64(d)) })
+		benchWarmPasses(b, queries, func(q *logic.UCQ) error {
+			_, err := ex.AnswerOpts(q, Options{
+				Ctx:         ctx,
+				Parallelism: 2,
+				Partial:     true,
+				Metrics:     reg,
+				Tracer:      telemetry.NewTracer(),
+				Trace: func(ev TraceEvent) {
+					sigs.Add(1)
+					decisions.Add(ev.Decisions)
+				},
+			})
+			return err
+		})
+	})
+}
+
+// benchWarmPasses asks every query once to warm the exchange, then times
+// b.N further passes.
+func benchWarmPasses(b *testing.B, queries []*logic.UCQ, ask func(*logic.UCQ) error) {
 	pass := func() {
 		for _, q := range queries {
-			if _, err := ex.Answer(q); err != nil {
+			if err := ask(q); err != nil {
 				b.Fatal(err)
 			}
 		}

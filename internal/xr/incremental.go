@@ -1,6 +1,7 @@
 package xr
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,11 +37,14 @@ import (
 //
 // Concurrency: a signature's persistent solver is single-threaded by
 // construction — queries over the same signature serialize on
-// sigProgram.incMu for the duration of their solve. Distinct signatures
-// still fan out across the worker pool, and answers stay deterministic at
-// any parallelism because each signature group is solved exactly once per
-// query, on state that depends only on the (per-exchange) query history,
-// never on sibling groups or worker scheduling.
+// sigProgram.incMu, held for writing for the duration of their solve. A
+// group the memo decides entirely is read under the read lock instead,
+// and only if that is free at once (decideFromMemo in segmentary.go).
+// Distinct signatures still fan out across the worker pool, and answers
+// stay deterministic at any parallelism because each signature group is
+// solved exactly once per query, on state that depends only on the
+// (per-exchange) query history, never on sibling groups or worker
+// scheduling.
 type incSolver struct {
 	id     uint64            // unique in its Exchange; tags the plan group wirings made on it
 	spec   *encoder          // persistent specialization; its program grows with memoized candidates
@@ -161,8 +165,40 @@ func (inc *incSolver) wireCandidates(g *sigGroup) *groupWiring {
 	if grew {
 		inc.solver.Extend()
 	}
+	distinct := slices.Clone(w.atoms)
+	slices.Sort(distinct)
+	w.distinct = len(slices.Compact(distinct))
 	g.wired.Store(w)
 	return w
+}
+
+// memoSolve decides a wired group from the verdict memo alone. It reports
+// false unless the group wires some atom and every wired atom has a
+// verdict under the semantics. The caller holds the signature program's
+// incMu, for reading at least.
+func (inc *incSolver) memoSolve(w *groupWiring, brave bool) (sigSolve, bool) {
+	if len(w.atoms) == 0 {
+		return sigSolve{}, false
+	}
+	var accepted []*candidate
+	for i, a := range w.atoms {
+		holds, known := inc.verdicts[a].lookup(brave)
+		if !known {
+			return sigSolve{}, false
+		}
+		if holds {
+			accepted = append(accepted, w.live[i])
+		}
+	}
+	return sigSolve{
+		w:        w,
+		accepted: accepted,
+		memo:     true,
+		hasModel: true,
+		reused:   inc.sessions > 0,
+		rules:    len(inc.spec.gp.Rules),
+		numAtoms: inc.spec.gp.NumAtoms(),
+	}, true
 }
 
 // candidateKey returns the canonical body-structure key of a candidate:

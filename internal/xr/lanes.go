@@ -9,11 +9,12 @@ import (
 
 // LanePool is a process-wide bound on solver parallelism: every query whose
 // call context carries the pool (ContextWithLanes) holds one lane per job
-// it runs — one signature group with its explain pass, or one monolithic
-// query — and returns it when the job ends. Candidate collection, the safe
-// split and the merge run without a lane, so concurrent queries overlap
-// those single-threaded phases, while goroutines doing solver work across
-// all of them never outnumber the lanes.
+// it runs — one signature group that may search, with its explain pass, or
+// one monolithic query — and returns it when the job ends. Candidate
+// collection, the safe split, the groups the verdict memo decides in place
+// and the merge run without a lane, so concurrent queries overlap those
+// single-threaded phases, while goroutines doing solver work across all of
+// them never outnumber the lanes.
 //
 // A job takes its lane before it touches the signature-program cache
 // (progMu) or a persistent solver (incMu), so the lock order is always

@@ -3,6 +3,7 @@ package xr
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,11 @@ import (
 // from several goroutines at Parallelism 4 over two exchanges that share
 // one 2-lane pool. A solve-site hook holds every job for a moment and
 // counts the jobs inside at once: the peak must be exactly the pool size.
-// Every result must match a sequential call without a pool.
+// Every result must match a sequential call without a pool. The verdict
+// memos are emptied first, so the groups search. A group that a sibling
+// call's session has decided by the time it is reached is decided in
+// place, without a lane (TestInPlaceTakesNoLane): the hook does not count
+// it.
 func TestLanePoolBoundsSolverJobs(t *testing.T) {
 	type fixture struct {
 		shared, ref *Exchange
@@ -93,10 +98,14 @@ func TestLanePoolBoundsSolverJobs(t *testing.T) {
 		}
 	}
 
+	for _, f := range fixtures {
+		forgetVerdicts(f.shared)
+	}
 	pool := NewLanePool(2, nil)
 	var inside, peak atomic.Int64
+	inPlace := runtime.FuncForPC(reflect.ValueOf((*Exchange).decideInPlace).Pointer()).Name()
 	hook := func(site, _ string) error {
-		if site != faultSiteSolve {
+		if site != faultSiteSolve || onStack(inPlace) {
 			return nil
 		}
 		n := inside.Add(1)
@@ -139,6 +148,22 @@ func TestLanePoolBoundsSolverJobs(t *testing.T) {
 	}
 	if n := pool.InUse(); n != 0 {
 		t.Fatalf("%d lane(s) still held after every call returned", n)
+	}
+}
+
+// onStack reports whether the named function is on the calling
+// goroutine's stack.
+func onStack(fn string) bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if f.Function == fn {
+			return true
+		}
+		if !more {
+			return false
+		}
 	}
 }
 

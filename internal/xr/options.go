@@ -219,7 +219,8 @@ type Options struct {
 	Explain bool
 	// Tracer, when non-nil, collects a hierarchical span tree over the call
 	// (exchange sub-phases, the query phase, one child span per signature
-	// program). Export it with Tracer.WriteChromeTrace. A nil tracer costs
+	// job and one "memo" span over the groups the verdict memo decided in
+	// place). Export it with Tracer.WriteChromeTrace. A nil tracer costs
 	// one nil check per phase.
 	Tracer *telemetry.Tracer
 

@@ -57,9 +57,10 @@ type sigGroup struct {
 // live are the candidates with a covered support set, atoms their query
 // atoms. It is immutable once published on its group.
 type groupWiring struct {
-	solver uint64 // incSolver.id of the solver whose program holds atoms
-	atoms  []asp.AtomID
-	live   []*candidate
+	solver   uint64 // incSolver.id of the solver whose program holds atoms
+	atoms    []asp.AtomID
+	live     []*candidate
+	distinct int // distinct atoms: two candidates may share one
 }
 
 // newPlan accepts the safe candidates and groups the rest by fact
@@ -214,12 +215,12 @@ func (p *queryPlan) bytes() int64 {
 		header    = 24 // slice header
 		value     = 4  // symtab.Value, chase.FactID, asp.AtomID
 		word      = 8  // pointer, int
-		candidate = 2 * header
+		candidate = 2*header + word
 	)
 	n := int64(cap(p.safe))*value + int64(cap(p.groups))*word
 	for _, g := range p.groups {
 		n += int64(len(g.key)) + int64(cap(g.sig))*word + int64(cap(g.cands))*word
-		n += 2*header + 3*word // the sigGroup and its wiring
+		n += 2*header + 4*word // the sigGroup and its wiring
 		for _, c := range g.cands {
 			n += candidate + int64(cap(c.tuple))*value + int64(cap(c.supports))*header
 			for _, s := range c.supports {

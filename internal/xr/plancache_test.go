@@ -30,10 +30,9 @@ func evictAllPlans(ex *Exchange) {
 	}
 }
 
-// poisonAllSolvers sabotages every persistent solver the way
-// TestPoisonedSolverPanicRebuilds does one: the next session on each
-// panics, and no verdict spares a group that session.
-func poisonAllSolvers(ex *Exchange) {
+// eachSigProgram calls fn on every cached signature program, holding the
+// program's incMu.
+func eachSigProgram(ex *Exchange, fn func(*sigProgram)) {
 	ex.progMu.Lock()
 	sps := make([]*sigProgram, 0, len(ex.progCache))
 	for _, sp := range ex.progCache {
@@ -42,12 +41,31 @@ func poisonAllSolvers(ex *Exchange) {
 	ex.progMu.Unlock()
 	for _, sp := range sps {
 		sp.incMu.Lock()
+		fn(sp)
+		sp.incMu.Unlock()
+	}
+}
+
+// poisonAllSolvers sabotages every persistent solver the way
+// TestPoisonedSolverPanicRebuilds does one: the next session on each
+// panics, and no verdict spares a group that session.
+func poisonAllSolvers(ex *Exchange) {
+	eachSigProgram(ex, func(sp *sigProgram) {
 		if sp.inc != nil {
 			sp.inc.solver = nil
 			clear(sp.inc.verdicts)
 		}
-		sp.incMu.Unlock()
-	}
+	})
+}
+
+// forgetVerdicts empties the verdict memo of every persistent solver, so
+// the next ask of every group runs a session.
+func forgetVerdicts(ex *Exchange) {
+	eachSigProgram(ex, func(sp *sigProgram) {
+		if sp.inc != nil {
+			clear(sp.inc.verdicts)
+		}
+	})
 }
 
 // requireSameExceptCacheHits compares answers, Unknown sets and every stat

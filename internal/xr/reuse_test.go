@@ -36,22 +36,36 @@ func freshResult(t testing.TB, ex *Exchange, q *logic.UCQ, brave bool, par int) 
 	}
 	res := &Result{Query: q, Answers: cq.NewAnswerSet()}
 	plan := ex.newPlan(collectCandidates(rq, ex.Prov))
-	res.acceptSafe(plan)
-	outs := make([]*groupOutcome, len(plan.groups))
+	outs := make([]groupOutcome, len(plan.groups))
 	if err := forEachWorker(context.Background(), par, len(plan.groups), func(_ context.Context, _, i int) error {
 		outs[i] = freshSolve(t, ex, plan.groups[i], brave)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Assembled by AnswerSet.Add, tuple by tuple and group by group, not by
+	// the engine's merge in plan order.
+	res.Stats.Candidates = plan.candidates
+	res.Stats.SafeAccepted = plan.nsafe
+	for i := 0; i < plan.nsafe; i++ {
+		arity := len(plan.safe) / plan.nsafe
+		res.Answers.Add(plan.safe[i*arity : (i+1)*arity])
+	}
 	for _, out := range outs {
-		res.merge(out)
+		for _, c := range out.accepted {
+			res.Answers.Add(c.tuple)
+		}
+		res.Stats.SolverAccepted += len(out.accepted)
+		res.Stats.Programs++
+		if out.cacheHit {
+			res.Stats.CacheHits++
+		}
 	}
 	return res
 }
 
 // freshSolve decides one signature group on a throwaway solver.
-func freshSolve(t testing.TB, ex *Exchange, g *sigGroup, brave bool) *groupOutcome {
+func freshSolve(t testing.TB, ex *Exchange, g *sigGroup, brave bool) groupOutcome {
 	sp, hit := ex.sigProgramFor(g.key)
 	sp.ensure(ex, g.sig)
 	spec := sp.enc.specialize()
@@ -73,10 +87,10 @@ func freshSolve(t testing.TB, ex *Exchange, g *sigGroup, brave bool) *groupOutco
 	if !ok {
 		t.Errorf("signature {%s}: program has no stable model", g.key)
 	}
-	out := &groupOutcome{cacheHit: hit}
+	out := groupOutcome{cacheHit: hit}
 	for i, c := range live {
 		if slices.Contains(kept, atoms[i]) {
-			out.tuples = append(out.tuples, c.tuple)
+			out.accepted = append(out.accepted, c)
 		}
 	}
 	return out

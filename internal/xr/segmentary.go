@@ -1,6 +1,7 @@
 package xr
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"errors"
@@ -343,13 +344,16 @@ func (ex *Exchange) PossibleOpts(q *logic.UCQ, opts Options) (*Result, error) {
 
 // query is the shared segmentary query phase: take the query's plan (its
 // candidates split into safe-accepted and signature groups, cached on the
-// Exchange), solve one program per signature (cautious for certain
-// answers, brave for possible answers) across a bounded worker pool, and
-// merge the outcomes in canonical key order.
+// Exchange), decide one program per signature (cautious for certain
+// answers, brave for possible answers), and assemble the answers in plan
+// order. A group the verdict memo decides entirely is decided in place, on
+// the calling goroutine; only the groups that may search become jobs,
+// which fan out across a bounded worker pool and the lanes the context
+// carries.
 //
-// Results are deterministic at any parallelism: the answer set is merge-
-// order independent (AnswerSet iterates in sorted key order) and every
-// per-group stat is a pure function of the group, so totals agree with the
+// Results are deterministic at any parallelism: answers are assembled in
+// candidate order whatever order the groups finish in, and every per-group
+// stat is a pure function of the group, so totals agree with the
 // sequential path. Cautious/brave consequences are semantically determined
 // by the program, so what the persistent solvers learned earlier and solver
 // scheduling can only change solving effort, never the answers.
@@ -398,43 +402,50 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	} else {
 		plan = ex.planFor(rq, mt)
 	}
-	res.acceptSafe(plan)
 	groups := plan.groups
+	a := &ask{brave: brave, opts: &opts, mt: mt, qname: q.Name, parent: qspan.ID()}
+	tasks := make([]sigTask, len(groups))
+	for i, g := range groups {
+		tasks[i] = sigTask{g: g, scale: 1}
+	}
+	outcomes := make([]groupOutcome, len(groups))
+	jobs, ferr := ex.decideInPlace(ctx, a, tasks, outcomes)
 
-	// Solve one program per signature, fanning out across the pool. With
+	// Solve the other groups, fanning out across the pool. With
 	// Options.Explain, each worker also runs the deterministic explanation
 	// pass for its group right after deciding it (results are slotted by
-	// group index, so parallel order never shows).
-	outcomes := make([]*groupOutcome, len(groups))
+	// group index, so parallel order never shows); an explain ask's plan
+	// is its own, never wired, so every group is a job.
 	var groupExpl [][]*explain.Explanation
 	if opts.Explain {
 		groupExpl = make([][]*explain.Explanation, len(groups))
 	}
-	ferr := forEachWorker(ctx, opts.workers(), len(groups), func(ctx context.Context, worker, i int) error {
-		g := groups[i]
-		out, err := ex.solveSig(ctx, g, brave, &opts, mt, q.Name, qspan.ID(), worker)
-		if err != nil {
-			return err
-		}
-		if opts.Explain {
-			espan := opts.Tracer.StartSpan(qspan.ID(), "explain {"+g.key+"}")
-			espan.SetLane(worker)
-			es, err := ex.explainGroup(ctx, g, out, brave, q.Name)
-			espan.End()
+	if ferr == nil {
+		ferr = forEachWorker(ctx, opts.workers(), len(jobs), func(ctx context.Context, worker, j int) error {
+			i := jobs[j]
+			g := groups[i]
+			out, err := ex.solveSig(ctx, a, &tasks[i], false, worker)
 			if err != nil {
 				return err
 			}
-			groupExpl[i] = es
-		}
-		outcomes[i] = out
-		return nil
-	})
+			if opts.Explain {
+				espan := opts.Tracer.StartSpan(qspan.ID(), "explain {"+g.key+"}")
+				espan.SetLane(worker)
+				es, err := ex.explainGroup(ctx, g, &out, brave, q.Name)
+				espan.End()
+				if err != nil {
+					return err
+				}
+				groupExpl[i] = es
+			}
+			outcomes[i] = out
+			return nil
+		})
+	}
 	if ferr != nil {
 		return nil, fmt.Errorf("xr: query %s: %w", q.Name, ferr)
 	}
-	for _, out := range outcomes {
-		res.merge(out)
-	}
+	res.assemble(plan, outcomes)
 	if opts.Explain {
 		// Explanations follow candidate collection order (deterministic):
 		// candidates outside every group were accepted as safe.
@@ -457,54 +468,151 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	return res, nil
 }
 
-// acceptSafe records a plan's candidate count and accepts its safe
-// candidates.
-func (res *Result) acceptSafe(p *queryPlan) {
+// ask is what every signature group of one query call shares.
+type ask struct {
+	brave  bool
+	opts   *Options
+	mt     *meters
+	qname  string
+	parent telemetry.SpanID // the query span
+}
+
+// sigTask is one signature group's decision within an ask. An in-place
+// attempt that hands its group to a job leaves in it where the job
+// resumes.
+type sigTask struct {
+	g       *sigGroup
+	scale   int64 // budget and timeout multiplier of the attempt: 1, then 2 on the retry
+	retries int
+	// evicted marks an attempt whose cache site an in-place attempt has
+	// already fired, evicting the cached program: the job fetches the
+	// replacement without firing the site again.
+	evicted bool
+}
+
+// errToJob is how an in-place attempt reports that its group needs a
+// solver job. It never leaves the query phase.
+var errToJob = errors.New("xr: signature group needs a solver job")
+
+// decideInPlace runs the in-place attempt of every group with a published
+// wiring, in plan order on the calling goroutine, without a lane, a worker
+// or a per-signature span, and records one "memo" span over the groups it
+// decided. It returns the indexes of the other groups, the jobs, in plan
+// order. The first group that fails stops the pass, as a failed job stops
+// the pool. A group never wired, as on a cold ask, costs one atomic load.
+func (ex *Exchange) decideInPlace(ctx context.Context, a *ask, tasks []sigTask, outcomes []groupOutcome) (jobs []int, err error) {
+	start := time.Now()
+	var decided, atoms int
+	for i := range tasks {
+		t := &tasks[i]
+		if t.g.wired.Load() == nil {
+			jobs = append(jobs, i)
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, ctxErr(ctx)
+		}
+		out, err := ex.solveSig(ctx, a, t, true, 0)
+		switch {
+		case err == errToJob:
+			jobs = append(jobs, i)
+		case err != nil:
+			return nil, err
+		default:
+			outcomes[i] = out
+			decided++
+			atoms += out.memoHits
+		}
+	}
+	if decided > 0 {
+		a.opts.Tracer.AddSpan(a.parent, "memo", 0, start, time.Since(start),
+			telemetry.SpanArg{Key: "atoms", Value: strconv.Itoa(atoms)},
+			telemetry.SpanArg{Key: "groups", Value: strconv.Itoa(decided)})
+	}
+	return jobs, nil
+}
+
+// assemble records the plan's candidate count and folds the groups'
+// outcomes into the result, in plan order, then builds Answers from the
+// plan's safe tuples and the accepted group candidates, and Unknown from
+// the degraded groups' candidates.
+func (res *Result) assemble(p *queryPlan, outcomes []groupOutcome) {
 	res.Stats.Candidates = p.candidates
 	res.Stats.SafeAccepted = p.nsafe
-	if p.nsafe == 0 {
-		return
-	}
-	arity := len(p.safe) / p.nsafe // 0 for a boolean query's empty tuple
-	for i := 0; i < p.nsafe; i++ {
-		res.Answers.Add(p.safe[i*arity : (i+1)*arity])
-	}
-}
-
-// merge folds one signature group's outcome into the result.
-func (res *Result) merge(out *groupOutcome) {
-	res.Stats.Retries += out.retries
-	if out.degraded != nil {
-		res.Degraded = append(res.Degraded, *out.degraded)
-		for _, t := range out.unknown {
-			res.Unknown.Add(t)
+	var accepted, unknown []*candidate
+	for _, out := range outcomes {
+		res.Stats.Retries += out.retries
+		if out.degraded != nil {
+			res.Degraded = append(res.Degraded, *out.degraded)
+			unknown = append(unknown, out.unknown...)
+			res.Stats.DegradedSignatures++
+			res.Stats.UnknownTuples += len(out.unknown)
+			continue
 		}
-		res.Stats.DegradedSignatures++
-		res.Stats.UnknownTuples += len(out.unknown)
-		return
+		accepted = append(accepted, out.accepted...)
+		res.Stats.SolverAccepted += len(out.accepted)
+		res.Stats.Programs++
+		if out.cacheHit {
+			res.Stats.CacheHits++
+		}
 	}
-	for _, t := range out.tuples {
-		res.Answers.Add(t)
-	}
-	res.Stats.SolverAccepted += len(out.tuples)
-	res.Stats.Programs++
-	if out.cacheHit {
-		res.Stats.CacheHits++
+	res.Answers = cq.SortedAnswerSet(mergeTuples(p.safe, p.nsafe, accepted))
+	if res.Unknown != nil {
+		res.Unknown = cq.SortedAnswerSet(mergeTuples(nil, 0, unknown))
 	}
 }
 
-// groupOutcome is the result of solving one signature group, merged into
+// mergeTuples returns n packed tuples, sorted in key order, merged with
+// the tuples of cands, candidates of one plan: copies, all in one backing
+// array, in key order. Candidates are collected in key order, so sorting
+// cands by rank sorts their tuples; a plan's safe candidates and its
+// groups' candidates are disjoint, so the merge meets no duplicate.
+func mergeTuples(packed []symtab.Value, n int, cands []*candidate) [][]symtab.Value {
+	if n+len(cands) == 0 {
+		return nil
+	}
+	slices.SortFunc(cands, func(a, b *candidate) int { return cmp.Compare(a.rank, b.rank) })
+	arity := 0
+	if n > 0 {
+		arity = len(packed) / n // 0 for a boolean query's empty tuple
+	}
+	size := len(packed)
+	for _, c := range cands {
+		size += len(c.tuple)
+	}
+	vals := make([]symtab.Value, 0, size)
+	out := make([][]symtab.Value, 0, n+len(cands))
+	push := func(t []symtab.Value) {
+		k := len(vals)
+		vals = append(vals, t...)
+		out = append(out, vals[k:len(vals):len(vals)])
+	}
+	next := 0
+	for _, c := range cands {
+		for ; next < n && cq.CompareTuples(packed[next*arity:(next+1)*arity], c.tuple) < 0; next++ {
+			push(packed[next*arity : (next+1)*arity])
+		}
+		push(c.tuple)
+	}
+	for ; next < n; next++ {
+		push(packed[next*arity : (next+1)*arity])
+	}
+	return out
+}
+
+// groupOutcome is the result of deciding one signature group, folded into
 // the Result after all groups finish.
 type groupOutcome struct {
-	tuples   [][]symtab.Value
+	accepted []*candidate // the group's candidates that hold, in group order
 	cacheHit bool
 	retries  int
+	memoHits int // distinct atoms the verdict memo decided without a session
 
 	// degraded marks a group that could not be decided within its budget
-	// under Options.Partial; its candidate tuples are reported as unknown
-	// instead of being accepted or rejected.
+	// under Options.Partial; unknown holds its candidates, reported as
+	// unknown instead of being accepted or rejected.
 	degraded *SignatureError
-	unknown  [][]symtab.Value
+	unknown  []*candidate
 }
 
 // solveSig decides one signature group with graceful degradation: run one
@@ -512,42 +620,39 @@ type groupOutcome struct {
 // timeout, panic, injected fault) either retry once with a doubled budget
 // and then degrade the group to unknown (Options.Partial), or fail the
 // query (strict mode). A parent-context cancellation is never degradable —
-// the whole query is ending — and always propagates.
-func (ex *Exchange) solveSig(ctx context.Context, g *sigGroup, brave bool, opts *Options, mt *meters, qname string, parent telemetry.SpanID, lane int) (*groupOutcome, error) {
-	key := g.key
-	out, err := ex.solveSigAttempt(ctx, g, brave, opts, mt, qname, parent, lane, 1)
-	if err == nil {
-		return out, nil
-	}
-	if perr := ctxErr(ctx); perr != nil {
-		return nil, perr
-	}
-	retries := 0
-	if opts.Partial && retryableSigErr(err) {
-		retries = 1
-		mt.recordRetry()
-		ex.prof.Record(key, g.sig, profile.Counters{Retries: 1})
-		out, err = ex.solveSigAttempt(ctx, g, brave, opts, mt, qname, parent, lane, 2)
+// the whole query is ending — and always propagates. In place, an attempt
+// that needs a solver session returns errToJob, and the group's job goes
+// on from where t says.
+func (ex *Exchange) solveSig(ctx context.Context, a *ask, t *sigTask, inPlace bool, lane int) (groupOutcome, error) {
+	g := t.g
+	for {
+		out, err := ex.solveSigAttempt(ctx, a, t, inPlace, lane)
 		if err == nil {
-			out.retries = retries
+			out.retries = t.retries
 			return out, nil
 		}
-		if perr := ctxErr(ctx); perr != nil {
-			return nil, perr
+		if err == errToJob {
+			return groupOutcome{}, err
 		}
+		if perr := ctxErr(ctx); perr != nil {
+			return groupOutcome{}, perr
+		}
+		if a.opts.Partial && t.retries == 0 && retryableSigErr(err) {
+			t.retries, t.scale = 1, 2
+			a.mt.recordRetry()
+			ex.prof.Record(g.key, g.sig, profile.Counters{Retries: 1})
+			continue
+		}
+		if !a.opts.Partial {
+			return groupOutcome{}, fmt.Errorf("signature {%s}: %w", g.key, err)
+		}
+		ex.prof.Record(g.key, g.sig, profile.Counters{Degraded: 1})
+		return groupOutcome{
+			retries:  t.retries,
+			degraded: &SignatureError{Signature: g.key, Tuples: len(g.cands), Retries: t.retries, Err: err},
+			unknown:  g.cands,
+		}, nil
 	}
-	if !opts.Partial {
-		return nil, fmt.Errorf("signature {%s}: %w", key, err)
-	}
-	ex.prof.Record(key, g.sig, profile.Counters{Degraded: 1})
-	deg := &groupOutcome{
-		retries:  retries,
-		degraded: &SignatureError{Signature: key, Tuples: len(g.cands), Retries: retries, Err: err},
-	}
-	for _, c := range g.cands {
-		deg.unknown = append(deg.unknown, c.tuple)
-	}
-	return deg, nil
 }
 
 // retryableSigErr reports whether a per-signature failure may succeed with
@@ -557,14 +662,14 @@ func retryableSigErr(err error) bool {
 	return errors.Is(err, ErrBudget) || errors.Is(err, ErrTimeout)
 }
 
-// sigSolve is the outcome of deciding one signature group: the verdict
-// of each distinct query atom, the program size, the solver's termination
-// state, and the session's work counters (zero when the verdict memo
-// decided the whole group and no session ran).
+// sigSolve is the outcome of deciding one signature group: the wiring it
+// was decided on, the live candidates that hold, the program size, the
+// solver's termination state, and the session's work counters (zero when
+// the verdict memo decided the whole group and no session ran).
 type sigSolve struct {
-	atoms    []asp.AtomID
-	live     []*candidate
-	holds    map[asp.AtomID]bool
+	w        *groupWiring
+	accepted []*candidate
+	memo     bool // decided by the verdict memo alone, without a session
 	hasModel bool
 	rules    int
 	numAtoms int
@@ -575,77 +680,108 @@ type sigSolve struct {
 	stats     asp.Stats // per-session deltas on the persistent solver
 }
 
-// solveSigAttempt solves one signature group once: fetch (or build) the
+// solveSigAttempt decides one signature group once: fetch (or build) the
 // cached base program and run cautious or brave reasoning on the
 // signature's persistent incremental solver under the per-signature budget
-// scaled by scale. Panics are converted to *InternalError (the worker pool
-// must never crash the process); a panic inside the solver session also
-// poisons the persistent solver, so the next query rebuilds it.
-func (ex *Exchange) solveSigAttempt(ctx context.Context, g *sigGroup, brave bool, opts *Options, mt *meters, qname string, parent telemetry.SpanID, lane int, scale int64) (out *groupOutcome, err error) {
+// scaled by t.scale. Panics are converted to *InternalError (the worker
+// pool must never crash the process); a panic inside the solver session
+// also poisons the persistent solver, so the next query rebuilds it.
+//
+// In place, the attempt first asks decideFromMemo for the group's
+// decision and returns errToJob if there is none; it then opens no span
+// but goes through the same fault sites, done-context check and records
+// as a job.
+func (ex *Exchange) solveSigAttempt(ctx context.Context, a *ask, t *sigTask, inPlace bool, lane int) (out groupOutcome, err error) {
+	g, opts := t.g, a.opts
 	key := g.key
 	defer recoverInternal("segmentary signature {"+key+"}", &err)
 	start := time.Now()
-	span := opts.Tracer.StartSpan(parent, "signature {"+key+"}")
-	span.SetLane(lane)
-	span.Arg("signature", key)
-	if scale > 1 {
-		span.ArgInt("attempt", scale)
+	var span *telemetry.ActiveSpan
+	var sp *sigProgram
+	var sv sigSolve
+	hit := true
+	if inPlace {
+		var ok bool
+		if sp, sv, ok = ex.decideFromMemo(g, a.brave); !ok {
+			return out, errToJob
+		}
+	} else {
+		span = opts.Tracer.StartSpan(a.parent, "signature {"+key+"}")
+		span.SetLane(lane)
+		span.Arg("signature", key)
+		if t.scale > 1 {
+			span.ArgInt("attempt", t.scale)
+		}
+		defer span.End()
+		sp, hit = ex.sigProgramFor(key)
 	}
-	defer span.End()
 	if opts.SignatureTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.SignatureTimeout*time.Duration(scale))
+		ctx, cancel = context.WithTimeout(ctx, opts.SignatureTimeout*time.Duration(t.scale))
 		defer cancel()
 	}
-	sp, hit := ex.sigProgramFor(key)
-	if hit && opts.FaultHook != nil {
+	if t.evicted {
+		t.evicted = false // sp is the replacement of the program evicted in place
+	} else if hit && opts.FaultHook != nil {
 		if herr := opts.FaultHook(faultSiteCache, key); herr != nil {
 			// The cached entry is reported corrupt: drop it and rebuild from
-			// the (immutable) exchange, losing only learned clauses.
+			// the (immutable) exchange, losing only learned clauses. Only a
+			// job builds a solver.
 			ex.discardSigProgram(key, sp)
+			if inPlace {
+				t.evicted = true
+				return out, errToJob
+			}
 			sp, hit = ex.sigProgramFor(key)
 		}
 	}
 	if opts.FaultHook != nil {
 		if herr := opts.FaultHook(faultSiteGround, key); herr != nil {
-			return nil, fmt.Errorf("grounding signature program: %w", herr)
+			return out, fmt.Errorf("grounding signature program: %w", herr)
 		}
 	}
 	sp.ensure(ex, g.sig)
 
 	if opts.FaultHook != nil {
 		if herr := opts.FaultHook(faultSiteSolve, key); herr != nil {
-			return nil, fmt.Errorf("solving signature program: %w", herr)
+			return out, fmt.Errorf("solving signature program: %w", herr)
 		}
 	}
-	sv := ex.solveSigReuse(ctx, sp, g, brave, opts, mt, scale)
+	if !inPlace {
+		sv = ex.solveSigReuse(ctx, sp, g, a.brave, opts, a.mt, t.scale)
+	}
+	if sv.memo {
+		// Every atom has a verdict, so an earlier session completed with a
+		// stable model; the models never change. A done context still
+		// fails the group, exactly as it would fail a session.
+		sv.canceled = ctx.Err() != nil
+	}
 	// A cut-short session must be discarded: cautious narrowing
 	// over-approximates and brave marking under-approximates when the
 	// solver stops early.
 	if sv.canceled {
 		if err := ctxErr(ctx); err != nil {
-			return nil, err
+			return out, err
 		}
-		return nil, ErrCanceled
+		return out, ErrCanceled
 	}
 	if sv.exhausted {
 		// Budget cutoffs are deterministic DPLL counters, so this record —
 		// unlike a wall-clock timeout — aggregates identically at any
 		// Parallelism.
 		ex.prof.Record(key, g.sig, profile.Counters{BudgetExhausted: 1})
-		return nil, ErrBudget
+		return out, ErrBudget
 	}
 	if !sv.hasModel {
-		return nil, fmt.Errorf("internal error: signature program has no stable model")
+		return out, fmt.Errorf("internal error: signature program has no stable model")
 	}
 
-	out = &groupOutcome{cacheHit: hit}
-	for i, c := range sv.live {
-		if sv.holds[sv.atoms[i]] {
-			out.tuples = append(out.tuples, c.tuple)
-		}
+	out = groupOutcome{accepted: sv.accepted, cacheHit: hit}
+	if sv.memo {
+		out.memoHits = sv.w.distinct
+		a.mt.recordMemoHits(out.memoHits)
 	}
-	span.ArgInt("candidates", int64(len(sv.atoms)))
+	span.ArgInt("candidates", int64(len(sv.w.atoms)))
 	if hit {
 		span.Arg("cache", "hit")
 	} else {
@@ -653,18 +789,18 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, g *sigGroup, brave bool
 	}
 	span.ArgInt("decisions", sv.stats.Decisions)
 	span.ArgInt("conflicts", sv.stats.Conflicts)
-	if opts.Trace != nil || mt != nil || ex.prof != nil {
+	if opts.Trace != nil || a.mt != nil || ex.prof != nil {
 		engine := "segmentary"
-		if brave {
+		if a.brave {
 			engine = "segmentary-brave"
 		}
 		ev := TraceEvent{
 			Engine:       engine,
-			Query:        qname,
+			Query:        a.qname,
 			Signature:    slices.Clone(g.sig), // g.sig belongs to a shared plan
 			SignatureKey: key,
 			RequestID:    telemetry.RequestIDFromContext(ctx),
-			Candidates:   len(sv.atoms),
+			Candidates:   len(sv.w.atoms),
 			Atoms:        sv.numAtoms,
 			Rules:        sv.rules,
 			CacheHit:     hit,
@@ -672,7 +808,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, g *sigGroup, brave bool
 			Stats:        sv.stats,
 			Duration:     time.Since(start),
 		}
-		mt.recordProgram(ev)
+		a.mt.recordProgram(ev)
 		ex.prof.RecordSolve(key, g.sig, profile.Solve{
 			Wall:         ev.Duration,
 			Candidates:   ev.Candidates,
@@ -687,6 +823,28 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, g *sigGroup, brave bool
 	return out, nil
 }
 
+// decideFromMemo decides a group from the verdict memo without waiting for
+// its signature's solver. It returns the group's program and decision,
+// and false — the group is a job — unless the group's published wiring
+// was made on the signature's live persistent solver, no job holds that
+// solver, and every wired atom has a verdict under the semantics.
+func (ex *Exchange) decideFromMemo(g *sigGroup, brave bool) (*sigProgram, sigSolve, bool) {
+	w := g.wired.Load()
+	if w == nil {
+		return nil, sigSolve{}, false
+	}
+	sp := ex.cachedSigProgram(g.key)
+	if sp == nil || !sp.incMu.TryRLock() {
+		return nil, sigSolve{}, false
+	}
+	defer sp.incMu.RUnlock()
+	if sp.inc == nil || sp.inc.id != w.solver {
+		return nil, sigSolve{}, false
+	}
+	sv, ok := sp.inc.memoSolve(w, brave)
+	return sp, sv, ok
+}
+
 // solveSigReuse decides the group on the signature's persistent solver
 // (see incremental.go). Candidates are memoized into the persistent
 // program, and atoms the verdict memo already decides are answered from
@@ -698,7 +856,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, g *sigGroup, brave bool
 // are reported as per-session deltas. A panic poisons the persistent
 // solver before propagating, so a later query rebuilds it from the
 // immutable base program.
-func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGroup, brave bool, opts *Options, mt *meters, scale int64) (sv *sigSolve) {
+func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGroup, brave bool, opts *Options, mt *meters, scale int64) (sv sigSolve) {
 	sp.incMu.Lock()
 	defer sp.incMu.Unlock()
 	defer func() {
@@ -708,34 +866,27 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 		}
 	}()
 	inc := sp.incSolverLocked(ex, mt)
-	sv = &sigSolve{reused: inc.sessions > 0}
 	w := inc.wireCandidates(g)
-	sv.atoms, sv.live = w.atoms, w.live
-	sv.rules = len(inc.spec.gp.Rules)
-	sv.numAtoms = inc.spec.gp.NumAtoms()
-
-	sv.holds = make(map[asp.AtomID]bool, len(sv.atoms))
+	if sv, ok := inc.memoSolve(w, brave); ok {
+		return sv
+	}
+	sv = sigSolve{
+		w:        w,
+		reused:   inc.sessions > 0,
+		rules:    len(inc.spec.gp.Rules),
+		numAtoms: inc.spec.gp.NumAtoms(),
+	}
+	holds := make(map[asp.AtomID]bool, len(w.atoms))
 	var pending []asp.AtomID // distinct atoms without a verdict, in group order
-	for _, a := range sv.atoms {
-		if _, seen := sv.holds[a]; seen {
+	for _, a := range w.atoms {
+		if _, seen := holds[a]; seen {
 			continue
 		}
-		holds, known := inc.verdicts[a].lookup(brave)
-		sv.holds[a] = holds
+		h, known := inc.verdicts[a].lookup(brave)
+		holds[a] = h
 		if !known {
 			pending = append(pending, a)
 		}
-	}
-	if len(pending) == 0 && len(sv.atoms) > 0 {
-		// Every atom has a verdict, so an earlier session completed with a
-		// stable model; the models never change. A done context still
-		// fails the group, exactly as it would fail a session.
-		sv.hasModel = true
-		sv.canceled = ctx.Err() != nil
-		if !sv.canceled {
-			mt.recordMemoHits(len(sv.holds))
-		}
-		return sv
 	}
 
 	inc.sessions++
@@ -760,16 +911,22 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	sv.canceled = solver.Canceled()
 	sv.exhausted = solver.Exhausted()
 	sv.stats = solver.Stats().Sub(before)
-	for _, a := range kept {
-		sv.holds[a] = true
-	}
 	// Only a completed session decides its atoms exactly: a cut-short one
 	// over-approximates (cautious) or under-approximates (brave).
-	if sv.hasModel && !sv.canceled && !sv.exhausted {
-		for _, a := range pending {
-			inc.verdicts[a] = inc.verdicts[a].with(brave, sv.holds[a])
+	if !sv.hasModel || sv.canceled || sv.exhausted {
+		return sv
+	}
+	for _, a := range kept {
+		holds[a] = true
+	}
+	for _, a := range pending {
+		inc.verdicts[a] = inc.verdicts[a].with(brave, holds[a])
+	}
+	mt.recordMemoHits(len(holds) - len(pending))
+	for i, c := range w.live {
+		if holds[w.atoms[i]] {
+			sv.accepted = append(sv.accepted, c)
 		}
-		mt.recordMemoHits(len(sv.holds) - len(pending))
 	}
 	return sv
 }

@@ -25,9 +25,10 @@ type sigProgram struct {
 	idx   *maxIndex // derivation index for the maximality acceptor
 
 	// incMu guards inc, the signature's persistent incremental solver
-	// (see incremental.go). Queries serialize on it for the duration of
-	// their solve; the explain pass never takes it.
-	incMu sync.Mutex
+	// (see incremental.go). Jobs hold it for writing for the duration of
+	// their solve; an in-place decision reads the verdict memo under the
+	// read lock. The explain pass never takes it.
+	incMu sync.RWMutex
 	inc   *incSolver
 }
 
@@ -46,6 +47,14 @@ func (ex *Exchange) sigProgramFor(key string) (*sigProgram, bool) {
 	}
 	ex.progCache[key] = sp
 	return sp, false
+}
+
+// cachedSigProgram returns the cache entry for a canonical signature key,
+// or nil if there is none; unlike sigProgramFor it never adds one.
+func (ex *Exchange) cachedSigProgram(key string) *sigProgram {
+	ex.progMu.Lock()
+	defer ex.progMu.Unlock()
+	return ex.progCache[key]
 }
 
 // discardSigProgram evicts a cache entry, but only while sp is still the

@@ -82,6 +82,7 @@ type QueryStats struct {
 type candidate struct {
 	tuple    []symtab.Value
 	supports [][]chase.FactID
+	rank     int // position in collection order, which is key order
 }
 
 // collectCandidates evaluates the (rewritten) UCQ over the quasi-solution
@@ -137,6 +138,7 @@ func collectCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 		c := byKey[k]
 		slices.SortFunc(c.supports, slices.Compare)
 		c.supports = slices.CompactFunc(c.supports, slices.Equal)
+		c.rank = i
 		out[i] = c
 	}
 	return out

@@ -228,9 +228,10 @@ type Tracer = telemetry.Tracer
 func NewTracer() *Tracer { return telemetry.NewTracer() }
 
 // WithTracer attaches a Tracer to the call: NewExchange records the
-// exchange-phase breakdown, Answer/Possible record the query phase with
-// per-signature child spans, and MonolithicAnswers records per-query
-// spans. The same tracer may be shared across calls to build one timeline.
+// exchange-phase breakdown, Answer/Possible record the query phase with a
+// child span per signature job and one "memo" span over the signature
+// groups the verdict memo decided in place, and MonolithicAnswers records
+// per-query spans. The same tracer may be shared across calls to build one timeline.
 // Scope: exchange and query.
 func WithTracer(t *Tracer) Option {
 	return dualOption("WithTracer", func(o *xr.Options) { o.Tracer = t })

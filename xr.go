@@ -28,10 +28,10 @@ import (
 	"fmt"
 
 	"repro/internal/chase"
+	"repro/internal/cq"
 	"repro/internal/instance"
 	"repro/internal/logic"
 	"repro/internal/parser"
-	"repro/internal/symtab"
 	"repro/internal/xr"
 )
 
@@ -147,28 +147,36 @@ type Answers struct {
 func (a *Answers) Partial() bool { return len(a.Degraded) > 0 }
 
 func (s *System) answersOf(res *xr.Result) *Answers {
-	a := &Answers{
-		Tuples:     [][]string{},
-		Unknown:    [][]string{},
+	return &Answers{
+		Tuples:     s.render(res.Answers),
+		Unknown:    s.render(res.Unknown),
 		Degraded:   res.Degraded,
 		QueryStats: res.Stats,
 	}
-	render := func(t []symtab.Value) []string {
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = s.w.U.Name(v)
+}
+
+// render names the values of a set's tuples, in the set's order, every row
+// a window of one backing slice. A nil set renders as no rows.
+func (s *System) render(set *cq.AnswerSet) [][]string {
+	if set == nil {
+		return [][]string{}
+	}
+	tuples := set.Tuples()
+	n := 0
+	for _, t := range tuples {
+		n += len(t)
+	}
+	names := make([]string, n)
+	rows := make([][]string, len(tuples))
+	for i, t := range tuples {
+		row := names[:len(t):len(t)]
+		names = names[len(t):]
+		for j, v := range t {
+			row[j] = s.w.U.Name(v)
 		}
-		return row
+		rows[i] = row
 	}
-	for _, t := range res.Answers.Tuples() {
-		a.Tuples = append(a.Tuples, render(t))
-	}
-	if res.Unknown != nil {
-		for _, t := range res.Unknown.Tuples() {
-			a.Unknown = append(a.Unknown, render(t))
-		}
-	}
-	return a
+	return rows
 }
 
 // Exchange is the reusable result of the segmentary exchange phase for one
