@@ -418,7 +418,7 @@ func BenchmarkStableSolver3Coloring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := asp.NewStableSolver(gp)
-		if !s.HasStableModel() {
+		if s.NextStable() == nil {
 			b.Fatal("ring is 3-colorable")
 		}
 	}

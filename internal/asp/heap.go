@@ -2,11 +2,12 @@ package asp
 
 // varHeap is a max-heap of variables ordered by activity, with lazy
 // membership (a variable may appear at most once; popped variables are
-// re-pushed on backtrack).
+// re-pushed on backtrack). indices maps each variable to its heap position,
+// -1 when absent, as a slice indexed by Var (MiniSat's layout).
 type varHeap struct {
 	act     *[]float64
 	heap    []Var
-	indices map[Var]int
+	indices []int32
 }
 
 func (h *varHeap) size() int { return len(h.heap) }
@@ -14,14 +15,14 @@ func (h *varHeap) size() int { return len(h.heap) }
 func (h *varHeap) less(a, b Var) bool { return (*h.act)[a] > (*h.act)[b] }
 
 func (h *varHeap) push(v Var) {
-	if h.indices == nil {
-		h.indices = make(map[Var]int)
+	for int(v) >= len(h.indices) {
+		h.indices = append(h.indices, -1)
 	}
-	if _, ok := h.indices[v]; ok {
+	if h.indices[v] >= 0 {
 		return
 	}
 	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap) - 1
+	h.indices[v] = int32(len(h.heap) - 1)
 	h.up(len(h.heap) - 1)
 }
 
@@ -31,7 +32,7 @@ func (h *varHeap) pop() Var {
 	h.heap[0] = h.heap[last]
 	h.indices[h.heap[0]] = 0
 	h.heap = h.heap[:last]
-	delete(h.indices, v)
+	h.indices[v] = -1
 	if len(h.heap) > 0 {
 		h.down(0)
 	}
@@ -40,8 +41,8 @@ func (h *varHeap) pop() Var {
 
 // update restores heap order after v's activity increased.
 func (h *varHeap) update(v Var) {
-	if i, ok := h.indices[v]; ok {
-		h.up(i)
+	if i := h.indices[v]; i >= 0 {
+		h.up(int(i))
 	}
 }
 
@@ -53,11 +54,11 @@ func (h *varHeap) up(i int) {
 			break
 		}
 		h.heap[i] = h.heap[p]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = p
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
@@ -75,9 +76,9 @@ func (h *varHeap) down(i int) {
 			break
 		}
 		h.heap[i] = h.heap[c]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = c
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }

@@ -92,15 +92,15 @@ type Solver struct {
 	heap     varHeap
 	phase    []bool // saved polarity per var (true = assign true first)
 
-	seen  []bool
-	ok    bool // false once a top-level conflict is derived
-	model modelSnapshot
-	ctx   context.Context // cooperative cancellation; nil = never
+	seen       []bool
+	clauseLits stamps // the literals of the clause AddClause is normalizing
+	ok         bool   // false once a top-level conflict is derived
+	model      modelSnapshot
+	ctx        context.Context // cooperative cancellation; nil = never
 
-	// lbdSeen/lbdTick stamp decision levels while computing the LBD of a
-	// freshly learnt clause, avoiding a per-conflict allocation.
-	lbdSeen []int64
-	lbdTick int64
+	// lbdLevels holds the decision levels seen while computing the LBD of
+	// a freshly learnt clause, avoiding a per-conflict allocation.
+	lbdLevels stamps
 
 	// maxLearnts is the clause-database reduction trigger: once the learnt
 	// store crosses it, reduceDB deletes the worst half of the removable
@@ -141,6 +141,7 @@ func NewSolver() *Solver {
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.clauseLits.grow(len(s.watches))
 	s.heap.act = &s.activity
 	return s
 }
@@ -156,6 +157,7 @@ func (s *Solver) NewVar() Var {
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.clauseLits.grow(len(s.watches))
 	s.heap.push(v)
 	return v
 }
@@ -183,15 +185,16 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Normalize: drop duplicate and false literals; detect tautologies and
 	// satisfied clauses.
 	norm := make([]Lit, 0, len(lits))
-	seen := make(map[Lit]bool, len(lits))
+	seen := &s.clauseLits
+	seen.reset()
 	for _, l := range lits {
 		switch {
-		case s.valueLit(l) == lTrue, seen[l.Neg()]:
+		case s.valueLit(l) == lTrue, seen.contains(int(l.Neg())):
 			return true // already satisfied / tautology
-		case s.valueLit(l) == lFalse, seen[l]:
+		case s.valueLit(l) == lFalse, seen.contains(int(l)):
 			continue
 		default:
-			seen[l] = true
+			seen.add(int(l))
 			norm = append(norm, l)
 		}
 	}
@@ -409,15 +412,14 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // Low-LBD ("glue") clauses connect few levels and are empirically the
 // learnt clauses worth keeping forever.
 func (s *Solver) clauseLBD(lits []Lit) int32 {
-	s.lbdTick++
+	levels := &s.lbdLevels
+	levels.reset()
 	var lbd int32
 	for _, l := range lits {
 		lv := int(s.level[l.Var()])
-		for len(s.lbdSeen) <= lv {
-			s.lbdSeen = append(s.lbdSeen, 0)
-		}
-		if s.lbdSeen[lv] != s.lbdTick {
-			s.lbdSeen[lv] = s.lbdTick
+		levels.grow(lv + 1)
+		if !levels.contains(lv) {
+			levels.add(lv)
 			lbd++
 		}
 	}

@@ -52,6 +52,19 @@ type StableSolver struct {
 	headRules [][]int32 // atom -> indexes of rules with the atom in head
 	bodyAux   []Var     // rule -> aux var implying the body (0 = none yet)
 
+	// lfpReduct's index, extended with the program: posWatch lists, per
+	// atom, the headed rules with the atom in their positive body (once
+	// per occurrence); bodyless lists the headed rules with an empty
+	// positive body. Its per-call state is lfpPending[ri] (unsatisfied
+	// positive body atoms, -1 for a rule the reduct drops), valid only
+	// while lfpRules contains ri, so a call touches only the rules its
+	// fixpoint reaches.
+	posWatch   [][]int32
+	bodyless   []int32
+	lfpRules   stamps
+	lfpPending []int32
+	lfpQueue   []AtomID
+
 	// normal is true when every rule has at most one head atom. For normal
 	// programs the stability check is polynomial — M is stable iff
 	// M = lfp(reduct^M) — so candidate models are verified with a linear
@@ -177,6 +190,7 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 	for a := fromAtom; a < prog.NumAtoms(); a++ {
 		s.vars = append(s.vars, s.sat.NewVar())
 		s.headRules = append(s.headRules, nil)
+		s.posWatch = append(s.posWatch, nil)
 		s.isFact = append(s.isFact, false)
 	}
 	for fi := s.nFacts; fi < len(prog.Facts); fi++ {
@@ -185,10 +199,20 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 		s.sat.AddClause(PosLit(s.vars[f]))
 	}
 	s.nFacts = len(prog.Facts)
+	var buf []Lit
 	for ri := fromRule; ri < len(prog.Rules); ri++ {
 		r := &prog.Rules[ri]
 		s.bodyAux = append(s.bodyAux, 0)
-		lits := make([]Lit, 0, len(r.Head)+len(r.Pos)+len(r.Neg))
+		s.lfpPending = append(s.lfpPending, 0)
+		if len(r.Head) > 0 {
+			if len(r.Pos) == 0 {
+				s.bodyless = append(s.bodyless, int32(ri))
+			}
+			for _, b := range r.Pos {
+				s.posWatch[b] = append(s.posWatch[b], int32(ri))
+			}
+		}
+		lits := buf[:0] // AddClause copies what it keeps
 		for _, h := range r.Head {
 			lits = append(lits, PosLit(s.vars[h]))
 			s.headRules[h] = append(s.headRules[h], int32(ri))
@@ -200,7 +224,9 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 			lits = append(lits, PosLit(s.vars[n]))
 		}
 		s.sat.AddClause(lits...)
+		buf = lits
 	}
+	s.lfpRules.grow(len(prog.Rules))
 	// Support clauses: a → ∨_{r: a ∈ head(r)} body(r), via body aux vars.
 	// Only new atoms need one; every rule of a new atom is itself new.
 	for a := fromAtom; a < prog.NumAtoms(); a++ {
@@ -208,8 +234,7 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 			continue
 		}
 		rules := s.headRules[a]
-		clause := make([]Lit, 0, len(rules)+1)
-		clause = append(clause, NegLit(s.vars[AtomID(a)]))
+		clause := append(buf[:0], NegLit(s.vars[AtomID(a)]))
 		trivial := false
 		for _, ri := range rules {
 			w, ok := s.bodyWitness(int(ri))
@@ -222,6 +247,7 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 		if !trivial {
 			s.sat.AddClause(clause...)
 		}
+		buf = clause
 	}
 }
 
@@ -527,17 +553,6 @@ func (s *StableSolver) learnLoopSet(loop []AtomID, inLoop map[AtomID]bool) {
 	s.LoopsLearned++
 }
 
-// NumTrue counts the true atoms of a model vector.
-func (s *StableSolver) NumTrue(m []bool) int {
-	n := 0
-	for _, tv := range m {
-		if tv {
-			n++
-		}
-	}
-	return n
-}
-
 // accept runs the theory acceptor on a stable model; it reports true when
 // the model is acceptable and otherwise adds the learned clauses.
 func (s *StableSolver) accept(m []bool) bool {
@@ -558,63 +573,63 @@ func (s *StableSolver) accept(m []bool) bool {
 // lfpReduct computes the least fixpoint of the definite part of the reduct
 // Π^m: rules whose negative body is disjoint from m fire bottom-up from the
 // facts. Constraints (empty heads) are ignored. The result is ⊆ m for any
-// classical model m.
+// classical model m. A rule's pending count is set the first time the
+// fixpoint reaches it in this call (when lfpRules does not yet hold it).
 func (s *StableSolver) lfpReduct(m []bool) []bool {
 	lfp := make([]bool, len(m))
-	// pending[ri] counts unsatisfied positive body atoms of rule ri; -1
-	// marks rules dropped by the reduct or without a head.
-	pending := make([]int, len(s.prog.Rules))
-	watchers := make(map[AtomID][]int32) // atom -> rules with it in pos body
-	var queue []AtomID
-	push := func(a AtomID) {
-		if !lfp[a] {
-			lfp[a] = true
-			queue = append(queue, a)
-		}
-	}
-	fire := func(ri int32) {
-		r := &s.prog.Rules[ri]
-		push(r.Head[0])
-	}
-rules:
-	for ri := range s.prog.Rules {
-		r := &s.prog.Rules[ri]
-		if len(r.Head) == 0 {
-			pending[ri] = -1
-			continue
-		}
-		for _, g := range r.Neg {
-			if m[g] {
-				pending[ri] = -1
-				continue rules
-			}
-		}
-		pending[ri] = len(r.Pos)
-		if pending[ri] == 0 {
-			fire(int32(ri))
-			continue
-		}
-		for _, b := range r.Pos {
-			watchers[b] = append(watchers[b], int32(ri))
+	reached := &s.lfpRules
+	reached.reset()
+	rules := s.prog.Rules
+	queue := s.lfpQueue[:0]
+	for _, ri := range s.bodyless {
+		r := &rules[ri]
+		if h := r.Head[0]; !lfp[h] && !anyTrue(m, r.Neg) {
+			lfp[h] = true
+			queue = append(queue, h)
 		}
 	}
 	for _, f := range s.prog.Facts {
-		push(f)
+		if !lfp[f] {
+			lfp[f] = true
+			queue = append(queue, f)
+		}
 	}
 	for len(queue) > 0 {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ri := range watchers[a] {
-			if pending[ri] <= 0 {
+		for _, ri := range s.posWatch[a] {
+			if !reached.contains(int(ri)) {
+				reached.add(int(ri))
+				if r := &rules[ri]; anyTrue(m, r.Neg) {
+					s.lfpPending[ri] = -1
+				} else {
+					s.lfpPending[ri] = int32(len(r.Pos))
+				}
+			}
+			if s.lfpPending[ri] <= 0 {
 				continue
 			}
-			pending[ri]--
-			if pending[ri] == 0 {
-				fire(ri)
+			s.lfpPending[ri]--
+			if s.lfpPending[ri] == 0 {
+				if h := rules[ri].Head[0]; !lfp[h] {
+					lfp[h] = true
+					queue = append(queue, h)
+				}
 			}
 		}
 	}
+	s.lfpQueue = queue
 	return lfp
+}
+
+// anyTrue reports whether some atom of as is true in m.
+func anyTrue(m []bool, as []AtomID) bool {
+	for _, a := range as {
+		if m[a] {
+			return true
+		}
+	}
+	return false
 }
 
 func modelsEqual(a, b []bool) bool {
@@ -738,12 +753,6 @@ func (s *StableSolver) Enumerate(fn func(m []bool) bool) int {
 		}
 		s.root.blockSupersets(m)
 	}
-}
-
-// HasStableModel reports whether the program has at least one stable model.
-// The first found model is not blocked, so Cautious may be called after.
-func (s *StableSolver) HasStableModel() bool {
-	return s.NextStable() != nil
 }
 
 // Brave runs Session.Brave in the root scope. The solver is spent after

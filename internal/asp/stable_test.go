@@ -192,8 +192,8 @@ func TestStableNoModelOddLoop(t *testing.T) {
 	p.AddRule([]AtomID{a}, nil, []AtomID{a})
 	wantStable(t, p, 0)
 	s := NewStableSolver(p)
-	if s.HasStableModel() {
-		t.Fatal("HasStableModel = true")
+	if s.NextStable() != nil {
+		t.Fatal("NextStable found a model")
 	}
 }
 

@@ -133,6 +133,7 @@ func TestCompareReportsGatesRegisteredCounters(t *testing.T) {
 		"xr_solver_conflicts_total":         true,
 		"xr_solver_decisions_total":         true,
 		"xr_solver_loops_learned_total":     true,
+		"xr_solver_model_memo_hits_total":   true,
 		"xr_solver_propagations_total":      true,
 		"xr_solver_reductions_total":        true,
 		"xr_solver_restarts_total":          true,

@@ -297,23 +297,75 @@ func BenchmarkWarmSuite(b *testing.B) {
 	b.Run("served", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
 		ex, queries := readShape(b, Options{Metrics: reg, Profiling: true})
-		var laneWait, sigs, decisions atomic.Int64
-		ctx := ContextWithLanes(context.Background(), NewLanePool(2, reg), func(d time.Duration) { laneWait.Add(int64(d)) })
-		benchWarmPasses(b, queries, func(q *logic.UCQ) error {
-			_, err := ex.AnswerOpts(q, Options{
-				Ctx:         ctx,
-				Parallelism: 2,
-				Partial:     true,
-				Metrics:     reg,
-				Tracer:      telemetry.NewTracer(),
-				Trace: func(ev TraceEvent) {
-					sigs.Add(1)
-					decisions.Add(ev.Decisions)
-				},
-			})
-			return err
-		})
+		ask := servedAsk(reg)
+		benchWarmPasses(b, queries, func(q *logic.UCQ) error { return ask(ex, q) })
 	})
+}
+
+// servedAsk returns an Answer call with what xrserved passes: a metrics
+// registry, a fresh Tracer per ask, a solver-trace hook, a 2-lane pool in
+// the context, Parallelism 2 and Partial.
+func servedAsk(reg *telemetry.Registry) func(*Exchange, *logic.UCQ) error {
+	var laneWait, sigs, decisions atomic.Int64
+	ctx := ContextWithLanes(context.Background(), NewLanePool(2, reg), func(d time.Duration) { laneWait.Add(int64(d)) })
+	return func(ex *Exchange, q *logic.UCQ) error {
+		_, err := ex.AnswerOpts(q, Options{
+			Ctx:         ctx,
+			Parallelism: 2,
+			Partial:     true,
+			Metrics:     reg,
+			Tracer:      telemetry.NewTracer(),
+			Trace: func(ev TraceEvent) {
+				sigs.Add(1)
+				decisions.Add(ev.Decisions)
+			},
+		})
+		return err
+	}
+}
+
+// BenchmarkColdSuite measures one sequential pass over the genome suite
+// on a fresh exchange of the genome-churn shape of the xrperf benchmark
+// (360 transcripts, 9% suspect), asked with what xrserved passes
+// (servedAsk): every signature program is grounded, every persistent
+// solver built and every verdict searched or read from stored models
+// within the pass. The exchange is built outside the timer. It reports
+// the solver sessions (each built solver's first session plus the
+// sessions on reused ones) and decisions per pass.
+func BenchmarkColdSuite(b *testing.B) {
+	w, err := genome.NewWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries, err := genome.Queries(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := genome.Generate(w, genome.Profile{Name: "churn", Transcripts: 360, SuspectRate: 0.09, Seed: 1000})
+	reg := telemetry.NewRegistry()
+	ask := servedAsk(reg)
+	counter := func(name string) int64 { return reg.Counter(name).Value() }
+	sessions := func() int64 {
+		return counter("xr_solver_reuse_sessions_total") + counter("xr_solver_reuse_builds_total")
+	}
+	s0, d0 := sessions(), counter("xr_solver_decisions_total")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ex, err := NewExchangeOpts(w.M, src, Options{Metrics: reg, Profiling: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, q := range queries {
+			if err := ask(ex, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(sessions()-s0)/float64(b.N), "sessions/op")
+	b.ReportMetric(float64(counter("xr_solver_decisions_total")-d0)/float64(b.N), "decisions/op")
 }
 
 // benchWarmPasses asks every query once to warm the exchange, then times

@@ -332,8 +332,8 @@ func TestPoisonedSolverPanicRebuilds(t *testing.T) {
 	sabotage := func() {
 		sp, _ := ex.sigProgramFor(key)
 		sp.incMu.Lock()
-		sp.inc.solver = nil    // the next session on this signature panics
-		clear(sp.inc.verdicts) // and the memo cannot spare the query that session
+		sp.inc.solver = nil // the next session on this signature panics
+		sp.inc.forget()     // and neither the memo nor a stored model can spare the query that session
 		sp.incMu.Unlock()
 	}
 	builds := reg.Counter("xr_solver_reuse_builds_total")

@@ -2,7 +2,6 @@ package xr
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/asp"
@@ -296,23 +295,27 @@ func (e *encoder) maximalityAcceptor(s *asp.StableSolver) func(m []bool) [][]asp
 	return e.acceptorWithIndex(newMaxIndex(e), s, nil)
 }
 
-// maxRule is one covered support set in the maximality derivation index.
-type maxRule struct {
-	head    chase.FactID
-	pending int
-}
-
 // maxIndex is the static derivation index behind the maximality check:
 // covered support sets with pinned facts treated as always present. It
 // depends only on the base encoder — never on per-query candidates — so a
 // cached signature program builds it once and shares it (read-only) across
-// all queries and workers.
+// all queries and workers. It numbers the encoder's variable facts densely
+// (local ids, in FactID order), so a check runs on slices, not maps.
 type maxIndex struct {
-	rules       []maxRule
-	watchers    map[chase.FactID][]int32
-	seeds       []chase.FactID // derived facts with a fully-pinned set
-	pendingInit []int
-	allSources  []chase.FactID // variable source facts (seed every fixpoint)
+	// Each rule is one covered support set with a variable fact: the fact
+	// it derives, and how many of its facts are variable.
+	heads       []int32
+	pendingInit []int32
+	watchers    [][]int32    // local fact -> rules with it in their set
+	seeds       []int32      // derived facts with a fully-pinned set
+	sources     []int32      // variable source facts (seed every fixpoint)
+	sourceAtom  []asp.AtomID // "remains" atom of each of sources
+	violations  [][]int32    // variable facts of each covered violation body
+	// deletable lists the encoder's deletable facts in its order, with
+	// their "remains" and "deleted" atoms.
+	deletable []int32
+	delR      []asp.AtomID
+	delD      []asp.AtomID
 }
 
 // newMaxIndex builds the derivation index, or nil when the encoder has no
@@ -321,58 +324,131 @@ func newMaxIndex(e *encoder) *maxIndex {
 	if len(e.deletable) == 0 {
 		return nil
 	}
-	x := &maxIndex{watchers: make(map[chase.FactID][]int32)}
+	facts := make([]chase.FactID, 0, len(e.r))
 	for f := range e.r {
+		facts = append(facts, f)
+	}
+	slices.Sort(facts)
+	ids := make(map[chase.FactID]int32, len(facts))
+	for i, f := range facts {
+		ids[f] = int32(i)
+	}
+	// Every variable fact has a "remains" atom (buildFocused, emit), so
+	// every fact the check derives or tests has a local id.
+	local := func(f chase.FactID) int32 {
+		i, ok := ids[f]
+		if !ok {
+			panic("xr: maximality index: variable fact without a remains atom")
+		}
+		return i
+	}
+	x := &maxIndex{watchers: make([][]int32, len(facts))}
+	for i, f := range facts {
 		if e.prov.IsSource(f) {
-			x.allSources = append(x.allSources, f)
+			x.sources = append(x.sources, int32(i))
+			x.sourceAtom = append(x.sourceAtom, e.r[f])
 			continue
 		}
 		for _, set := range e.prov.Supports(f) {
 			if !e.covered(set) {
 				continue
 			}
-			pending := 0
+			var pending int32
 			for _, b := range set {
 				if e.state(b) == factVar {
 					pending++
 				}
 			}
 			if pending == 0 {
-				x.seeds = append(x.seeds, f)
+				x.seeds = append(x.seeds, int32(i))
 				continue
 			}
-			ri := int32(len(x.rules))
-			x.rules = append(x.rules, maxRule{head: f, pending: pending})
+			ri := int32(len(x.heads))
+			x.heads = append(x.heads, int32(i))
+			x.pendingInit = append(x.pendingInit, pending)
 			for _, b := range set {
 				if e.state(b) == factVar {
-					x.watchers[b] = append(x.watchers[b], ri)
+					x.watchers[local(b)] = append(x.watchers[local(b)], ri)
 				}
 			}
 		}
 	}
-	x.pendingInit = make([]int, len(x.rules))
-	for i, r := range x.rules {
-		x.pendingInit[i] = r.pending
+	for _, vi := range e.coveredViolations {
+		var body []int32
+		for _, b := range e.prov.Violations[vi].Body {
+			if e.state(b) == factVar {
+				body = append(body, local(b))
+			}
+		}
+		x.violations = append(x.violations, body)
+	}
+	for _, f := range e.deletable {
+		x.deletable = append(x.deletable, local(f))
+		x.delR = append(x.delR, e.r[f])
+		x.delD = append(x.delD, e.d[f])
 	}
 	return x
 }
 
-// derivableWith computes the facts derivable from the kept source facts
-// plus the restored fact, and reports whether a covered violation is
-// realized. Read-only on the index; safe for concurrent callers.
-func (x *maxIndex) derivableWith(e *encoder, kept map[chase.FactID]bool, restored chase.FactID) bool {
-	derived := make(map[chase.FactID]bool, len(kept)+len(x.seeds))
-	pending := make([]int, len(x.rules))
-	copy(pending, x.pendingInit)
-	var queue []chase.FactID
-	push := func(f chase.FactID) {
-		if !derived[f] {
-			derived[f] = true
+// stampSet is a set of local fact ids stamped with a generation: an id is
+// a member while its mark equals gen, so reset empties the set in O(1).
+type stampSet struct {
+	marks []uint32
+	gen   uint32
+}
+
+func newStampSet(n int) stampSet { return stampSet{marks: make([]uint32, n), gen: 1} }
+
+func (s *stampSet) reset() {
+	s.gen++
+	if s.gen == 0 { // wrapped: no old mark may look current
+		clear(s.marks)
+		s.gen = 1
+	}
+}
+
+func (s *stampSet) add(f int32)           { s.marks[f] = s.gen }
+func (s *stampSet) remove(f int32)        { s.marks[f] = 0 }
+func (s *stampSet) contains(f int32) bool { return s.marks[f] == s.gen }
+
+// maxWork is one acceptor's working memory over the index's local fact
+// ids: the facts derived in the current fixpoint, the source facts the
+// checked model drops, and the clause support set being minimized.
+type maxWork struct {
+	derived, dropped, sup stampSet
+	pending               []int32
+	queue                 []int32
+}
+
+func (x *maxIndex) newWork() *maxWork {
+	n := len(x.watchers)
+	return &maxWork{
+		derived: newStampSet(n),
+		dropped: newStampSet(n),
+		sup:     newStampSet(n),
+		pending: make([]int32, len(x.heads)),
+	}
+}
+
+// derivableWith computes the facts derivable from the kept source facts —
+// every variable source fact outside out — plus the restored fact, and
+// reports whether a covered violation is realized. Read-only on the
+// index; the working memory belongs to one caller.
+func (x *maxIndex) derivableWith(wk *maxWork, out *stampSet, restored int32) bool {
+	d := &wk.derived
+	d.reset()
+	copy(wk.pending, x.pendingInit)
+	queue := wk.queue[:0]
+	push := func(f int32) {
+		if !d.contains(f) {
+			d.add(f)
 			queue = append(queue, f)
 		}
 	}
-	for f := range kept {
-		push(f)
+	for _, f := range x.sources {
+		if !out.contains(f) {
+			push(f)
+		}
 	}
 	push(restored)
 	for _, f := range x.seeds {
@@ -382,16 +458,17 @@ func (x *maxIndex) derivableWith(e *encoder, kept map[chase.FactID]bool, restore
 		g := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, ri := range x.watchers[g] {
-			pending[ri]--
-			if pending[ri] == 0 {
-				push(x.rules[ri].head)
+			wk.pending[ri]--
+			if wk.pending[ri] == 0 {
+				push(x.heads[ri])
 			}
 		}
 	}
-	for _, vi := range e.coveredViolations {
+	wk.queue = queue
+	for _, body := range x.violations {
 		realized := true
-		for _, b := range e.prov.Violations[vi].Body {
-			if e.state(b) == factVar && !derived[b] {
+		for _, b := range body {
+			if !d.contains(b) {
 				realized = false
 				break
 			}
@@ -407,55 +484,42 @@ func (x *maxIndex) derivableWith(e *encoder, kept map[chase.FactID]bool, restore
 // prebuilt derivation index (nil index means nothing to check). onLearn,
 // when non-nil, is called once per distinct clause a rejection learns: two
 // deleted facts that could each be restored alone yield the same clause
-// twice, and both copies still go to the solver.
+// twice, and both copies still go to the solver. The acceptor owns its
+// working stamp sets; the index stays shared and read-only.
 func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, onLearn func()) func(m []bool) [][]asp.Lit {
 	if x == nil {
 		return nil
 	}
 
 	// Bias the search toward keeping facts: maximal models first.
-	{
-		atoms := make([]asp.AtomID, 0, len(e.deletable))
-		for _, f := range e.deletable {
-			atoms = append(atoms, e.r[f])
-		}
-		s.PreferTrue(atoms)
-	}
-
-	// keptExcept builds the kept-set with exactly the given facts deleted.
-	keptExcept := func(deleted map[chase.FactID]bool) map[chase.FactID]bool {
-		kept := make(map[chase.FactID]bool, len(x.allSources))
-		for _, g := range x.allSources {
-			if !deleted[g] {
-				kept[g] = true
-			}
-		}
-		return kept
-	}
+	s.PreferTrue(x.delR)
 
 	// Clause minimization is quadratic in the deleted set; past this size
 	// the unminimized clause is used (still sound, just weaker).
 	const minimizeCap = 24
 
+	wk := x.newWork()
+	var deleted []int // positions in x.deletable
 	return func(m []bool) [][]asp.Lit {
-		kept := make(map[chase.FactID]bool)
-		var deleted []chase.FactID
-		for f, a := range e.r {
-			if e.prov.IsSource(f) && m[a] {
-				kept[f] = true
+		wk.dropped.reset()
+		for i, f := range x.sources {
+			if !m[x.sourceAtom[i]] {
+				wk.dropped.add(f)
 			}
 		}
-		for _, f := range e.deletable {
-			if m[e.d[f]] {
-				deleted = append(deleted, f)
+		deleted = deleted[:0]
+		for i := range x.deletable {
+			if m[x.delD[i]] {
+				deleted = append(deleted, i)
 			}
 		}
 		var learned [][]asp.Lit
-		for _, f := range deleted {
+		for _, di := range deleted {
+			f := x.deletable[di]
 			if s.Canceled() {
 				return nil // abandon refinement; the caller is timing out
 			}
-			if x.derivableWith(e, kept, f) {
+			if x.derivableWith(wk, &wk.dropped, f) {
 				continue // restoring f breaks something: deletion justified
 			}
 			// The model is not a repair: f could be restored harmlessly.
@@ -467,34 +531,34 @@ func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, onLearn fu
 			// every model the clause fires on). Greedily shrink S from the
 			// model's deleted set, which satisfies the criterion by
 			// construction.
-			sup := make(map[chase.FactID]bool, len(deleted))
-			for _, g := range deleted {
-				if g != f {
-					sup[g] = true
-				}
+			sup := &wk.sup
+			sup.reset()
+			for _, dj := range deleted {
+				sup.add(x.deletable[dj]) // f itself is always out of the kept set here
 			}
-			sup[f] = true // f itself is always out of the kept set here
 			if len(deleted) <= minimizeCap {
-				for _, g := range deleted {
+				for _, dj := range deleted {
+					g := x.deletable[dj]
 					if g == f {
 						continue
 					}
-					delete(sup, g)
-					if x.derivableWith(e, keptExcept(sup), f) {
-						sup[g] = true // g is load-bearing; keep it in the clause
+					sup.remove(g)
+					if x.derivableWith(wk, sup, f) {
+						sup.add(g) // g is load-bearing; keep it in the clause
 					}
 				}
 			}
-			delete(sup, f)
-			atoms := make([]asp.AtomID, 0, len(sup)+1)
-			atoms = append(atoms, e.r[f])
-			for g := range sup {
-				atoms = append(atoms, e.r[g])
+			atoms := make([]asp.AtomID, 0, len(deleted))
+			atoms = append(atoms, x.delR[di])
+			for _, dj := range deleted {
+				if dj != di && sup.contains(x.deletable[dj]) {
+					atoms = append(atoms, x.delR[dj])
+				}
 			}
-			// Sort: sup is a map, and clause literal order steers the
-			// solver's watches — sorted clauses keep solver effort (and so
-			// the telemetry counters) deterministic run to run.
-			sort.Slice(atoms, func(i, j int) bool { return atoms[i] < atoms[j] })
+			// Sort: clause literal order steers the solver's watches —
+			// sorted clauses keep solver effort (and so the telemetry
+			// counters) deterministic run to run.
+			slices.Sort(atoms)
 			clause := make([]asp.Lit, len(atoms))
 			for i, a := range atoms {
 				clause[i] = s.AtomLit(a, true)

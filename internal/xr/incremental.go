@@ -33,7 +33,11 @@ import (
 // atom instead of growing the program. So are their verdicts: the same
 // invariance fixes whether a wired atom is cautious or brave for the life
 // of the solver, so once a completed session has decided it, later
-// queries read the verdict instead of searching again.
+// queries read the verdict instead of searching again. And so are the
+// repairs the solver found: every model the maximality acceptor accepts
+// is a repair of the signature's sub-world, fixed for the life of the
+// solver, so a later atom false in a stored model is not certain and one
+// true in it is possible, without a session (witness models).
 //
 // Concurrency: a signature's persistent solver is single-threaded by
 // construction — queries over the same signature serialize on
@@ -51,16 +55,42 @@ type incSolver struct {
 	solver *asp.StableSolver // persistent solver over spec.gp
 
 	cands map[string]asp.AtomID // candidate body-structure key -> wired query atom
-	// verdicts holds what completed sessions decided about each wired
-	// query atom. It has at most one entry per atom in cands and goes
-	// with the solver on poison or eviction.
+	// verdicts holds what completed sessions and stored models decided
+	// about each wired query atom. It has at most one entry per atom in
+	// cands and goes with the solver on poison or eviction.
 	verdicts map[asp.AtomID]verdict
 	sessions int64 // query sessions served so far
+
+	// models holds up to maxWitnessModels distinct models the acceptor
+	// accepted, as bitsets over the base program's atoms (the first
+	// baseAtoms), the oldest replaced first at oldest. Like the verdicts
+	// they go with the solver on poison or eviction.
+	models    [][]uint64
+	oldest    int
+	baseAtoms int
+	// wiredRules[qa-baseAtoms] is the range of spec.gp.Rules heading the
+	// wired query atom qa; each body is over base atoms. fact marks an
+	// atom wired as a fact (true in every model).
+	wiredRules []wiredRules
 }
+
+// wiredRules locates one wired query atom's rules in the persistent
+// program.
+type wiredRules struct {
+	from, to int32
+	fact     bool
+}
+
+// maxWitnessModels bounds the stored models per persistent solver. With
+// no bound, a cold pass on the genome-churn shape (BenchmarkColdSuite)
+// stored at most two per solver, and a certain then a possible pass on
+// the genome-read shape at most three; one model left more sessions than
+// two on both, and two to eight left the same (DESIGN.md §17).
+const maxWitnessModels = 4
 
 // verdict is the memo entry of one wired query atom: whether it is
 // cautious (certain) and whether it is brave (possible), each once a
-// completed session has decided it.
+// completed session or a stored model has decided it.
 type verdict uint8
 
 const (
@@ -115,11 +145,12 @@ func (sp *sigProgram) incSolverLocked(ex *Exchange, mt *meters) *incSolver {
 	}
 	spec := sp.enc.specialize()
 	sp.inc = &incSolver{
-		id:       ex.solverIDs.Add(1),
-		spec:     spec,
-		solver:   asp.NewStableSolver(spec.gp),
-		cands:    make(map[string]asp.AtomID),
-		verdicts: make(map[asp.AtomID]verdict),
+		id:        ex.solverIDs.Add(1),
+		spec:      spec,
+		solver:    asp.NewStableSolver(spec.gp),
+		cands:     make(map[string]asp.AtomID),
+		verdicts:  make(map[asp.AtomID]verdict),
+		baseAtoms: spec.gp.NumAtoms(),
 	}
 	mt.recordReuseBuild()
 	return sp.inc
@@ -155,7 +186,12 @@ func (inc *incSolver) wireCandidates(g *sigGroup) *groupWiring {
 		}
 		qa, ok := inc.cands[key]
 		if !ok {
+			gp := inc.spec.gp
+			r := wiredRules{from: int32(len(gp.Rules))}
+			facts := len(gp.Facts)
 			qa, _ = inc.spec.addCandidate(c)
+			r.to, r.fact = int32(len(gp.Rules)), len(gp.Facts) > facts
+			inc.wiredRules = append(inc.wiredRules, r)
 			inc.cands[key] = qa
 			grew = true
 		}
@@ -194,11 +230,84 @@ func (inc *incSolver) memoSolve(w *groupWiring, brave bool) (sigSolve, bool) {
 		w:        w,
 		accepted: accepted,
 		memo:     true,
+		memoHits: w.distinct,
 		hasModel: true,
 		reused:   inc.sessions > 0,
 		rules:    len(inc.spec.gp.Rules),
 		numAtoms: inc.spec.gp.NumAtoms(),
 	}, true
+}
+
+// storeModel keeps an accepted model's base atoms as a witness, unless an
+// equal one is stored; past maxWitnessModels it replaces the oldest.
+func (inc *incSolver) storeModel(m []bool) {
+	bits := make([]uint64, (inc.baseAtoms+63)/64)
+	for a, tv := range m[:inc.baseAtoms] {
+		if tv {
+			bits[a>>6] |= 1 << (a & 63)
+		}
+	}
+	for _, old := range inc.models {
+		if slices.Equal(old, bits) {
+			return
+		}
+	}
+	if len(inc.models) < maxWitnessModels {
+		inc.models = append(inc.models, bits)
+		return
+	}
+	inc.models[inc.oldest] = bits
+	inc.oldest = (inc.oldest + 1) % maxWitnessModels
+}
+
+// holdsIn reports whether a wired query atom is true in a stored model:
+// whether one of its rule bodies is. Wiring is a stratified extension, so
+// the atom's value in any stable model is fixed by its rules over the
+// base atoms.
+func (inc *incSolver) holdsIn(model []uint64, qa asp.AtomID) bool {
+	r := inc.wiredRules[int(qa)-inc.baseAtoms]
+	if r.fact {
+		return true
+	}
+rules:
+	for _, rule := range inc.spec.gp.Rules[r.from:r.to] {
+		for _, b := range rule.Pos {
+			if model[b>>6]&(1<<(b&63)) == 0 {
+				continue rules
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// decideFromModels records in the verdict memo what the stored models
+// show about each pending atom — true in some model: possible; false in
+// some model: not certain — and returns the atoms still undecided under
+// the semantics, in order, and the number it decided.
+func (inc *incSolver) decideFromModels(pending []asp.AtomID, brave bool, holds map[asp.AtomID]bool) (rest []asp.AtomID, decided int) {
+	if len(inc.models) == 0 {
+		return pending, 0
+	}
+	rest = pending[:0]
+	for _, a := range pending {
+		v := inc.verdicts[a]
+		for _, m := range inc.models {
+			if inc.holdsIn(m, a) {
+				v = v.with(true, true)
+			} else {
+				v = v.with(false, false)
+			}
+		}
+		inc.verdicts[a] = v
+		if h, known := v.lookup(brave); known {
+			holds[a] = h
+			decided++
+		} else {
+			rest = append(rest, a)
+		}
+	}
+	return rest, decided
 }
 
 // candidateKey returns the canonical body-structure key of a candidate:

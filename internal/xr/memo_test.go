@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/asp"
 	"repro/internal/genome"
 	"repro/internal/instance"
 	"repro/internal/logic"
@@ -66,22 +68,40 @@ func memoScenarios(t *testing.T) []memoScenario {
 // TestVerdictMemoLongLived runs a seeded random mix of Answer and Possible
 // calls on one Exchange per scenario, at Parallelism 1, 4 and 8: some
 // unbudgeted, some under a small decision budget with Partial, some on a
-// context that is done before or as the groups reach the solver. Each budgeted ask is followed by the same ask unbudgeted, which
-// must still equal the fresh reference: a cut-short session records no
-// verdict. It also checks that each of the memo's two implications
-// serves some atom.
+// context that is done before or as the groups reach the solver. Each
+// budgeted ask is followed by the same ask unbudgeted, which must still
+// equal the fresh reference: a cut-short session records no verdict. A
+// model leg then asks with the verdicts forgotten but the stored witness
+// models kept. It also checks that each of the memo's two implications
+// serves some atom, and that at each parallelism the stored models decide
+// some atoms, some groups without spending budget, and that a done
+// context fails a group they decide.
 func TestVerdictMemoLongLived(t *testing.T) {
 	var degraded int
 	var certainHits, impossibleHits int64
+	var legs [3]modelLeg // per parallelism 1, 4, 8
 	for si, sc := range memoScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			degraded += runMemoMix(t, sc, int64(si))
+			d, l := runMemoMix(t, sc, int64(si))
+			degraded += d
+			for i := range legs {
+				legs[i].add(l[i])
+			}
 			certainHits += memoImplicationHits(t, sc, false)
 			impossibleHits += memoImplicationHits(t, sc, true)
 		})
 	}
+	t.Logf("budget legs: %d signatures degraded", degraded)
 	if degraded == 0 {
 		t.Fatal("no budgeted ask degraded a signature; the budget legs test nothing")
+	}
+	for i, par := range []int{1, 4, 8} {
+		l := legs[i]
+		t.Logf("parallelism %d: model leg %+v", par, l)
+		if l.hits == 0 || l.free == 0 || l.canceled == 0 {
+			t.Fatalf("parallelism %d: the stored models decided %d atoms and %d groups within a one-decision budget, and %d asks whose groups they decided failed on a done context; want each > 0",
+				par, l.hits, l.free, l.canceled)
+		}
 	}
 	if certainHits == 0 {
 		t.Fatal("certain ⇒ possible never served an atom")
@@ -91,9 +111,32 @@ func TestVerdictMemoLongLived(t *testing.T) {
 	}
 }
 
+// modelLeg counts what the stored witness models did in runMemoMix's
+// model leg at one parallelism: atoms they decided
+// (xr_solver_model_memo_hits_total), groups answered with no session
+// under a one-decision budget, asks failed on a done context although
+// the models decided every group, and the signatures the budget still
+// degraded. The last is logged only: it is kept apart from the budget
+// legs' total, whose check must show that those legs degrade something.
+type modelLeg struct {
+	hits     int64
+	free     int
+	canceled int
+	degraded int
+}
+
+func (l *modelLeg) add(o modelLeg) {
+	l.hits += o.hits
+	l.free += o.free
+	l.canceled += o.canceled
+	l.degraded += o.degraded
+}
+
 // runMemoMix drives one scenario's long-lived exchange and returns the
-// number of signatures its budgeted asks degraded.
-func runMemoMix(t *testing.T, sc memoScenario, seed int64) (degraded int) {
+// number of signatures its budgeted asks (the cold pass and the budget
+// calls of the mix) degraded, and its model leg's counts at Parallelism
+// 1, 4 and 8.
+func runMemoMix(t *testing.T, sc memoScenario, seed int64) (degraded int, legs [3]modelLeg) {
 	ex, err := NewExchange(sc.m, sc.src)
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +249,58 @@ func runMemoMix(t *testing.T, sc memoScenario, seed int64) (degraded int) {
 			unbudgeted(label, q, brave, par)
 		}
 	}
+	// Model leg: forget every verdict, keep the stored models, and ask
+	// under a one-decision budget. With no verdict, a group that answers
+	// without work (every counter of its trace event zero) was decided by
+	// the stored models alone, and the budget did not stop it. When the
+	// models decide every group of an ask, the same ask on a context done
+	// as its groups reach the solver must still fail.
+	forgetOnlyVerdicts := func() {
+		eachSigProgram(ex, func(sp *sigProgram) {
+			if sp.inc != nil {
+				clear(sp.inc.verdicts)
+			}
+		})
+	}
+	for i, par := range pars {
+		for _, q := range sc.queries {
+			for _, brave := range []bool{false, true} {
+				label := fmt.Sprintf("model leg %s brave=%v par=%d", q.Name, brave, par)
+				forgetOnlyVerdicts()
+				reg := telemetry.NewRegistry()
+				var free atomic.Int64
+				res, err := ex.query(q, brave, Options{Parallelism: par, MaxDecisions: 1, Partial: true, Metrics: reg,
+					Trace: func(ev TraceEvent) {
+						if ev.Stats == (asp.Stats{}) {
+							free.Add(1)
+						}
+					}})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertSoundPartial(t, tupleStrings(reference(q, brave)), res)
+				legs[i].degraded += res.Stats.DegradedSignatures
+				legs[i].hits += reg.Counter("xr_solver_model_memo_hits_total").Value()
+				legs[i].free += int(free.Load())
+				if res.Stats.Programs == 0 || int(free.Load()) != res.Stats.Programs || res.Stats.DegradedSignatures != 0 {
+					continue
+				}
+				forgetOnlyVerdicts()
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err = ex.query(q, brave, Options{Ctx: ctx, Parallelism: par, FaultHook: func(site, _ string) error {
+					if site == faultSiteSolve {
+						cancel()
+					}
+					return nil
+				}})
+				cancel()
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("%s: ask on a done context whose groups the stored models decide returned %v", label, err)
+				}
+				legs[i].canceled++
+			}
+		}
+	}
 	for _, q := range sc.queries {
 		c := unbudgeted("final certain "+q.Name, q, false, 4)
 		p := unbudgeted("final possible "+q.Name, q, true, 4)
@@ -215,13 +310,14 @@ func runMemoMix(t *testing.T, sc memoScenario, seed int64) (degraded int) {
 			}
 		}
 	}
-	return degraded
+	return degraded, legs
 }
 
 // memoImplicationHits asks each query in one semantics and then in the
-// other, emptying every memo before each query, and returns the memo hits
-// of the second asks. When the second ask runs, the memo holds only
-// first-ask verdicts, so each of its hits is served by an implication:
+// other, emptying every memo and stored model before each query, and
+// returns the memo hits of the second asks. When the second ask runs, the
+// memo holds only first-ask verdicts, so each of its hits is served by an
+// implication:
 // certain ⇒ possible when the first ask is certain (firstBrave false),
 // impossible ⇒ not certain when it is possible. The second ask must still
 // equal the fresh reference.
@@ -238,7 +334,7 @@ func memoImplicationHits(t *testing.T, sc memoScenario, firstBrave bool) int64 {
 	for _, q := range sc.queries {
 		for _, sp := range ex.progCache {
 			if sp.inc != nil {
-				clear(sp.inc.verdicts)
+				sp.inc.forget()
 			}
 		}
 		if _, err := ex.query(q, firstBrave, Options{}); err != nil {

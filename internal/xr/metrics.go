@@ -77,10 +77,12 @@ type meters struct {
 
 	// Persistent-solver reuse (DESIGN.md §17): sessions served on a warm
 	// per-signature solver vs cold builds of one, and query atoms answered
-	// from the solver's verdict memo without a session.
+	// without a session, from the solver's verdict memo or from the
+	// witness models it stored.
 	reuseSessions *telemetry.Counter
 	reuseBuilds   *telemetry.Counter
 	memoHits      *telemetry.Counter
+	modelHits     *telemetry.Counter
 
 	// Query plans (DESIGN.md §9.3): asks served from a cached plan, and
 	// plans evicted to keep the cache within its byte bound.
@@ -156,6 +158,7 @@ func newMeters(reg *telemetry.Registry) *meters {
 		reuseSessions: reg.Counter("xr_solver_reuse_sessions_total"),
 		reuseBuilds:   reg.Counter("xr_solver_reuse_builds_total"),
 		memoHits:      reg.Counter("xr_solver_verdict_memo_hits_total"),
+		modelHits:     reg.Counter("xr_solver_model_memo_hits_total"),
 
 		planHits:      reg.Counter("xr_query_plan_hits_total"),
 		planEvictions: reg.Counter("xr_query_plan_evictions_total"),
@@ -282,6 +285,15 @@ func (m *meters) recordMemoHits(n int) {
 		return
 	}
 	m.memoHits.Add(int64(n))
+}
+
+// recordModelMemoHits counts the distinct query atoms the stored witness
+// models decided for one group.
+func (m *meters) recordModelMemoHits(n int) {
+	if m == nil {
+		return
+	}
+	m.modelHits.Add(int64(n))
 }
 
 // recordPlanHit counts one query served from a cached plan.

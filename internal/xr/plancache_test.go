@@ -46,24 +46,32 @@ func eachSigProgram(ex *Exchange, fn func(*sigProgram)) {
 	}
 }
 
+// forget empties what a persistent solver remembers of its sessions
+// besides learned clauses: the verdict memo and the stored witness
+// models. The next ask of each of its groups then runs a session.
+func (inc *incSolver) forget() {
+	clear(inc.verdicts)
+	inc.models, inc.oldest = nil, 0
+}
+
 // poisonAllSolvers sabotages every persistent solver the way
 // TestPoisonedSolverPanicRebuilds does one: the next session on each
-// panics, and no verdict spares a group that session.
+// panics, and no verdict or stored model spares a group that session.
 func poisonAllSolvers(ex *Exchange) {
 	eachSigProgram(ex, func(sp *sigProgram) {
 		if sp.inc != nil {
 			sp.inc.solver = nil
-			clear(sp.inc.verdicts)
+			sp.inc.forget()
 		}
 	})
 }
 
-// forgetVerdicts empties the verdict memo of every persistent solver, so
-// the next ask of every group runs a session.
+// forgetVerdicts empties the verdict memo and the stored models of every
+// persistent solver, so the next ask of every group runs a session.
 func forgetVerdicts(ex *Exchange) {
 	eachSigProgram(ex, func(sp *sigProgram) {
 		if sp.inc != nil {
-			clear(sp.inc.verdicts)
+			sp.inc.forget()
 		}
 	})
 }

@@ -57,7 +57,8 @@ func benchGroups(b *testing.B, profile string) (*Exchange, []*sigGroup) {
 //     reference; the first-ever query on the signature);
 //   - persistent: one persistent solver per signature answering via an
 //     assumption session, clause database held in place (the verdict memo
-//     is emptied before each iteration, so every group opens a session);
+//     and the stored witness models are emptied before each iteration, so
+//     every group opens a session);
 //   - memo: the same solvers answering a repeat from their verdict memos,
 //     with no session.
 //
@@ -78,8 +79,8 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 			}
 		})
 		// warm returns a closure solving every group on its persistent
-		// solver, and one emptying every verdict memo; the solvers are
-		// built and have answered once.
+		// solver, and one emptying every verdict memo and stored model;
+		// the solvers are built and have answered once.
 		warm := func(b *testing.B) (solveAll, forget func()) {
 			ex, gs := benchGroups(b, profile)
 			sps := make([]*sigProgram, len(gs))
@@ -95,7 +96,7 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 			}
 			forget = func() {
 				for _, sp := range sps {
-					clear(sp.inc.verdicts)
+					sp.inc.forget()
 				}
 			}
 			solveAll()

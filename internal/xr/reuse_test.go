@@ -307,8 +307,9 @@ func TestReuseObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No conflicted candidate is certain, so neither implication decides
-	// its possible status: Possible runs a real session on each warm
-	// solver.
+	// its possible status, and with the stored models dropped nothing
+	// else does: Possible runs a real session on each warm solver.
+	eachSigProgram(ex, func(sp *sigProgram) { sp.inc.models = nil })
 	var warm []TraceEvent
 	if _, err := ex.PossibleOpts(q, Options{Trace: func(ev TraceEvent) {
 		if ev.SolverReused {

@@ -83,9 +83,10 @@ type Exchange struct {
 	// (Definition 5); their union is the source repair envelope I_suspect
 	// (Proposition 3).
 	suspect map[chase.FactID]bool
-	// safeDerivable marks facts derivable without any suspect source fact;
-	// this is I_safe ∪ J_safe computed on the support hypergraph.
-	safeDerivable map[chase.FactID]bool
+	// safeDerivable marks, per FactID, the facts derivable without any
+	// suspect source fact; this is I_safe ∪ J_safe computed on the support
+	// hypergraph.
+	safeDerivable []bool
 	// clustersOf maps each fact to the (sorted) clusters whose influence
 	// contains it.
 	clustersOf map[chase.FactID][]int
@@ -232,7 +233,11 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		sort.Ints(cs)
 	}
 
-	ex.safeDerivable = prov.SafeDerivable(ex.suspect)
+	safe := prov.SafeDerivable(ex.suspect)
+	ex.safeDerivable = make([]bool, prov.NumFacts())
+	for f := range safe {
+		ex.safeDerivable[f] = true
+	}
 
 	end := time.Now()
 	ex.Stats = ExchangeStats{
@@ -241,7 +246,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		Violations:     len(prov.Violations),
 		Clusters:       len(ex.Clusters),
 		SuspectSource:  len(ex.suspect),
-		SafeDerivable:  len(ex.safeDerivable),
+		SafeDerivable:  len(safe),
 		ReduceDuration: afterReduce.Sub(start),
 		ChaseDuration:  afterChase.Sub(afterReduce),
 		EnvDuration:    end.Sub(afterChase),
@@ -606,7 +611,7 @@ type groupOutcome struct {
 	accepted []*candidate // the group's candidates that hold, in group order
 	cacheHit bool
 	retries  int
-	memoHits int // distinct atoms the verdict memo decided without a session
+	memoHits int // distinct atoms the verdict memo decided
 
 	// degraded marks a group that could not be decided within its budget
 	// under Options.Partial; unknown holds its candidates, reported as
@@ -665,11 +670,13 @@ func retryableSigErr(err error) bool {
 // sigSolve is the outcome of deciding one signature group: the wiring it
 // was decided on, the live candidates that hold, the program size, the
 // solver's termination state, and the session's work counters (zero when
-// the verdict memo decided the whole group and no session ran).
+// the verdict memo and the stored models decided the whole group and no
+// session ran).
 type sigSolve struct {
 	w        *groupWiring
 	accepted []*candidate
-	memo     bool // decided by the verdict memo alone, without a session
+	memo     bool // decided without a session
+	memoHits int  // distinct atoms the verdict memo decided
 	hasModel bool
 	rules    int
 	numAtoms int
@@ -751,9 +758,10 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, a *ask, t *sigTask, inP
 		sv = ex.solveSigReuse(ctx, sp, g, a.brave, opts, a.mt, t.scale)
 	}
 	if sv.memo {
-		// Every atom has a verdict, so an earlier session completed with a
-		// stable model; the models never change. A done context still
-		// fails the group, exactly as it would fail a session.
+		// Every atom was decided by a verdict or a stored model, so the
+		// program has a stable model, and its models never change. A done
+		// context still fails the group, exactly as it would fail a
+		// session.
 		sv.canceled = ctx.Err() != nil
 	}
 	// A cut-short session must be discarded: cautious narrowing
@@ -776,11 +784,8 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, a *ask, t *sigTask, inP
 		return out, fmt.Errorf("internal error: signature program has no stable model")
 	}
 
-	out = groupOutcome{accepted: sv.accepted, cacheHit: hit}
-	if sv.memo {
-		out.memoHits = sv.w.distinct
-		a.mt.recordMemoHits(out.memoHits)
-	}
+	out = groupOutcome{accepted: sv.accepted, cacheHit: hit, memoHits: sv.memoHits}
+	a.mt.recordMemoHits(sv.memoHits)
 	span.ArgInt("candidates", int64(len(sv.w.atoms)))
 	if hit {
 		span.Arg("cache", "hit")
@@ -847,15 +852,16 @@ func (ex *Exchange) decideFromMemo(g *sigGroup, brave bool) (*sigProgram, sigSol
 
 // solveSigReuse decides the group on the signature's persistent solver
 // (see incremental.go). Candidates are memoized into the persistent
-// program, and atoms the verdict memo already decides are answered from
-// it. The rest go to one incremental session, whose activation literal
-// scopes every query-local clause, so the solver — and everything it
-// learned — survives for the next query; a group the memo decides
-// entirely opens no session and spends no budget. The whole solve holds
-// incMu, serializing concurrent queries over the same signature. Counters
-// are reported as per-session deltas. A panic poisons the persistent
-// solver before propagating, so a later query rebuilds it from the
-// immutable base program.
+// program, atoms the verdict memo already decides are answered from it,
+// and then atoms the stored witness models decide. The rest go to one
+// incremental session, whose activation literal scopes every query-local
+// clause, so the solver — and everything it learned — survives for the
+// next query; the session's acceptor stores the models it accepts. A
+// group the memo and the models decide entirely opens no session and
+// spends no budget. The whole solve holds incMu, serializing concurrent
+// queries over the same signature. Counters are reported as per-session
+// deltas. A panic poisons the persistent solver before propagating, so a
+// later query rebuilds it from the immutable base program.
 func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGroup, brave bool, opts *Options, mt *meters, scale int64) (sv sigSolve) {
 	sp.incMu.Lock()
 	defer sp.incMu.Unlock()
@@ -888,6 +894,14 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 			pending = append(pending, a)
 		}
 	}
+	sv.memoHits = len(holds) - len(pending)
+	pending, decided := inc.decideFromModels(pending, brave, holds)
+	mt.recordModelMemoHits(decided)
+	if len(pending) == 0 && decided > 0 {
+		sv.memo, sv.hasModel = true, true
+		sv.accepted = acceptedOf(w, holds)
+		return sv
+	}
 
 	inc.sessions++
 	mt.recordReuseSession(sv.reused)
@@ -896,7 +910,20 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	// Always re-arm: the budget is measured from here, and re-arming clears
 	// the exhausted latch a previous query's cut-short session left behind.
 	solver.SetBudget(opts.MaxDecisions*scale, opts.MaxConflicts*scale)
-	solver.Acceptor = inc.spec.acceptorWithIndex(sp.idx, solver, mt.recordLearned)
+	maximal := inc.spec.acceptorWithIndex(sp.idx, solver, mt.recordLearned)
+	solver.Acceptor = func(m []bool) [][]asp.Lit {
+		var learned [][]asp.Lit
+		if maximal != nil {
+			learned = maximal(m)
+		}
+		// An accepted model is a repair, even if the session is later cut
+		// short; one accepted while the context ended may have skipped
+		// the maximality check.
+		if len(learned) == 0 && !solver.Canceled() {
+			inc.storeModel(m)
+		}
+		return learned
+	}
 
 	before := solver.Stats()
 	sess := solver.StartSession(nil)
@@ -922,13 +949,20 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	for _, a := range pending {
 		inc.verdicts[a] = inc.verdicts[a].with(brave, holds[a])
 	}
-	mt.recordMemoHits(len(holds) - len(pending))
+	sv.accepted = acceptedOf(w, holds)
+	return sv
+}
+
+// acceptedOf returns the group's live candidates whose atoms hold, in
+// group order.
+func acceptedOf(w *groupWiring, holds map[asp.AtomID]bool) []*candidate {
+	var accepted []*candidate
 	for i, c := range w.live {
 		if holds[w.atoms[i]] {
-			sv.accepted = append(sv.accepted, c)
+			accepted = append(accepted, c)
 		}
 	}
-	return sv
+	return accepted
 }
 
 // safeCandidate reports whether some support set lies entirely in the safe
