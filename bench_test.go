@@ -22,6 +22,7 @@ import (
 	"repro/internal/gavreduce"
 	"repro/internal/genome"
 	"repro/internal/logic"
+	"repro/internal/parser"
 	"repro/internal/telemetry"
 	"repro/internal/xr"
 )
@@ -177,6 +178,42 @@ func BenchmarkChase(b *testing.B) {
 		b.Run("native/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := chase.Native(w.M, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScenarioLoad measures one tenant load as xrserved performs it
+// (Load, ParseFacts, then NewExchange with a metrics registry and
+// profiling on) on the two genome shapes of the xrperf benchmark: churn is
+// a genome-churn tenant (360 transcripts, 9% suspect) and read the
+// genome-read tenant (1,600 transcripts, 20% suspect). It reports B/op
+// and allocs/op: what one load allocates, whatever it keeps.
+func BenchmarkScenarioLoad(b *testing.B) {
+	w, err := genome.NewWorld()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []genome.Profile{
+		{Name: "churn", Transcripts: 360, SuspectRate: 0.09, Seed: 1000},
+		{Name: "read", Transcripts: 1600, SuspectRate: 0.20, Seed: 7004},
+	} {
+		facts := parser.FormatFacts(genome.Generate(w, p), w.Cat, w.U)
+		reg := NewMetrics()
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, err := Load(genome.MappingText)
+				if err != nil {
+					b.Fatal(err)
+				}
+				in, err := sys.ParseFacts(facts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sys.NewExchange(in, WithMetrics(reg), WithProfiling(true)); err != nil {
 					b.Fatal(err)
 				}
 			}

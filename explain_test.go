@@ -62,7 +62,7 @@ func TestWhyTricolorWitnessConfirmed(t *testing.T) {
 	}
 	kept := in.in.Clone()
 	for _, f := range xe.Witness.DroppedSource {
-		if !kept.RemoveFact(ex.ex.Prov.Fact(f)) {
+		if fact := ex.ex.Prov.Fact(f); !kept.Remove(fact.Rel, fact.Args) {
 			t.Fatalf("witness drops %v, which is not a source fact", ex.ex.Prov.Fact(f))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -67,6 +68,7 @@ func naiveGAV(m *mapping.Mapping, src *instance.Instance, st *Stats) (*Provenanc
 			grew = grew || added
 		}
 		if !grew {
+			p.finish()
 			p.findViolations()
 			return p, nil
 		}
@@ -102,7 +104,7 @@ func provEqual(t *testing.T, label string, a, b *Provenance) {
 			t.Fatalf("%s: fact %d has %d vs %d support sets", label, id, len(sa), len(sb))
 		}
 		for si := range sa {
-			if !factIDsEqual(sa[si], sb[si]) {
+			if !slices.Equal(sa[si], sb[si]) {
 				t.Fatalf("%s: fact %d support %d differs: %v vs %v", label, id, si, sa[si], sb[si])
 			}
 		}
@@ -112,7 +114,7 @@ func provEqual(t *testing.T, label string, a, b *Provenance) {
 	}
 	for i := range a.Violations {
 		va, vb := a.Violations[i], b.Violations[i]
-		if va.EgdIndex != vb.EgdIndex || va.L != vb.L || va.R != vb.R || !factIDsEqual(va.Body, vb.Body) {
+		if va.EgdIndex != vb.EgdIndex || va.L != vb.L || va.R != vb.R || !slices.Equal(va.Body, vb.Body) {
 			t.Fatalf("%s: violation %d differs: %+v vs %+v", label, i, va, vb)
 		}
 	}

@@ -25,7 +25,7 @@ package chase
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cq"
@@ -221,21 +221,22 @@ type trigger struct {
 }
 
 func sortTriggers(trig []trigger, order []int) {
-	sort.Slice(trig, func(i, j int) bool {
-		return rankLess(trig[i].rank, trig[j].rank, order)
-	})
+	slices.SortFunc(trig, func(a, b trigger) int { return rankCmp(a.rank, b.rank, order) })
 }
 
-// rankLess compares generation ranks lexicographically along the join
+// rankCmp compares generation ranks lexicographically along the join
 // order. Ranks are unique per match (tuple generations are globally
 // unique), so the order is total and the sort deterministic.
-func rankLess(a, b []uint64, order []int) bool {
+func rankCmp(a, b []uint64, order []int) int {
 	for _, pos := range order {
 		if a[pos] != b[pos] {
-			return a[pos] < b[pos]
+			if a[pos] < b[pos] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // apply evaluates the tgd semi-naively and fires every collected trigger

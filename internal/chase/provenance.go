@@ -1,9 +1,9 @@
 package chase
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/cq"
@@ -35,8 +35,10 @@ type Provenance struct {
 	// (the canonical quasi-solution of Definition 2 restricted to T).
 	Instance *instance.Instance
 
-	facts    []instance.Fact
-	isSource []bool
+	facts []instance.Fact
+	// numSource counts the source facts. They are interned before any
+	// derived fact, so they are exactly the ids below numSource.
+	numSource FactID
 	// genID maps a tuple's insertion generation in Instance to its FactID
 	// (indexed 1..Instance.Gen(); only a source instance that saw removals
 	// leaves slots no tuple uses). It is the only fact index: derivations,
@@ -45,24 +47,54 @@ type Provenance struct {
 	// Instance.GenOf, so no string key is kept per fact.
 	genID []FactID
 
-	// supports[f] lists the support sets of fact f (Definition 4): each is
-	// a sorted list of fact ids whose conjunction derives f via one ground
-	// tgd. Source facts have none.
-	supports [][][]FactID
-	// supSeen[f] dedups support sets; it is nil while the fact has few
-	// supports (linear comparison is cheaper) and materialized past a
-	// threshold.
-	supSeen []map[string]bool
-
-	supArena  arena[FactID]
-	valArena  arena[symtab.Value]
-	rankArena arena[uint64]
-
-	// usedIn[g] lists (fact, support-set index) pairs where g occurs, i.e.
+	// The support sets of fact f (Definition 4) are sets[supOff[f]:supOff[f+1]],
+	// in the order the chase first derived them: each is a sorted list of
+	// fact ids whose conjunction derives f via one ground tgd. Source facts
+	// have none. All sets share one backing array, laid out fact by fact.
+	sets   [][]FactID
+	supOff []int32
+	// usedIn[usedOff[g]:usedOff[g+1]] lists the (fact, set) pairs whose set
+	// contains g, once per occurrence, in the order the sets were derived:
 	// the reverse hyperedges used to compute influences (Definition 7).
-	usedIn [][]SupportRef
+	usedIn  []SupportRef
+	usedOff []int32
+
+	// valArena holds the arguments of derived facts.
+	valArena arena[symtab.Value]
+	// log and scratch live only while the fixpoint runs; finish turns the
+	// log into the tables above and drops both.
+	log     supportLog
+	scratch firingScratch
 
 	Violations []Violation
+}
+
+// supportLog records every derivation of the fixpoint in order, repeats
+// included: entry i derives fact[i] from the sorted ids[end[i-1]:end[i]].
+type supportLog struct {
+	fact []FactID
+	end  []int32
+	ids  []FactID
+}
+
+// set returns the sorted support set of entry e.
+func (l *supportLog) set(e int32) []FactID {
+	lo := int32(0)
+	if e > 0 {
+		lo = l.end[e-1]
+	}
+	return l.ids[lo:l.end[e]]
+}
+
+// firingScratch holds one tgd evaluation's matches, reused by every
+// evaluation of the chase: per match, the head arguments (args) and the
+// body tuples' generations (ranks), plus the order in which the matches
+// are applied and one match's body fact ids.
+type firingScratch struct {
+	args  []symtab.Value
+	ranks []uint64
+	order []int32
+	body  []FactID
 }
 
 // SupportRef locates one occurrence of a fact inside another fact's
@@ -79,7 +111,7 @@ func (p *Provenance) NumFacts() int { return len(p.facts) }
 func (p *Provenance) Fact(id FactID) instance.Fact { return p.facts[id] }
 
 // IsSource reports whether the fact is a source fact of the original input.
-func (p *Provenance) IsSource(id FactID) bool { return p.isSource[id] }
+func (p *Provenance) IsSource(id FactID) bool { return id < p.numSource }
 
 // FactIDOf returns the id of a fact, if present.
 func (p *Provenance) FactIDOf(f instance.Fact) (FactID, bool) {
@@ -102,77 +134,154 @@ func (p *Provenance) FactIDOfGen(g uint64) (FactID, bool) {
 
 // Supports returns the support sets of a fact. The result is shared; do not
 // modify.
-func (p *Provenance) Supports(id FactID) [][]FactID { return p.supports[id] }
+func (p *Provenance) Supports(id FactID) [][]FactID {
+	lo, hi := p.supOff[id], p.supOff[id+1]
+	return p.sets[lo:hi:hi]
+}
+
+// usedBy returns the reverse hyperedges of g: every (fact, set) whose
+// support set contains g.
+func (p *Provenance) usedBy(g FactID) []SupportRef {
+	return p.usedIn[p.usedOff[g]:p.usedOff[g+1]]
+}
+
+// grow returns s with room for n more elements. It doubles the capacity
+// when it must grow, where append's own growth slows to 1.25× on large
+// slices.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	ns := make([]T, len(s), max(2*cap(s), len(s)+n, 64))
+	copy(ns, s)
+	return ns
+}
 
 // intern assigns the next id to f. The chase interns each fact exactly once,
 // when it first appears in Instance, and records the id under its generation.
-func (p *Provenance) intern(f instance.Fact, source bool) FactID {
+func (p *Provenance) intern(f instance.Fact) FactID {
 	id := FactID(len(p.facts))
-	p.facts = append(p.facts, f)
-	p.isSource = append(p.isSource, source)
-	p.supports = append(p.supports, nil)
-	p.supSeen = append(p.supSeen, nil)
-	p.usedIn = append(p.usedIn, nil)
+	p.facts = append(grow(p.facts, 1), f)
 	return id
 }
 
-// supSeenThreshold is the support count past which dedup switches from
-// linear comparison to a per-fact string-key set.
-const supSeenThreshold = 16
-
+// addSupport logs that set (one match's body fact ids, in atom order)
+// derives f. Repeats are kept here and dropped by finish.
 func (p *Provenance) addSupport(f FactID, set []FactID) {
-	sorted := p.supArena.alloc(len(set))
-	copy(sorted, set)
+	l := &p.log
+	start := len(l.ids)
+	l.ids = append(grow(l.ids, len(set)), set...)
+	sorted := l.ids[start:]
 	// Insertion sort: support sets are tgd bodies, almost always 1-3 atoms.
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	sups := p.supports[f]
-	if seen := p.supSeen[f]; seen != nil {
-		key := encodeFactIDs(sorted)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-	} else {
-		for _, s := range sups {
-			if factIDsEqual(s, sorted) {
-				return
-			}
-		}
-		if len(sups)+1 > supSeenThreshold {
-			seen = make(map[string]bool, 2*(len(sups)+1))
-			for _, s := range sups {
-				seen[encodeFactIDs(s)] = true
-			}
-			seen[encodeFactIDs(sorted)] = true
-			p.supSeen[f] = seen
-		}
-	}
-	idx := int32(len(sups))
-	p.supports[f] = append(sups, sorted)
-	for _, g := range sorted {
-		p.usedIn[g] = append(p.usedIn[g], SupportRef{Fact: f, Set: idx})
-	}
+	l.fact = append(grow(l.fact, 1), f)
+	l.end = append(grow(l.end, 1), int32(len(l.ids)))
 }
 
-func factIDsEqual(a, b []FactID) bool {
-	if len(a) != len(b) {
-		return false
+// finish builds the support tables from the log once the fixpoint is done.
+// Each fact keeps the first occurrence of each of its sets, in log order,
+// and usedIn lists the kept sets in log order too: the tables equal those
+// of recording each derivation as it happens and skipping a set its fact
+// already has. The retained tables are allocated at their exact sizes; the
+// log and the firing scratch are dropped.
+func (p *Provenance) finish() {
+	l := &p.log
+	n := len(p.facts)
+
+	// Group the entries by fact, in log order (a counting sort).
+	off := make([]int32, n+1)
+	for _, f := range l.fact {
+		off[f+1]++
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for f := 1; f <= n; f++ {
+		off[f] += off[f-1]
+	}
+	byFact := make([]int32, len(l.fact))
+	next := slices.Clone(off[:n])
+	for e, f := range l.fact {
+		byFact[next[f]] = int32(e)
+		next[f]++
+	}
+
+	// Number each fact's distinct sets in first-seen order; setOf[e] is -1
+	// for a repeat. Sorting a fact's entries by content, then by log
+	// position, starts each run of equal sets with its first occurrence.
+	setOf := make([]int32, len(l.fact))
+	p.supOff = make([]int32, n+1)
+	nids := 0
+	var sorted []int32
+	for f := 0; f < n; f++ {
+		es := byFact[off[f]:off[f+1]]
+		if len(es) > 1 {
+			sorted = append(sorted[:0], es...)
+			slices.SortFunc(sorted, func(a, b int32) int {
+				return cmp.Or(slices.Compare(l.set(a), l.set(b)), cmp.Compare(a, b))
+			})
+			for i := 1; i < len(sorted); i++ {
+				if slices.Equal(l.set(sorted[i-1]), l.set(sorted[i])) {
+					setOf[sorted[i]] = -1
+				}
+			}
+		}
+		k := int32(0)
+		for _, e := range es {
+			if setOf[e] >= 0 {
+				setOf[e] = k
+				k++
+				nids += len(l.set(e))
+			}
+		}
+		p.supOff[f+1] = p.supOff[f] + k
+	}
+
+	// Copy the kept sets fact by fact into one exact-size array.
+	ids := make([]FactID, 0, nids)
+	p.sets = make([][]FactID, p.supOff[n])
+	for f := 0; f < n; f++ {
+		for _, e := range byFact[off[f]:off[f+1]] {
+			if k := setOf[e]; k >= 0 {
+				lo := len(ids)
+				ids = append(ids, l.set(e)...)
+				p.sets[p.supOff[f]+k] = ids[lo:len(ids):len(ids)]
+			}
 		}
 	}
-	return true
+
+	// Invert the kept sets in log order.
+	p.usedOff = make([]int32, n+1)
+	for e := range l.fact {
+		if setOf[e] >= 0 {
+			for _, g := range l.set(int32(e)) {
+				p.usedOff[g+1]++
+			}
+		}
+	}
+	for g := 1; g <= n; g++ {
+		p.usedOff[g] += p.usedOff[g-1]
+	}
+	p.usedIn = make([]SupportRef, p.usedOff[n])
+	next = slices.Clone(p.usedOff[:n])
+	for e, f := range l.fact {
+		if k := setOf[e]; k >= 0 {
+			for _, g := range l.set(int32(e)) {
+				p.usedIn[next[g]] = SupportRef{Fact: f, Set: k}
+				next[g]++
+			}
+		}
+	}
+
+	p.log, p.scratch = supportLog{}, firingScratch{}
+	p.facts = slices.Clone(p.facts)
+	p.genID = slices.Clone(p.genID)
 }
 
 // arena bump-allocates small slices out of shared chunks, amortizing the
-// per-slice heap allocation of the chase's firing records and support sets.
-// Allocated slices stay valid for the arena's lifetime; nothing is freed.
+// per-slice heap allocation of derived facts' arguments. Allocated slices
+// stay valid for the arena's lifetime; nothing is freed.
 type arena[T any] struct{ cur []T }
 
 func (a *arena[T]) alloc(n int) []T {
@@ -225,9 +334,23 @@ func GAVWithOptions(m *mapping.Mapping, src *instance.Instance, opt Options) (*P
 		return nil, err
 	}
 	t0 := time.Now()
+	if err := p.fixpoint(execs, st); err != nil {
+		return nil, err
+	}
+	p.finish()
+	st.TgdDuration += time.Since(t0)
+	t0 = time.Now()
+	p.findViolations()
+	st.ViolationDuration += time.Since(t0)
+	return p, nil
+}
+
+// fixpoint evaluates the tgds semi-naively, round after round, until a
+// round evaluates none.
+func (p *Provenance) fixpoint(execs []*gavExec, st *Stats) error {
 	for round := 0; ; round++ {
 		if round > maxRounds {
-			return nil, fmt.Errorf("chase: GAV chase did not terminate after %d rounds", maxRounds)
+			return fmt.Errorf("chase: GAV chase did not terminate after %d rounds", maxRounds)
 		}
 		st.Rounds++
 		evaluated := false
@@ -236,14 +359,9 @@ func GAVWithOptions(m *mapping.Mapping, src *instance.Instance, opt Options) (*P
 			evaluated = evaluated || ev
 		}
 		if !evaluated {
-			break
+			return nil
 		}
 	}
-	st.TgdDuration += time.Since(t0)
-	t0 = time.Now()
-	p.findViolations()
-	st.ViolationDuration += time.Since(t0)
-	return p, nil
 }
 
 // startGAV opens a GAV chase of src: a provenance record holding the source
@@ -257,13 +375,15 @@ func startGAV(m *mapping.Mapping, src *instance.Instance) (*Provenance, []*gavEx
 		Instance: src.Clone(),
 	}
 	p.genID = make([]FactID, p.Instance.Gen()+1)
+	p.facts = make([]instance.Fact, 0, 2*src.Len())
 	for _, f := range src.Facts() {
 		g, ok := p.Instance.GenOf(f.Rel, f.Args)
 		if !ok {
 			panic("chase: source fact missing from cloned instance")
 		}
-		p.genID[g] = p.intern(f, true)
+		p.genID[g] = p.intern(f)
 	}
+	p.numSource = FactID(len(p.facts))
 
 	tgds := m.AllTgds()
 	execs := make([]*gavExec, len(tgds))
@@ -288,13 +408,6 @@ type gavExec struct {
 	headConsts []symtab.Value
 	headSlot   []int
 	numBody    int
-
-	firings []gavFiring // scratch, reused across evaluations
-}
-
-type gavFiring struct {
-	args []symtab.Value
-	rank []uint64 // body-tuple gens per atom; resolved to FactIDs at apply time
 }
 
 func compileGAV(d *logic.TGD) *gavExec {
@@ -340,49 +453,56 @@ func (p *Provenance) applyGAVTGD(ge *gavExec, st *Stats) (evaluated, added bool)
 	cur := p.Instance.Gen()
 	st.RuleEvals++
 	ge.started = true
-	firings := ge.firings[:0]
+	sc := &p.scratch
+	nh, nb := len(ge.headSlot), ge.numBody
+	args, ranks, order := sc.args[:0], sc.ranks[:0], sc.order[:0]
 	var evalOrder []int
-	ge.plan.ForEachDelta(p.Instance, old, func(env []symtab.Value, rank []uint64, order []int) bool {
-		evalOrder = order
-		args := p.valArena.alloc(len(ge.headConsts))
-		for j := range args {
-			if s := ge.headSlot[j]; s >= 0 {
-				args[j] = env[s]
+	ge.plan.ForEachDelta(p.Instance, old, func(env []symtab.Value, rank []uint64, o []int) bool {
+		evalOrder = o
+		for j, s := range ge.headSlot {
+			if s >= 0 {
+				args = append(args, env[s])
 			} else {
-				args[j] = ge.headConsts[j]
+				args = append(args, ge.headConsts[j])
 			}
 		}
-		r := p.rankArena.alloc(len(rank))
-		copy(r, rank)
-		firings = append(firings, gavFiring{args: args, rank: r})
+		ranks = append(ranks, rank...)
+		order = append(order, int32(len(order)))
 		return true
 	})
 	ge.watermark = cur
-	sort.Slice(firings, func(i, j int) bool { return rankLess(firings[i].rank, firings[j].rank, evalOrder) })
-	ge.firings = firings
-	body := make([]FactID, ge.numBody)
-	for _, fr := range firings {
+	rankOf := func(i int32) []uint64 { return ranks[int(i)*nb : int(i+1)*nb] }
+	slices.SortFunc(order, func(a, b int32) int { return rankCmp(rankOf(a), rankOf(b), evalOrder) })
+	if cap(sc.body) < nb {
+		sc.body = make([]FactID, nb)
+	}
+	body := sc.body[:nb]
+	sc.args, sc.ranks, sc.order = args, ranks, order
+	for _, i := range order {
 		st.Triggers++
-		f := instance.Fact{Rel: ge.headRel, Args: fr.args}
-		gen, isNew := p.Instance.AddWithGen(f.Rel, f.Args)
+		head := args[int(i)*nh : int(i+1)*nh]
 		var id FactID
-		if isNew {
+		if gen, ok := p.Instance.GenOf(ge.headRel, head); ok {
+			id = p.genID[gen]
+		} else {
+			// AddWithGen retains its argument slice: give it its own copy.
+			own := p.valArena.alloc(nh)
+			copy(own, head)
+			gen, _ = p.Instance.AddWithGen(ge.headRel, own)
 			added = true
 			st.DeltaFacts++
-			id = p.intern(f, false)
+			id = p.intern(instance.Fact{Rel: ge.headRel, Args: own})
 			if int(gen) != len(p.genID) {
 				panic("chase: generation/fact-id tables out of sync")
 			}
-			p.genID = append(p.genID, id)
-		} else {
-			id = p.genID[gen]
+			p.genID = append(grow(p.genID, 1), id)
 		}
 		// The matched body tuples are identified by their generations; all
 		// existed before this evaluation, so their ids are in the table.
 		self := false
-		for i, g := range fr.rank {
+		for j, g := range rankOf(i) {
 			b := p.genID[g]
-			body[i] = b
+			body[j] = b
 			// Self-supports (a fact deriving itself) carry no information
 			// for closures/influence and would create spurious cycles.
 			if b == id {
@@ -447,7 +567,7 @@ func (p *Provenance) SupportClosure(seed []FactID) map[FactID]bool {
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, set := range p.supports[f] {
+		for _, set := range p.Supports(f) {
 			for _, g := range set {
 				if !closure[g] {
 					closure[g] = true
@@ -472,7 +592,7 @@ func (p *Provenance) Influence(seed map[FactID]bool) map[FactID]bool {
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ref := range p.usedIn[g] {
+		for _, ref := range p.usedBy(g) {
 			if !infl[ref.Fact] {
 				infl[ref.Fact] = true
 				stack = append(stack, ref.Fact)
@@ -482,24 +602,24 @@ func (p *Provenance) Influence(seed map[FactID]bool) map[FactID]bool {
 	return infl
 }
 
-// SafeDerivable returns the set of facts derivable using only facts outside
-// `excluded`: source facts not excluded are derivable; a derived fact is
-// derivable if it is not excluded and some support set is entirely
-// derivable. This equals chase(I \ excluded-source-facts) by monotonicity,
-// computed on the hypergraph without re-chasing.
-func (p *Provenance) SafeDerivable(excluded map[FactID]bool) map[FactID]bool {
-	derivable := make(map[FactID]bool)
-	// Count per (fact, support set) how many members are pending; fire when 0.
-	type setState struct{ pending int }
-	states := make([][]setState, len(p.facts))
+// SafeDerivable returns, by FactID, the facts derivable using only facts
+// outside excluded (also by FactID; nil excludes nothing): source facts not
+// excluded are derivable; a derived fact is derivable if it is not excluded
+// and some support set is entirely derivable. This equals
+// chase(I \ excluded-source-facts) by monotonicity, computed on the
+// hypergraph without re-chasing.
+func (p *Provenance) SafeDerivable(excluded []bool) []bool {
+	isExcluded := func(f FactID) bool { return int(f) < len(excluded) && excluded[f] }
+	derivable := make([]bool, len(p.facts))
+	// Count per support set (numbered as in sets) how many members are
+	// pending; the set fires when its count reaches 0.
+	pending := make([]int32, len(p.sets))
+	for i, set := range p.sets {
+		pending[i] = int32(len(set))
+	}
 	var queue []FactID
-	for id := range p.facts {
-		f := FactID(id)
-		states[id] = make([]setState, len(p.supports[id]))
-		for si, set := range p.supports[id] {
-			states[id][si].pending = len(set)
-		}
-		if p.isSource[id] && !excluded[f] {
+	for f := FactID(0); f < p.numSource; f++ {
+		if !isExcluded(f) {
 			derivable[f] = true
 			queue = append(queue, f)
 		}
@@ -507,10 +627,10 @@ func (p *Provenance) SafeDerivable(excluded map[FactID]bool) map[FactID]bool {
 	for len(queue) > 0 {
 		g := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ref := range p.usedIn[g] {
-			st := &states[ref.Fact][ref.Set]
-			st.pending--
-			if st.pending == 0 && !derivable[ref.Fact] && !excluded[ref.Fact] {
+		for _, ref := range p.usedBy(g) {
+			s := p.supOff[ref.Fact] + ref.Set
+			pending[s]--
+			if pending[s] == 0 && !derivable[ref.Fact] && !isExcluded(ref.Fact) {
 				derivable[ref.Fact] = true
 				queue = append(queue, ref.Fact)
 			}

@@ -13,6 +13,19 @@ func deltaWorld() (*Instance, *schema.Relation, *symtab.Universe) {
 	return New(cat), e, symtab.NewUniverse()
 }
 
+// deltaSince returns the tuples of rel inserted after generation g, in
+// insertion order: the delta window of ForEachMatch under an all-wildcard
+// pattern.
+func deltaSince(in *Instance, rel schema.RelID, g uint64) [][]symtab.Value {
+	var out [][]symtab.Value
+	pattern := make([]symtab.Value, in.Catalog().ByID(rel).Arity)
+	in.ForEachMatch(rel, pattern, g, ^uint64(0), func(t []symtab.Value, _ uint64) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
+
 func TestGenerationsAndDeltaSince(t *testing.T) {
 	in, e, u := deltaWorld()
 	a, b, c := u.Const("a"), u.Const("b"), u.Const("c")
@@ -29,11 +42,11 @@ func TestGenerationsAndDeltaSince(t *testing.T) {
 	if in.RelGen(e.ID) != 2 {
 		t.Fatalf("RelGen = %d, want 2", in.RelGen(e.ID))
 	}
-	delta := in.DeltaSince(e.ID, mark)
+	delta := deltaSince(in, e.ID, mark)
 	if len(delta) != 1 || delta[0][0] != b || delta[0][1] != c {
 		t.Fatalf("DeltaSince(%d) = %v, want [[b c]]", mark, delta)
 	}
-	if len(in.DeltaSince(e.ID, in.Gen())) != 0 {
+	if len(deltaSince(in, e.ID, in.Gen())) != 0 {
 		t.Fatal("DeltaSince(current) must be empty")
 	}
 }
@@ -148,7 +161,7 @@ func TestRewriteValuesStampsNewGenerations(t *testing.T) {
 	if g, _ := in.GenOf(e.ID, []symtab.Value{c, d}); g > mark {
 		t.Fatal("untouched tuple was restamped")
 	}
-	delta := in.DeltaSince(e.ID, mark)
+	delta := deltaSince(in, e.ID, mark)
 	for _, tup := range delta {
 		if tup[1] == b {
 			t.Fatal("delta still contains a pre-rewrite value")

@@ -1,6 +1,6 @@
 // Package instance implements database instances as finite sets of facts
-// over a schema.Catalog, with hash indexes to support conjunctive query
-// evaluation and the chase.
+// over a schema.Catalog, with a hashed tuple set per relation for dedup and
+// hash indexes to support conjunctive query evaluation and the chase.
 //
 // Following the paper, an instance's active domain may contain constants and
 // labeled nulls (source instances are assumed null-free; target instances
@@ -9,9 +9,12 @@ package instance
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/schema"
 	"repro/internal/symtab"
@@ -21,17 +24,6 @@ import (
 type Fact struct {
 	Rel  schema.RelID
 	Args []symtab.Value
-}
-
-// Key returns a canonical map key for the fact.
-func (f Fact) Key() string {
-	var b strings.Builder
-	b.Grow(4 * (len(f.Args) + 1))
-	writeVal(&b, symtab.Value(f.Rel))
-	for _, a := range f.Args {
-		writeVal(&b, a)
-	}
-	return b.String()
 }
 
 func writeVal(b *strings.Builder, v symtab.Value) {
@@ -51,37 +43,22 @@ func EncodeTuple(args []symtab.Value) string {
 	return b.String()
 }
 
-// appendTupleKey appends the canonical key bytes of args to buf. Lookups use
-// it with a stack buffer and a map[string(buf)] access, which the compiler
-// compiles without allocating the string; only inserts materialize a key.
-func appendTupleKey(buf []byte, args []symtab.Value) []byte {
-	for _, a := range args {
-		buf = append(buf, byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
-	}
-	return buf
-}
-
 // String renders the fact using the universe for value names.
 func (f Fact) String(cat *schema.Catalog, u *symtab.Universe) string {
 	return fmt.Sprintf("%s(%s)", cat.ByID(f.Rel).Name, strings.Join(u.Names(f.Args), ","))
 }
 
-// HasNull reports whether any argument of f is a labeled null.
-func (f Fact) HasNull() bool {
-	for _, a := range f.Args {
-		if a.IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// relation stores the tuples of one relation plus per-column hash indexes.
-// Tuples are kept in an ordered slice (insertion order, with swap-remove on
-// delete) rather than ranged out of a map: every enumeration the chase and
-// query evaluator see is then deterministic, which keeps ground-program atom
-// numbering and rule order — and with them solver effort and telemetry
-// counters — identical from run to run.
+// relation stores the tuples of one relation, a hashed set over them, and
+// per-column hash indexes. Tuples are kept in an ordered slice (insertion
+// order, with swap-remove on delete) rather than ranged out of a map: every
+// enumeration the chase and query evaluator see is then deterministic, which
+// keeps ground-program atom numbering and rule order — and with them solver
+// effort and telemetry counters — identical from run to run.
+//
+// The tuple set (slots) is an open-addressing table of tuple positions,
+// probed linearly from a seeded hash of the tuple's values. Nothing ranges
+// over it — order comes from tuples alone — so its per-process random seed
+// never reaches an output, and a tenant cannot pick tuples that collide.
 //
 // Indexes are persistent: once a column index exists it is updated
 // incrementally on every add and remove instead of being dropped and rebuilt
@@ -92,11 +69,14 @@ func (f Fact) HasNull() bool {
 // add-only workloads; removals swap-move the tail tuple, which is itself
 // deterministic).
 type relation struct {
-	keys   map[string]int   // canonical tuple key -> index into tuples
+	// slots[i] is a position in tuples plus one, or 0 for an empty slot.
+	// Its length is a power of two, at least twice len(tuples) (nil while
+	// the relation has never held a tuple).
+	slots  []int32
 	tuples [][]symtab.Value // ordered; the single source of iteration order
 	// gens[i] is the instance generation at which tuples[i] was inserted;
-	// it is the tuple's identity for delta tracking (DeltaSince) and for
-	// the old/delta split of semi-naive evaluation.
+	// it is the tuple's identity for delta tracking and for the old/delta
+	// split of semi-naive evaluation.
 	gens []uint64
 	// sorted reports whether gens is ascending; true until a swap-remove
 	// moves a late tuple into an early slot. While sorted, delta scans can
@@ -106,21 +86,86 @@ type relation struct {
 	// not lower it). RelGen uses it as a cheap "anything new?" test.
 	maxGen uint64
 	// idx[col] maps a value to the positions of the tuples having that
-	// value in column col, in insertion order. Built lazily per column,
-	// then maintained incrementally.
-	idx map[int]map[symtab.Value][]int32
+	// value in column col, in insertion order; nil until the column is
+	// first probed, then maintained incrementally.
+	idx []map[symtab.Value][]int32
 }
 
-func newRelation() *relation {
-	return &relation{keys: make(map[string]int), sorted: true}
+// tupleSeed keys hashTuple; it is drawn once per process.
+var tupleSeed = maphash.MakeSeed()
+
+// hashTuple hashes the values of args, read in place as bytes.
+func hashTuple(args []symtab.Value) int {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(args))), int(unsafe.Sizeof(symtab.None))*len(args))
+	return int(maphash.Bytes(tupleSeed, b) >> 1)
+}
+
+// lookup returns the slot holding args and true, or the empty slot that
+// ends args' probe chain and false. The table must not be empty.
+func (r *relation) lookup(args []symtab.Value) (int, bool) {
+	mask := len(r.slots) - 1
+	for i := hashTuple(args) & mask; ; i = (i + 1) & mask {
+		s := r.slots[i]
+		if s == 0 {
+			return i, false
+		}
+		if slices.Equal(r.tuples[s-1], args) {
+			return i, true
+		}
+	}
+}
+
+// find returns the position of args, or -1 when absent.
+func (r *relation) find(args []symtab.Value) int {
+	if len(r.slots) == 0 {
+		return -1
+	}
+	if i, ok := r.lookup(args); ok {
+		return int(r.slots[i] - 1)
+	}
+	return -1
+}
+
+// rehash rebuilds the table at the smallest power-of-two size, at least 8,
+// that holds n tuples at a load of one half.
+func (r *relation) rehash(n int) {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	r.slots = make([]int32, size)
+	mask := size - 1
+	for pos, t := range r.tuples {
+		i := hashTuple(t) & mask
+		for r.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		r.slots[i] = int32(pos + 1)
+	}
+}
+
+// deleteSlot empties slot i by backward-shift deletion: each later entry of
+// the probe run moves into the hole when its home slot does not lie
+// cyclically after the hole, so every remaining entry stays reachable from
+// its home without crossing an empty slot.
+func (r *relation) deleteSlot(i int) {
+	mask := len(r.slots) - 1
+	for j := (i + 1) & mask; r.slots[j] != 0; j = (j + 1) & mask {
+		home := hashTuple(r.tuples[r.slots[j]-1]) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			r.slots[i] = r.slots[j]
+			i = j
+		}
+	}
+	r.slots[i] = 0
 }
 
 // index returns the column index, building it on first use.
 func (r *relation) index(col int, builds *atomic.Uint64) map[symtab.Value][]int32 {
-	if r.idx == nil {
-		r.idx = make(map[int]map[symtab.Value][]int32)
+	if col >= len(r.idx) {
+		r.idx = append(r.idx, make([]map[symtab.Value][]int32, col+1-len(r.idx))...)
 	}
-	if m, ok := r.idx[col]; ok {
+	if m := r.idx[col]; m != nil {
 		return m
 	}
 	builds.Add(1)
@@ -133,48 +178,63 @@ func (r *relation) index(col int, builds *atomic.Uint64) map[symtab.Value][]int3
 	return m
 }
 
-// add appends a tuple under its canonical key, reporting whether it was new.
-// Existing column indexes are extended in place.
-func (r *relation) add(k string, args []symtab.Value, gen uint64) bool {
-	if _, dup := r.keys[k]; dup {
-		return false
+// add inserts args unless present. It returns the tuple's position and
+// whether it was new. Existing column indexes are extended in place.
+func (r *relation) add(args []symtab.Value, gen uint64) (int, bool) {
+	if 2*(len(r.tuples)+1) > len(r.slots) {
+		r.rehash(len(r.tuples) + 1)
+	}
+	slot, dup := r.lookup(args)
+	if dup {
+		return int(r.slots[slot] - 1), false
 	}
 	pos := len(r.tuples)
-	r.keys[k] = pos
+	r.slots[slot] = int32(pos + 1)
 	r.tuples = append(r.tuples, args)
 	r.gens = append(r.gens, gen)
 	r.maxGen = gen
 	for col, m := range r.idx {
-		v := args[col]
-		m[v] = append(m[v], int32(pos))
+		if m != nil {
+			v := args[col]
+			m[v] = append(m[v], int32(pos))
+		}
 	}
-	return true
+	return pos, true
 }
 
-// remove deletes the tuple under k by swap-remove (the tail tuple takes its
-// slot). Column indexes are patched in place: the removed tuple's bucket
-// entries are deleted (preserving bucket order) and the moved tuple's
-// entries are repointed at its new position. The order change is itself
-// deterministic given deterministic insertion and removal sequences, which
-// is all iteration-order stability requires.
-func (r *relation) remove(k string) bool {
-	i, ok := r.keys[k]
+// remove deletes args by swap-remove (the tail tuple takes its slot).
+// Column indexes are patched in place: the removed tuple's bucket entries
+// are deleted (preserving bucket order) and the moved tuple's entries, like
+// its set slot, are repointed at its new position. The order change is
+// itself deterministic given deterministic insertion and removal sequences,
+// which is all iteration-order stability requires.
+func (r *relation) remove(args []symtab.Value) bool {
+	if len(r.slots) == 0 {
+		return false
+	}
+	slot, ok := r.lookup(args)
 	if !ok {
 		return false
 	}
-	delete(r.keys, k)
+	i := int(r.slots[slot] - 1)
+	r.deleteSlot(slot)
 	removed := r.tuples[i]
 	for col, m := range r.idx {
-		bucketDelete(m, removed[col], int32(i))
+		if m != nil {
+			bucketDelete(m, removed[col], int32(i))
+		}
 	}
 	last := len(r.tuples) - 1
 	if i != last {
 		moved := r.tuples[last]
+		ms, _ := r.lookup(moved)
+		r.slots[ms] = int32(i + 1)
 		r.tuples[i] = moved
 		r.gens[i] = r.gens[last]
-		r.keys[EncodeTuple(moved)] = i
 		for col, m := range r.idx {
-			bucketRepoint(m, moved[col], int32(last), int32(i))
+			if m != nil {
+				bucketRepoint(m, moved[col], int32(last), int32(i))
+			}
 		}
 		r.sorted = false
 	}
@@ -219,8 +279,11 @@ func bucketRepoint(m map[symtab.Value][]int32, v symtab.Value, from, to int32) {
 // construction is lazy); the chase builds all indexes its plans need, so
 // instances it returns can be read concurrently by the query phase.
 type Instance struct {
-	cat  *schema.Catalog
-	rels map[schema.RelID]*relation
+	cat *schema.Catalog
+	// rels is indexed by the catalog's dense RelID, nil for a relation that
+	// never held a tuple. It grows on insert, up to the highest relation
+	// inserted into.
+	rels []*relation
 	size int
 	// gen counts successful insertions; each inserted tuple is stamped with
 	// the post-increment value, so generations totally order tuples by
@@ -236,7 +299,16 @@ type Instance struct {
 
 // New returns an empty instance over the given catalog.
 func New(cat *schema.Catalog) *Instance {
-	return &Instance{cat: cat, rels: make(map[schema.RelID]*relation)}
+	return &Instance{cat: cat}
+}
+
+// rel returns the relation stored under id, or nil when it never held a
+// tuple.
+func (in *Instance) rel(id schema.RelID) *relation {
+	if int(id) < len(in.rels) {
+		return in.rels[id]
+	}
+	return nil
 }
 
 // Catalog returns the catalog the instance is over.
@@ -247,17 +319,16 @@ func (in *Instance) Len() int { return in.size }
 
 // LenOf returns the number of facts of one relation.
 func (in *Instance) LenOf(rel schema.RelID) int {
-	r, ok := in.rels[rel]
-	if !ok {
-		return 0
+	if r := in.rel(rel); r != nil {
+		return len(r.tuples)
 	}
-	return len(r.tuples)
+	return 0
 }
 
 // Gen returns the current generation counter: the number of insertions the
 // instance has seen. A caller that snapshots Gen before a batch of work can
-// later enumerate exactly the tuples that batch added via DeltaSince or the
-// generation window of ForEachMatch.
+// later enumerate exactly the tuples that batch added via the generation
+// window of ForEachMatch.
 func (in *Instance) Gen() uint64 { return in.gen }
 
 // RelGen returns the high-water insertion generation of one relation (0 for
@@ -265,46 +336,31 @@ func (in *Instance) Gen() uint64 { return in.gen }
 // gained at least one tuple after generation g (removals do not lower it),
 // which makes it the cheap has-delta test of the semi-naive chase.
 func (in *Instance) RelGen(rel schema.RelID) uint64 {
-	r, ok := in.rels[rel]
-	if !ok {
-		return 0
+	if r := in.rel(rel); r != nil {
+		return r.maxGen
 	}
-	return r.maxGen
+	return 0
 }
 
 // GenOf returns the insertion generation of a present tuple (0, false when
 // absent).
 func (in *Instance) GenOf(rel schema.RelID, args []symtab.Value) (uint64, bool) {
-	r, ok := in.rels[rel]
-	if !ok {
+	r := in.rel(rel)
+	if r == nil {
 		return 0, false
 	}
-	var kb [64]byte
-	i, ok := r.keys[string(appendTupleKey(kb[:0], args))]
-	if !ok {
-		return 0, false
+	if pos := r.find(args); pos >= 0 {
+		return r.gens[pos], true
 	}
-	return r.gens[i], true
-}
-
-// DeltaSince returns the tuples of rel inserted after generation g, in
-// insertion order. The returned slices are shared with the instance; do not
-// mutate them.
-func (in *Instance) DeltaSince(rel schema.RelID, g uint64) [][]symtab.Value {
-	var out [][]symtab.Value
-	in.forEachIn(rel, g, ^uint64(0), func(t []symtab.Value, _ uint64) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
+	return 0, false
 }
 
 // forEachIn enumerates tuples of rel with generation in (lo, hi], in slice
 // order (ascending-generation order while the relation has seen no
 // swap-removes, in which case the start is binary-searched).
 func (in *Instance) forEachIn(rel schema.RelID, lo, hi uint64, fn func([]symtab.Value, uint64) bool) bool {
-	r, ok := in.rels[rel]
-	if !ok {
+	r := in.rel(rel)
+	if r == nil {
 		return true
 	}
 	start := 0
@@ -329,21 +385,22 @@ func (in *Instance) forEachIn(rel schema.RelID, lo, hi uint64, fn func([]symtab.
 	return true
 }
 
-// addTuple appends a tuple under its canonical key. It returns the tuple's
+// addTuple inserts a tuple into its relation's set. It returns the tuple's
 // insertion generation (the pre-existing one on a duplicate) and whether the
 // tuple was new.
 func (in *Instance) addTuple(rel schema.RelID, args []symtab.Value) (uint64, bool) {
-	r, ok := in.rels[rel]
-	if !ok {
-		r = newRelation()
+	if int(rel) >= len(in.rels) {
+		in.rels = append(in.rels, make([]*relation, int(rel)+1-len(in.rels))...)
+	}
+	r := in.rels[rel]
+	if r == nil {
+		r = &relation{sorted: true}
 		in.rels[rel] = r
 	}
-	var kb [64]byte
-	k := appendTupleKey(kb[:0], args)
-	if i, dup := r.keys[string(k)]; dup {
-		return r.gens[i], false
+	pos, added := r.add(args, in.gen+1)
+	if !added {
+		return r.gens[pos], false
 	}
-	r.add(string(k), args, in.gen+1)
 	in.gen++
 	in.size++
 	return in.gen, true
@@ -365,16 +422,13 @@ func (in *Instance) Insert(rel schema.RelID, args []symtab.Value) (bool, error) 
 // AddWithGen inserts like Add but also returns the tuple's insertion
 // generation — the fresh generation when newly added, the existing tuple's
 // when a duplicate. The chase uses this to key facts by generation without
-// re-encoding tuples.
+// a second lookup.
 func (in *Instance) AddWithGen(rel schema.RelID, args []symtab.Value) (uint64, bool) {
 	if want := in.cat.ByID(rel).Arity; len(args) != want {
 		panic(fmt.Errorf("instance: %w", &schema.ArityError{Rel: in.cat.ByID(rel).Name, Want: want, Got: len(args)}))
 	}
 	return in.addTuple(rel, args)
 }
-
-// InsertFact inserts f; see Insert.
-func (in *Instance) InsertFact(f Fact) (bool, error) { return in.Insert(f.Rel, f.Args) }
 
 // Add is the Must-style form of Insert for static setup code and internal
 // callers whose arities are correct by construction: it panics with a
@@ -392,40 +446,26 @@ func (in *Instance) AddFact(f Fact) bool { return in.Add(f.Rel, f.Args) }
 
 // Remove deletes a fact and reports whether it was present.
 func (in *Instance) Remove(rel schema.RelID, args []symtab.Value) bool {
-	r, ok := in.rels[rel]
-	if !ok {
-		return false
-	}
-	if !r.remove(EncodeTuple(args)) {
+	r := in.rel(rel)
+	if r == nil || !r.remove(args) {
 		return false
 	}
 	in.size--
 	return true
 }
 
-// RemoveFact deletes f; see Remove.
-func (in *Instance) RemoveFact(f Fact) bool { return in.Remove(f.Rel, f.Args) }
-
 // Contains reports whether the fact is present.
 func (in *Instance) Contains(rel schema.RelID, args []symtab.Value) bool {
-	r, ok := in.rels[rel]
-	if !ok {
-		return false
-	}
-	var kb [64]byte
-	_, present := r.keys[string(appendTupleKey(kb[:0], args))]
-	return present
+	r := in.rel(rel)
+	return r != nil && r.find(args) >= 0
 }
-
-// ContainsFact reports whether f is present.
-func (in *Instance) ContainsFact(f Fact) bool { return in.Contains(f.Rel, f.Args) }
 
 // Tuples returns the tuples of one relation in deterministic (insertion)
 // order. The returned slices are shared with the instance; do not mutate
 // them.
 func (in *Instance) Tuples(rel schema.RelID) [][]symtab.Value {
-	r, ok := in.rels[rel]
-	if !ok {
+	r := in.rel(rel)
+	if r == nil {
 		return nil
 	}
 	out := make([][]symtab.Value, 0, len(r.tuples))
@@ -452,19 +492,18 @@ func (in *Instance) Relations() []schema.RelID { return in.relIDs() }
 func (in *Instance) relIDs() []schema.RelID {
 	ids := make([]schema.RelID, 0, len(in.rels))
 	for id, r := range in.rels {
-		if len(r.tuples) > 0 {
-			ids = append(ids, id)
+		if r != nil && len(r.tuples) > 0 {
+			ids = append(ids, schema.RelID(id))
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
 // Lookup returns the tuples of rel whose column col holds value v, in
 // deterministic (insertion) order. Do not mutate the returned slices.
 func (in *Instance) Lookup(rel schema.RelID, col int, v symtab.Value) [][]symtab.Value {
-	r, ok := in.rels[rel]
-	if !ok {
+	r := in.rel(rel)
+	if r == nil {
 		return nil
 	}
 	in.probes.Add(1)
@@ -486,8 +525,8 @@ func (in *Instance) Lookup(rel schema.RelID, col int, v symtab.Value) [][]symtab
 // The full instance is (0, ^uint64(0)]; the delta after generation g is
 // (g, ^uint64(0)]; the pre-g instance is (0, g].
 func (in *Instance) ForEachMatch(rel schema.RelID, pattern []symtab.Value, lo, hi uint64, fn func(tup []symtab.Value, gen uint64) bool) bool {
-	r, ok := in.rels[rel]
-	if !ok {
+	r := in.rel(rel)
+	if r == nil {
 		return true
 	}
 	// Probe every bound column and scan the smallest bucket (bucket choice
@@ -608,26 +647,23 @@ func (in *Instance) RewriteValues(m map[symtab.Value]symtab.Value) int {
 }
 
 // Clone returns a deep-enough copy: fact sets are copied, tuples are shared
-// (tuples are treated as immutable throughout the codebase). Tuple order and
-// insertion generations are preserved; column indexes are rebuilt lazily on
-// the clone.
+// (tuples are treated as immutable throughout the codebase). Tuple order,
+// insertion generations and the tuple set's table are preserved; column
+// indexes are rebuilt lazily on the clone.
 func (in *Instance) Clone() *Instance {
-	cp := New(in.cat)
+	cp := &Instance{cat: in.cat, rels: make([]*relation, len(in.rels)), size: in.size, gen: in.gen}
 	for id, r := range in.rels {
-		nr := newRelation()
-		// Presize with headroom: clones feed the chase, which grows them.
-		nr.keys = make(map[string]int, 2*len(r.keys))
-		nr.tuples = append([][]symtab.Value(nil), r.tuples...)
-		nr.gens = append([]uint64(nil), r.gens...)
-		nr.sorted = r.sorted
-		nr.maxGen = r.maxGen
-		for k, i := range r.keys {
-			nr.keys[k] = i
+		if r == nil {
+			continue
 		}
-		cp.rels[id] = nr
+		cp.rels[id] = &relation{
+			slots:  slices.Clone(r.slots),
+			tuples: slices.Clone(r.tuples),
+			gens:   slices.Clone(r.gens),
+			sorted: r.sorted,
+			maxGen: r.maxGen,
+		}
 	}
-	cp.size = in.size
-	cp.gen = in.gen
 	return cp
 }
 
@@ -646,25 +682,14 @@ func (in *Instance) Restrict(s *schema.Schema) *Instance {
 	return out
 }
 
-// AddAll inserts every fact of other in deterministic order and returns the
-// number newly added.
-func (in *Instance) AddAll(other *Instance) int {
-	n := 0
-	for _, id := range other.relIDs() {
-		for _, t := range other.rels[id].tuples {
-			if in.Add(id, t) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // SubInstanceOf reports whether every fact of in is a fact of other.
 func (in *Instance) SubInstanceOf(other *Instance) bool {
 	for id, r := range in.rels {
+		if r == nil {
+			continue
+		}
 		for _, t := range r.tuples {
-			if !other.Contains(id, t) {
+			if !other.Contains(schema.RelID(id), t) {
 				return false
 			}
 		}
@@ -681,6 +706,9 @@ func (in *Instance) Equal(other *Instance) bool {
 func (in *Instance) ActiveDomain() map[symtab.Value]bool {
 	dom := make(map[symtab.Value]bool)
 	for _, r := range in.rels {
+		if r == nil {
+			continue
+		}
 		for _, t := range r.tuples {
 			for _, v := range t {
 				dom[v] = true

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/schema"
@@ -142,8 +143,8 @@ func TestActiveDomainAndNulls(t *testing.T) {
 		t.Fatalf("Nulls = %v", nulls)
 	}
 	f := Fact{Rel: r.ID, Args: []symtab.Value{a, n}}
-	if !f.HasNull() {
-		t.Fatal("HasNull = false")
+	if !slices.ContainsFunc(f.Args, symtab.Value.IsNull) {
+		t.Fatal("fact with a null has no null argument")
 	}
 }
 
@@ -207,13 +208,19 @@ func TestApplyValueMap(t *testing.T) {
 	}
 }
 
+// TestFactKeyDistinguishesRelations: equal argument tuples in two
+// relations are two facts; each relation's tuple set holds its own.
 func TestFactKeyDistinguishesRelations(t *testing.T) {
-	cat, u, _, _ := fixture()
-	_ = cat
-	a := u.Const("a")
-	f1 := Fact{Rel: 0, Args: []symtab.Value{a}}
-	f2 := Fact{Rel: 1, Args: []symtab.Value{a}}
-	if f1.Key() == f2.Key() {
+	cat := schema.NewCatalog()
+	r0 := cat.MustAdd("R0", 1)
+	r1 := cat.MustAdd("R1", 1)
+	a := symtab.NewUniverse().Const("a")
+	in := New(cat)
+	in.Add(r0.ID, []symtab.Value{a})
+	if in.Contains(r1.ID, []symtab.Value{a}) {
+		t.Fatal("keys collide across relations")
+	}
+	if !in.Add(r1.ID, []symtab.Value{a}) || in.Len() != 2 {
 		t.Fatal("keys collide across relations")
 	}
 }
@@ -235,8 +242,8 @@ func TestInsertArityError(t *testing.T) {
 	if in.Len() != 0 {
 		t.Fatalf("failed Insert mutated the instance: %d facts", in.Len())
 	}
-	if _, err := in.InsertFact(Fact{Rel: r.ID, Args: []symtab.Value{1, 2, 3}}); !errors.As(err, &ae) {
-		t.Fatalf("InsertFact error %v is not an ArityError", err)
+	if _, err := in.Insert(r.ID, []symtab.Value{1, 2, 3}); !errors.As(err, &ae) {
+		t.Fatalf("Insert error %v is not an ArityError", err)
 	}
 	defer func() {
 		r := recover()

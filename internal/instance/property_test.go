@@ -137,8 +137,12 @@ func TestRestrictUnionDecomposition(t *testing.T) {
 		left := in.Restrict(schema.NewSchema(r1))
 		right := in.Restrict(schema.NewSchema(r2))
 		union := New(cat)
-		union.AddAll(left)
-		union.AddAll(right)
+		for _, f := range left.Facts() {
+			union.AddFact(f)
+		}
+		for _, f := range right.Facts() {
+			union.AddFact(f)
+		}
 		if !union.Equal(in) {
 			t.Fatalf("trial %d: restriction decomposition failed", trial)
 		}

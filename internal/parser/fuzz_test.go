@@ -7,13 +7,24 @@ import "testing"
 // `go test -fuzz=FuzzParseMapping ./internal/parser` for real fuzzing;
 // plain `go test` replays the seed corpus.
 
+// The seed corpora. TestLexerMatchesRuneLexer lexes them too.
+var (
+	mappingSeeds = []string{
+		"source R(a). target S(a). tgd R(x) -> S(x).",
+		"source R(a, b).\ntarget T(a).\negd k: T(x) & T(y) -> x = y.",
+		"tgd -> .",
+		"source R(a). tgd R('qu\\'oted) -> R(x).",
+		"# only a comment",
+		"source R(a). target S(a). tgd R(x) & R(y) -> S(x) & S(y).",
+	}
+	factSeeds  = []string{"R('a', 'b').", "R(1, -2).\nR(x, 'y').", "R(", "."}
+	querySeeds = []string{"q(x) :- S(x).", "q() :- S(x), S(y).\nq2(x,x) :- S(x).", "q(x) :-"}
+)
+
 func FuzzParseMapping(f *testing.F) {
-	f.Add("source R(a). target S(a). tgd R(x) -> S(x).")
-	f.Add("source R(a, b).\ntarget T(a).\negd k: T(x) & T(y) -> x = y.")
-	f.Add("tgd -> .")
-	f.Add("source R(a). tgd R('qu\\'oted) -> R(x).")
-	f.Add("# only a comment")
-	f.Add("source R(a). target S(a). tgd R(x) & R(y) -> S(x) & S(y).")
+	for _, s := range mappingSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		w, err := ParseMapping(src)
 		if err != nil {
@@ -27,10 +38,9 @@ func FuzzParseMapping(f *testing.F) {
 }
 
 func FuzzParseFacts(f *testing.F) {
-	f.Add("R('a', 'b').")
-	f.Add("R(1, -2).\nR(x, 'y').")
-	f.Add("R(")
-	f.Add(".")
+	for _, s := range factSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		w, err := ParseMapping("source R(a, b). target S(a).")
 		if err != nil {
@@ -53,9 +63,9 @@ func FuzzParseFacts(f *testing.F) {
 }
 
 func FuzzParseQueries(f *testing.F) {
-	f.Add("q(x) :- S(x).")
-	f.Add("q() :- S(x), S(y).\nq2(x,x) :- S(x).")
-	f.Add("q(x) :-")
+	for _, s := range querySeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		w, err := ParseMapping("source R(a). target S(a).")
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -72,29 +73,45 @@ type token struct {
 	line int
 }
 
+// lexer scans the source string in place: token text is a substring of
+// src, and only a quoted constant with an escape or an invalid UTF-8 byte
+// is built anew. The source decodes as a rune sequence would: each byte of
+// invalid UTF-8 reads as one U+FFFD.
 type lexer struct {
-	src  []rune
-	pos  int
+	src  string
+	pos  int // byte offset
 	line int
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1}
+	return &lexer{src: src, line: 1}
 }
 
 func (l *lexer) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("line %d: %s", l.line, fmt.Sprintf(format, args...))
 }
 
+// runeAt decodes the rune at byte offset i, returning it and its width;
+// past the end it returns -1 and width 0.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return -1, 0
+	}
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
+}
+
 func (l *lexer) next() (token, error) {
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+		c, w := l.runeAt(l.pos)
 		switch {
 		case c == '\n':
 			l.line++
 			l.pos++
 		case unicode.IsSpace(c):
-			l.pos++
+			l.pos += w
 		case c == '#':
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
@@ -106,7 +123,8 @@ func (l *lexer) next() (token, error) {
 	return token{kind: tokEOF, line: l.line}, nil
 
 scan:
-	c := l.src[l.pos]
+	c, w := l.runeAt(l.pos)
+	next, _ := l.runeAt(l.pos + w)
 	start := l.line
 	switch {
 	case c == '(':
@@ -128,17 +146,17 @@ scan:
 		l.pos++
 		return token{tokEq, "=", start}, nil
 	case c == '-':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '>' {
+		if next == '>' {
 			l.pos += 2
 			return token{tokArrow, "->", start}, nil
 		}
 		// Negative number?
-		if l.pos+1 < len(l.src) && unicode.IsDigit(l.src[l.pos+1]) {
+		if unicode.IsDigit(next) {
 			return l.number()
 		}
 		return token{}, l.errf("unexpected '-'")
 	case c == ':':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
+		if next == '-' {
 			l.pos += 2
 			return token{tokRuleDef, ":-", start}, nil
 		}
@@ -148,15 +166,19 @@ scan:
 		return l.quoted(c)
 	case unicode.IsDigit(c):
 		return l.number()
-	case c == '_' && (l.pos+1 >= len(l.src) || !isIdentRune(l.src[l.pos+1])):
+	case c == '_' && !isIdentRune(next):
 		l.pos++
 		return token{tokUnder, "_", start}, nil
 	case isIdentStart(c):
-		j := l.pos
-		for j < len(l.src) && isIdentRune(l.src[j]) {
-			j++
+		j := l.pos + w
+		for {
+			r, rw := l.runeAt(j)
+			if !isIdentRune(r) {
+				break
+			}
+			j += rw
 		}
-		text := string(l.src[l.pos:j])
+		text := l.src[l.pos:j]
 		l.pos = j
 		return token{tokIdent, text, start}, nil
 	default:
@@ -164,25 +186,39 @@ scan:
 	}
 }
 
+// quoted scans a constant quoted by q. Its text is the source between the
+// quotes until an escape or an invalid UTF-8 byte turns up; from there on
+// it is built rune by rune, a backslash taking the next rune literally and
+// each invalid byte reading as U+FFFD.
 func (l *lexer) quoted(q rune) (token, error) {
 	start := l.line
 	l.pos++ // opening quote
-	var b strings.Builder
+	body := l.pos
+	var b *strings.Builder // nil while the text is a substring
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+		c, w := l.runeAt(l.pos)
 		if c == q {
 			l.pos++
-			return token{tokString, b.String(), start}, nil
+			if b != nil {
+				return token{tokString, b.String(), start}, nil
+			}
+			return token{tokString, l.src[body : l.pos-1], start}, nil
 		}
 		if c == '\n' {
 			return token{}, l.errf("unterminated string")
 		}
+		if b == nil && (c == '\\' || c == utf8.RuneError && w == 1) {
+			b = new(strings.Builder)
+			b.WriteString(l.src[body:l.pos])
+		}
 		if c == '\\' && l.pos+1 < len(l.src) {
 			l.pos++
-			c = l.src[l.pos]
+			c, w = l.runeAt(l.pos)
 		}
-		b.WriteRune(c)
-		l.pos++
+		if b != nil {
+			b.WriteRune(c)
+		}
+		l.pos += w
 	}
 	return token{}, l.errf("unterminated string")
 }
@@ -193,15 +229,20 @@ func (l *lexer) number() (token, error) {
 	if l.src[j] == '-' {
 		j++
 	}
-	for j < len(l.src) && (unicode.IsDigit(l.src[j]) || l.src[j] == '.') {
-		// A trailing '.' is the statement terminator, not a decimal point,
-		// unless followed by a digit.
-		if l.src[j] == '.' && (j+1 >= len(l.src) || !unicode.IsDigit(l.src[j+1])) {
+	for {
+		c, w := l.runeAt(j)
+		if c == '.' {
+			// A trailing '.' is the statement terminator, not a decimal
+			// point, unless followed by a digit.
+			if d, _ := l.runeAt(j + 1); !unicode.IsDigit(d) {
+				break
+			}
+		} else if !unicode.IsDigit(c) {
 			break
 		}
-		j++
+		j += w
 	}
-	text := string(l.src[l.pos:j])
+	text := l.src[l.pos:j]
 	l.pos = j
 	return token{tokNumber, text, start}, nil
 }

@@ -391,7 +391,7 @@ func ParseFacts(src string, w *World) (*instance.Instance, error) {
 		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
-		var args []symtab.Value
+		args := make([]symtab.Value, 0, rel.Arity)
 		if p.tok.kind != tokRParen {
 			for {
 				switch p.tok.kind {

@@ -10,6 +10,7 @@ package symtab
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Value is a compact handle for a constant or a labeled null.
@@ -59,11 +60,14 @@ func NewUniverse() *Universe {
 	return &Universe{ids: make(map[string]Value)}
 }
 
-// Const interns name and returns its constant Value.
+// Const interns name and returns its constant Value. A new name is stored
+// as a copy, so interning a substring of a request body does not keep the
+// body alive.
 func (u *Universe) Const(name string) Value {
 	if v, ok := u.ids[name]; ok {
 		return v
 	}
+	name = strings.Clone(name)
 	u.names = append(u.names, name)
 	v := Value(len(u.names))
 	u.ids[name] = v

@@ -27,9 +27,12 @@ import (
 // body atom's arguments, and each support set is deduplicated by a linear
 // scan over the candidate's sets before the canonical sort.
 func referenceCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
+	factKey := func(f instance.Fact) string {
+		return instance.EncodeTuple(append([]symtab.Value{symtab.Value(f.Rel)}, f.Args...))
+	}
 	ids := make(map[string]chase.FactID, prov.NumFacts())
 	for id := 0; id < prov.NumFacts(); id++ {
-		ids[prov.Fact(chase.FactID(id)).Key()] = chase.FactID(id)
+		ids[factKey(prov.Fact(chase.FactID(id)))] = chase.FactID(id)
 	}
 	byKey := make(map[string]*candidate)
 	var order []string
@@ -53,7 +56,7 @@ func referenceCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 				for j, t := range a.Terms {
 					args[j] = value(t, env)
 				}
-				id, ok := ids[instance.Fact{Rel: a.Rel, Args: args}.Key()]
+				id, ok := ids[factKey(instance.Fact{Rel: a.Rel, Args: args})]
 				if !ok {
 					panic("reference: support fact not in provenance")
 				}

@@ -46,7 +46,7 @@ func TestSourceRepairProperties(t *testing.T) {
 			}
 			// Maximality: adding back any omitted fact breaks consistency.
 			for _, f := range src.Facts() {
-				if rep.ContainsFact(f) {
+				if rep.Contains(f.Rel, f.Args) {
 					continue
 				}
 				bigger := rep.Clone()

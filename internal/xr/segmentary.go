@@ -188,6 +188,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 
 	envs := make([]vioEnv, len(prov.Violations))
 	owner := make(map[chase.FactID]int) // source fact -> first violation seen
+	suspect := make([]bool, prov.NumFacts())
 	for vi, v := range prov.Violations {
 		closure := prov.SupportClosure(v.Body)
 		var srcEnv []chase.FactID
@@ -195,6 +196,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 			if prov.IsSource(f) {
 				srcEnv = append(srcEnv, f)
 				ex.suspect[f] = true
+				suspect[f] = true
 				if prev, ok := owner[f]; ok {
 					union(prev, vi)
 				} else {
@@ -233,10 +235,12 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		sort.Ints(cs)
 	}
 
-	safe := prov.SafeDerivable(ex.suspect)
-	ex.safeDerivable = make([]bool, prov.NumFacts())
-	for f := range safe {
-		ex.safeDerivable[f] = true
+	ex.safeDerivable = prov.SafeDerivable(suspect)
+	safe := 0
+	for _, ok := range ex.safeDerivable {
+		if ok {
+			safe++
+		}
 	}
 
 	end := time.Now()
@@ -246,7 +250,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		Violations:     len(prov.Violations),
 		Clusters:       len(ex.Clusters),
 		SuspectSource:  len(ex.suspect),
-		SafeDerivable:  len(safe),
+		SafeDerivable:  safe,
 		ReduceDuration: afterReduce.Sub(start),
 		ChaseDuration:  afterChase.Sub(afterReduce),
 		EnvDuration:    end.Sub(afterChase),
