@@ -426,6 +426,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // BenchmarkStableSolver3Coloring measures stable-model enumeration on a
 // disjunctive 3-coloring program (generic disjunctive path).
 func BenchmarkStableSolver3Coloring(b *testing.B) {
+	sa := func(pred string, args ...asp.SymTerm) asp.SymAtom { return asp.SymAtom{Pred: pred, Args: args} }
 	sp := &asp.SymProgram{}
 	// A ring of 12 nodes.
 	const n = 12
@@ -435,17 +436,17 @@ func BenchmarkStableSolver3Coloring(b *testing.B) {
 	}
 	sp.AddRule(asp.SymRule{
 		Head: []asp.SymAtom{
-			asp.SA("col", asp.SV("X"), asp.SC("r")),
-			asp.SA("col", asp.SV("X"), asp.SC("g")),
-			asp.SA("col", asp.SV("X"), asp.SC("b")),
+			sa("col", asp.SV("X"), asp.SC("r")),
+			sa("col", asp.SV("X"), asp.SC("g")),
+			sa("col", asp.SV("X"), asp.SC("b")),
 		},
-		Pos: []asp.SymAtom{asp.SA("node", asp.SV("X"))},
+		Pos: []asp.SymAtom{sa("node", asp.SV("X"))},
 	})
 	sp.AddRule(asp.SymRule{
 		Pos: []asp.SymAtom{
-			asp.SA("edge", asp.SV("X"), asp.SV("Y")),
-			asp.SA("col", asp.SV("X"), asp.SV("C")),
-			asp.SA("col", asp.SV("Y"), asp.SV("C")),
+			sa("edge", asp.SV("X"), asp.SV("Y")),
+			sa("col", asp.SV("X"), asp.SV("C")),
+			sa("col", asp.SV("Y"), asp.SV("C")),
 		},
 	})
 	gp, err := sp.Ground()

@@ -30,9 +30,6 @@ type SymAtom struct {
 	Args []SymTerm
 }
 
-// SA builds a symbolic atom.
-func SA(pred string, args ...SymTerm) SymAtom { return SymAtom{Pred: pred, Args: args} }
-
 func (a SymAtom) String() string {
 	if len(a.Args) == 0 {
 		return a.Pred

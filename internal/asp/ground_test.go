@@ -4,6 +4,9 @@ import (
 	"testing"
 )
 
+// SA builds a symbolic atom.
+func SA(pred string, args ...SymTerm) SymAtom { return SymAtom{Pred: pred, Args: args} }
+
 func TestGroundSimpleDatalog(t *testing.T) {
 	sp := &SymProgram{}
 	sp.AddFact("edge", "a", "b")

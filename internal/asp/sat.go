@@ -162,9 +162,6 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 func (s *Solver) valueLit(l Lit) lbool {
 	v := s.assign[l.Var()]
 	if l.Sign() {

@@ -111,9 +111,6 @@ func NewRunner(scale float64, monoTimeout time.Duration) (*Runner, error) {
 	}, nil
 }
 
-// World exposes the benchmark world (catalog, universe, mapping).
-func (r *Runner) World() *parser.World { return r.world }
-
 func (r *Runner) logf(format string, args ...interface{}) {
 	if r.Progress != nil {
 		fmt.Fprintf(r.Progress, format+"\n", args...)

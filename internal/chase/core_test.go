@@ -5,8 +5,19 @@ import (
 
 	"repro/internal/instance"
 	"repro/internal/logic"
+	"repro/internal/schema"
 	"repro/internal/symtab"
 )
+
+// newAtom builds an atom for static test setup, panicking on an arity
+// mismatch.
+func newAtom(cat *schema.Catalog, rel *schema.Relation, terms ...logic.Term) logic.Atom {
+	a, err := logic.MakeAtom(cat, rel, terms...)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
 func TestCoreFoldsRedundantNull(t *testing.T) {
 	// {S(a, n), S(a, b)}: n folds onto b — core is {S(a, b)}.
@@ -66,10 +77,10 @@ func TestCoreOfCanonicalSolution(t *testing.T) {
 	p := w.srcRel("P", 2)
 	s := w.tgtRel("S", 2)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("z"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("z"))}},
+		{Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))}},
 	}
 	w.add(r, "a")
 	w.add(p, "a", "b")

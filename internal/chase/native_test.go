@@ -59,8 +59,8 @@ func TestNativeCopyMapping(t *testing.T) {
 	r := w.srcRel("R", 2)
 	s := w.tgtRel("S", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))},
 	}}
 	w.add(r, "a", "b")
 	w.add(r, "b", "c")
@@ -83,8 +83,8 @@ func TestNativeExistentialCreatesNull(t *testing.T) {
 	s := w.tgtRel("S", 2)
 	// R(x) -> ∃z S(x,z)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("z"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"))},
+		Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("z"))},
 	}}
 	w.add(r, "a")
 	res, err := Native(w.m, w.src)
@@ -115,15 +115,15 @@ func TestNativeEGDMergesNullWithConstant(t *testing.T) {
 	s := w.tgtRel("S", 2)
 	// R(x) -> ∃z S(x,z);  P(x,y) -> S(x,y);  S(x,y) & S(x,y') -> y = y'
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("z"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("z"))}},
+		{Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))}},
 	}
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, s, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, s, logic.V("x"), logic.V("y2")),
 		},
 		L: logic.V("y"), R: logic.V("y2"),
 	}}
@@ -145,13 +145,13 @@ func TestNativeEGDConstantConflict(t *testing.T) {
 	p := w.srcRel("P", 2)
 	s := w.tgtRel("S", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))},
 	}}
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, s, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, s, logic.V("x"), logic.V("y2")),
 		},
 		L: logic.V("y"), R: logic.V("y2"),
 	}}
@@ -175,16 +175,16 @@ func TestNativeEGDMergesTwoNulls(t *testing.T) {
 	// R(x) -> ∃z S(x,z); Q(x,y) -> L(x,y);
 	// L(x,y) & S(x,u) & S(y,v) -> u = v  (cluster mates share the null)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("z"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, q, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, link, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("z"))}},
+		{Body: []logic.Atom{newAtom(w.cat, q, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, link, logic.V("x"), logic.V("y"))}},
 	}
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, link, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, s, logic.V("x"), logic.V("u")),
-			logic.NewAtom(w.cat, s, logic.V("y"), logic.V("v")),
+			newAtom(w.cat, link, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, s, logic.V("x"), logic.V("u")),
+			newAtom(w.cat, s, logic.V("y"), logic.V("v")),
 		},
 		L: logic.V("u"), R: logic.V("v"),
 	}}
@@ -217,15 +217,15 @@ func TestNativeTargetTgd(t *testing.T) {
 	e := w.tgtRel("E", 2)
 	tc := w.tgtRel("TC", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
 	}}
 	// transitive closure: E(x,y) -> TC(x,y); TC(x,y) & E(y,z) -> TC(x,z)
 	w.m.TTgds = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tc, logic.V("x"), logic.V("y"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, tc, logic.V("x"), logic.V("y")), logic.NewAtom(w.cat, e, logic.V("y"), logic.V("z"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tc, logic.V("x"), logic.V("z"))}},
+		{Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, tc, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, tc, logic.V("x"), logic.V("y")), newAtom(w.cat, e, logic.V("y"), logic.V("z"))},
+			Head: []logic.Atom{newAtom(w.cat, tc, logic.V("x"), logic.V("z"))}},
 	}
 	w.add(r, "a", "b")
 	w.add(r, "b", "c")
@@ -248,8 +248,8 @@ func TestNativeUniversality(t *testing.T) {
 	r := w.srcRel("R", 1)
 	s := w.tgtRel("S", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("z"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"))},
+		Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("z"))},
 	}}
 	w.add(r, "a")
 	res, err := Native(w.m, w.src)
@@ -272,12 +272,12 @@ func TestNativeNonTerminatingGuard(t *testing.T) {
 	r := w.srcRel("R", 2)
 	e := w.tgtRel("E", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
 	}}
 	w.m.TTgds = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("y"), logic.V("z"))},
+		Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, e, logic.V("y"), logic.V("z"))},
 	}}
 	w.add(r, "a", "b")
 	if _, err := Native(w.m, w.src); err == nil {
@@ -293,15 +293,15 @@ func TestNativeEgdOnSourceValuesViaTargets(t *testing.T) {
 	s := w.tgtRel("S", 2)
 	u := w.tgtRel("U", 2)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, q, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, u, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, q, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, u, logic.V("x"), logic.V("y"))}},
 	}
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, s, logic.V("k"), logic.V("a")),
-			logic.NewAtom(w.cat, u, logic.V("k"), logic.V("b")),
+			newAtom(w.cat, s, logic.V("k"), logic.V("a")),
+			newAtom(w.cat, u, logic.V("k"), logic.V("b")),
 		},
 		L: logic.V("a"), R: logic.V("b"),
 	}}

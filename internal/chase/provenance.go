@@ -113,15 +113,6 @@ func (p *Provenance) Fact(id FactID) instance.Fact { return p.facts[id] }
 // IsSource reports whether the fact is a source fact of the original input.
 func (p *Provenance) IsSource(id FactID) bool { return id < p.numSource }
 
-// FactIDOf returns the id of a fact, if present.
-func (p *Provenance) FactIDOf(f instance.Fact) (FactID, bool) {
-	g, ok := p.Instance.GenOf(f.Rel, f.Args)
-	if !ok {
-		return 0, false
-	}
-	return p.FactIDOfGen(g)
-}
-
 // FactIDOfGen returns the id of the fact Instance stamped with insertion
 // generation g, as reported by GenOf or in the rank of a cq.Plan match. It
 // reports false for 0 and for a generation past the chase's last insertion.

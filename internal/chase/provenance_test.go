@@ -7,6 +7,15 @@ import (
 	"repro/internal/logic"
 )
 
+// FactIDOf returns the id of a fact, if present.
+func (p *Provenance) FactIDOf(f instance.Fact) (FactID, bool) {
+	g, ok := p.Instance.GenOf(f.Rel, f.Args)
+	if !ok {
+		return 0, false
+	}
+	return p.FactIDOfGen(g)
+}
+
 // gavWorld builds the running example used across provenance tests:
 //
 //	P(x,y) -> P'(x,y)       Q(x,y) -> Q'(x,y)
@@ -20,19 +29,19 @@ func gavWorld() *tw {
 	qq := w.tgtRel("Q1", 2)
 	rr := w.tgtRel("R1", 3)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, q, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, qq, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, pp, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, q, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, qq, logic.V("x"), logic.V("y"))}},
 	}
 	w.m.TTgds = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y")), logic.NewAtom(w.cat, qq, logic.V("y"), logic.V("z"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, rr, logic.V("x"), logic.V("y"), logic.V("z"))}},
+		{Body: []logic.Atom{newAtom(w.cat, pp, logic.V("x"), logic.V("y")), newAtom(w.cat, qq, logic.V("y"), logic.V("z"))},
+			Head: []logic.Atom{newAtom(w.cat, rr, logic.V("x"), logic.V("y"), logic.V("z"))}},
 	}
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, pp, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, pp, logic.V("x"), logic.V("y2")),
 		},
 		L: logic.V("y"), R: logic.V("y2"),
 	}}
@@ -44,8 +53,8 @@ func TestGAVRequiresGAVMapping(t *testing.T) {
 	r := w.srcRel("R", 1)
 	s := w.tgtRel("S", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("z"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"))},
+		Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("z"))},
 	}}
 	if _, err := GAV(w.m, w.src); err == nil {
 		t.Fatal("non-GAV mapping accepted")
@@ -237,10 +246,10 @@ func TestGAVChaseMultipleSupportSets(t *testing.T) {
 	b := w.srcRel("B", 1)
 	tt := w.tgtRel("T", 1)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, a, logic.V("x"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tt, logic.V("x"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, b, logic.V("x"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tt, logic.V("x"))}},
+		{Body: []logic.Atom{newAtom(w.cat, a, logic.V("x"))},
+			Head: []logic.Atom{newAtom(w.cat, tt, logic.V("x"))}},
+		{Body: []logic.Atom{newAtom(w.cat, b, logic.V("x"))},
+			Head: []logic.Atom{newAtom(w.cat, tt, logic.V("x"))}},
 	}
 	w.add(a, "v")
 	w.add(b, "v")
@@ -270,14 +279,14 @@ func TestGAVChaseRecursiveRules(t *testing.T) {
 	e := w.tgtRel("E", 2)
 	tc := w.tgtRel("TC", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
 	}}
 	w.m.TTgds = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tc, logic.V("x"), logic.V("y"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, tc, logic.V("x"), logic.V("y")), logic.NewAtom(w.cat, tc, logic.V("y"), logic.V("z"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tc, logic.V("x"), logic.V("z"))}},
+		{Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, tc, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, tc, logic.V("x"), logic.V("y")), newAtom(w.cat, tc, logic.V("y"), logic.V("z"))},
+			Head: []logic.Atom{newAtom(w.cat, tc, logic.V("x"), logic.V("z"))}},
 	}
 	w.add(r, "a", "b")
 	w.add(r, "b", "c")

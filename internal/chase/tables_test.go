@@ -103,8 +103,8 @@ func TestUsedInInvertsSupports(t *testing.T) {
 		r := w.srcRel("R", 1)
 		pair := w.tgtRel("Pair", 0)
 		w.m.ST = []*logic.TGD{{
-			Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x")), logic.NewAtom(w.cat, r, logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, pair)},
+			Body: []logic.Atom{newAtom(w.cat, r, logic.V("x")), newAtom(w.cat, r, logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, pair)},
 		}}
 		for i := 0; i < n; i++ {
 			w.add(r, fmt.Sprint(i))

@@ -24,7 +24,7 @@ func contFixture() (*schema.Catalog, *schema.Relation, *schema.Relation) {
 }
 
 func atom(cat *schema.Catalog, r *schema.Relation, ts ...logic.Term) logic.Atom {
-	return logic.NewAtom(cat, r, ts...)
+	return newAtom(cat, r, ts...)
 }
 
 func TestContainmentBasic(t *testing.T) {

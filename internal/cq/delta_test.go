@@ -17,8 +17,8 @@ func TestForEachDeltaEnumeratesEachMatchOnce(t *testing.T) {
 	w := newWorld()
 	e := w.rel("E")
 	plan := Compile([]logic.Atom{
-		logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y")),
-		logic.NewAtom(w.cat, e, logic.V("y"), logic.V("z")),
+		newAtom(w.cat, e, logic.V("x"), logic.V("y")),
+		newAtom(w.cat, e, logic.V("y"), logic.V("z")),
 	})
 
 	key := func(env []symtab.Value) string { return fmt.Sprintf("%v", env) }
@@ -82,7 +82,7 @@ func TestForEachDeltaEmptyWindow(t *testing.T) {
 	w.add("E", "a", "b")
 	w.add("E", "b", "c")
 	e := w.rel("E")
-	plan := Compile([]logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))})
+	plan := Compile([]logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))})
 	n := 0
 	plan.ForEachDelta(w.in, w.in.Gen(), func([]symtab.Value, []uint64, []int) bool { n++; return true })
 	if n != 0 {
@@ -105,8 +105,8 @@ func TestJoinOrderPrefersBoundAndSmall(t *testing.T) {
 	w.add("P", "x")
 	e, p := w.rel("E"), w.rel("P")
 	plan := Compile([]logic.Atom{
-		logic.NewAtom(w.cat, e, logic.V("a"), logic.V("b")),
-		logic.NewAtom(w.cat, p, logic.V("a")),
+		newAtom(w.cat, e, logic.V("a"), logic.V("b")),
+		newAtom(w.cat, p, logic.V("a")),
 	})
 	order := plan.JoinOrder(w.in)
 	if plan.base[order[0]].rel != p.ID {

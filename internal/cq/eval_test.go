@@ -9,6 +9,16 @@ import (
 	"repro/internal/symtab"
 )
 
+// newAtom builds an atom for static test setup, panicking on an arity
+// mismatch.
+func newAtom(cat *schema.Catalog, rel *schema.Relation, terms ...logic.Term) logic.Atom {
+	a, err := logic.MakeAtom(cat, rel, terms...)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 type world struct {
 	cat *schema.Catalog
 	u   *symtab.Universe
@@ -55,8 +65,8 @@ func TestEvalSimpleJoin(t *testing.T) {
 	q := &logic.UCQ{Name: "q", Arity: 2, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x"), logic.V("z")},
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, e, logic.V("y"), logic.V("z")),
+			newAtom(w.cat, e, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, e, logic.V("y"), logic.V("z")),
 		},
 	}}}
 	ans := EvalUCQ(q, w.in)
@@ -76,7 +86,7 @@ func TestEvalSelfJoinRepeatedVar(t *testing.T) {
 	// q(x) :- E(x,x)
 	q := &logic.UCQ{Name: "q", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("x"))},
+		Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("x"))},
 	}}}
 	ans := EvalUCQ(q, w.in)
 	if ans.Len() != 1 || !ans.Contains(w.tuple("a")) {
@@ -94,7 +104,7 @@ func TestEvalWithConstant(t *testing.T) {
 	// q(x) :- E(x, b)
 	q := &logic.UCQ{Name: "q", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.C(b))},
+		Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.C(b))},
 	}}}
 	ans := EvalUCQ(q, w.in)
 	if ans.Len() != 2 {
@@ -108,8 +118,8 @@ func TestEvalUnion(t *testing.T) {
 	w.add("P", "c")
 	e, p := w.rel("E"), w.rel("P")
 	q := &logic.UCQ{Name: "q", Arity: 1, Clauses: []logic.CQ{
-		{Head: []logic.Term{logic.V("x")}, Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))}},
-		{Head: []logic.Term{logic.V("x")}, Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"))}},
+		{Head: []logic.Term{logic.V("x")}, Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))}},
+		{Head: []logic.Term{logic.V("x")}, Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"))}},
 	}}
 	ans := EvalUCQ(q, w.in)
 	if ans.Len() != 2 || !ans.Contains(w.tuple("a")) || !ans.Contains(w.tuple("c")) {
@@ -141,7 +151,7 @@ func TestEvalBoolean(t *testing.T) {
 	e := w.rel("E")
 	q := &logic.UCQ{Name: "q", Arity: 0, Clauses: []logic.CQ{{
 		Head: nil,
-		Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("x"))},
+		Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("x"))},
 	}}}
 	if evalBoolean(q, w.in) {
 		t.Fatal("boolean query true on non-matching instance")
@@ -161,7 +171,7 @@ func TestAnswersWithoutNulls(t *testing.T) {
 	w.in.Add(e.ID, []symtab.Value{a, a})
 	q := &logic.UCQ{Name: "q", Arity: 2, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x"), logic.V("y")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
 	}}}
 	ans := EvalUCQ(q, w.in)
 	if ans.Len() != 2 {
@@ -206,8 +216,8 @@ func TestPlanCompileOrdersBoundFirst(t *testing.T) {
 	w.add("P", "x")
 	e, p := w.rel("E"), w.rel("P")
 	body := []logic.Atom{
-		logic.NewAtom(w.cat, e, logic.V("a"), logic.V("b")),
-		logic.NewAtom(w.cat, p, logic.V("a")),
+		newAtom(w.cat, e, logic.V("a"), logic.V("b")),
+		newAtom(w.cat, p, logic.V("a")),
 	}
 	plan := Compile(body)
 	if order := plan.JoinOrder(w.in); plan.base[order[0]].rel != p.ID {
@@ -225,7 +235,7 @@ func TestForEachEarlyStop(t *testing.T) {
 	w.add("E", "a", "b")
 	w.add("E", "b", "c")
 	e := w.rel("E")
-	plan := Compile([]logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))})
+	plan := Compile([]logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))})
 	n := 0
 	completed := plan.ForEach(w.in, func([]symtab.Value) bool { n++; return false })
 	if completed || n != 1 {

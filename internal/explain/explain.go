@@ -240,13 +240,3 @@ func (r *Renderer) Render(e *Explanation) string {
 	}
 	return b.String()
 }
-
-// RenderAll renders a batch in order, separated by nothing (each block is
-// newline-terminated already).
-func (r *Renderer) RenderAll(es []*Explanation) string {
-	var b strings.Builder
-	for _, e := range es {
-		b.WriteString(r.Render(e))
-	}
-	return b.String()
-}

@@ -107,6 +107,16 @@ func TestRenderFactCap(t *testing.T) {
 	}
 }
 
+// RenderAll renders a batch in order, separated by nothing (each block is
+// newline-terminated already).
+func (r *Renderer) RenderAll(es []*Explanation) string {
+	var b strings.Builder
+	for _, e := range es {
+		b.WriteString(r.Render(e))
+	}
+	return b.String()
+}
+
 func TestRenderAllConcatenates(t *testing.T) {
 	r := testRenderer(0)
 	a := &Explanation{Query: "q", Verdict: Safe}

@@ -14,6 +14,16 @@ import (
 	"repro/internal/testkit"
 )
 
+// newAtom builds an atom for static test setup, panicking on an arity
+// mismatch.
+func newAtom(cat *schema.Catalog, rel *schema.Relation, terms ...logic.Term) logic.Atom {
+	a, err := logic.MakeAtom(cat, rel, terms...)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 type tw struct {
 	cat *schema.Catalog
 	u   *symtab.Universe
@@ -52,8 +62,8 @@ func TestReduceIdentityForGAV(t *testing.T) {
 	r := w.srcRel("R", 2)
 	s := w.tgtRel("S", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))},
 	}}
 	red, err := Reduce(w.m)
 	if err != nil {
@@ -64,7 +74,7 @@ func TestReduceIdentityForGAV(t *testing.T) {
 	}
 	q := &logic.UCQ{Name: "q", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))},
 	}}}
 	rq, err := red.RewriteQuery(q)
 	if err != nil {
@@ -80,12 +90,12 @@ func TestReduceRejectsNonWeaklyAcyclic(t *testing.T) {
 	r := w.srcRel("R", 2)
 	e := w.tgtRel("E", 2)
 	w.m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
 	}}
 	w.m.TTgds = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(w.cat, e, logic.V("y"), logic.V("z"))},
+		Body: []logic.Atom{newAtom(w.cat, e, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(w.cat, e, logic.V("y"), logic.V("z"))},
 	}}
 	if _, err := Reduce(w.m); err == nil {
 		t.Fatal("non-weakly-acyclic mapping accepted")
@@ -99,15 +109,15 @@ func lavKeyWorld() *tw {
 	p := w.srcRel("P", 2)
 	s := w.tgtRel("S", 2)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, r, logic.V("x"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("z"))}, Label: "lav"},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y"))}, Label: "gav"},
+		{Body: []logic.Atom{newAtom(w.cat, r, logic.V("x"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("z"))}, Label: "lav"},
+		{Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, s, logic.V("x"), logic.V("y"))}, Label: "gav"},
 	}
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, s, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, s, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, s, logic.V("x"), logic.V("y2")),
 		},
 		L: logic.V("y"), R: logic.V("y2"), Label: "key",
 	}}
@@ -139,7 +149,7 @@ func TestReduceLavKeyConsistent(t *testing.T) {
 	sRel, _ := w.cat.ByName("S")
 	q := &logic.UCQ{Name: "q", Arity: 2, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x"), logic.V("y")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, sRel, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, sRel, logic.V("x"), logic.V("y"))},
 	}}}
 	rq, err := red.RewriteQuery(q)
 	if err != nil {
@@ -183,18 +193,18 @@ func clusterWorld() *tw {
 	iso := w.tgtRel("Iso", 2)   // (cluster, transcript)
 	ann := w.tgtRel("Ann", 2)   // (transcript, gene)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, tr, logic.V("t"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, iso, logic.V("c"), logic.V("t"))}, Label: "mkcluster"},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, gene, logic.V("t"), logic.V("g"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, ann, logic.V("t"), logic.V("g"))}, Label: "copygene"},
+		{Body: []logic.Atom{newAtom(w.cat, tr, logic.V("t"))},
+			Head: []logic.Atom{newAtom(w.cat, iso, logic.V("c"), logic.V("t"))}, Label: "mkcluster"},
+		{Body: []logic.Atom{newAtom(w.cat, gene, logic.V("t"), logic.V("g"))},
+			Head: []logic.Atom{newAtom(w.cat, ann, logic.V("t"), logic.V("g"))}, Label: "copygene"},
 	}
 	// Same gene symbol -> same cluster.
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, ann, logic.V("t1"), logic.V("g")),
-			logic.NewAtom(w.cat, ann, logic.V("t2"), logic.V("g")),
-			logic.NewAtom(w.cat, iso, logic.V("c1"), logic.V("t1")),
-			logic.NewAtom(w.cat, iso, logic.V("c2"), logic.V("t2")),
+			newAtom(w.cat, ann, logic.V("t1"), logic.V("g")),
+			newAtom(w.cat, ann, logic.V("t2"), logic.V("g")),
+			newAtom(w.cat, iso, logic.V("c1"), logic.V("t1")),
+			newAtom(w.cat, iso, logic.V("c2"), logic.V("t2")),
 		},
 		L: logic.V("c1"), R: logic.V("c2"), Label: "cluster",
 	}}
@@ -228,8 +238,8 @@ func TestReduceClusterQuery(t *testing.T) {
 	q := &logic.UCQ{Name: "q", Arity: 2, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("a"), logic.V("b")},
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, isoRel, logic.V("c"), logic.V("a")),
-			logic.NewAtom(w.cat, isoRel, logic.V("c"), logic.V("b")),
+			newAtom(w.cat, isoRel, logic.V("c"), logic.V("a")),
+			newAtom(w.cat, isoRel, logic.V("c"), logic.V("b")),
 		},
 	}}}
 	rq, err := red.RewriteQuery(q)
@@ -367,7 +377,7 @@ func TestRewriteQueryRejectsSourceRelations(t *testing.T) {
 	tr, _ := w.cat.ByName("Tr")
 	q := &logic.UCQ{Name: "bad", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, tr, logic.V("x"))},
+		Body: []logic.Atom{newAtom(w.cat, tr, logic.V("x"))},
 	}}}
 	if _, err := red.RewriteQuery(q); err == nil {
 		t.Fatal("query over source relation accepted")

@@ -54,16 +54,6 @@ func MakeAtom(cat *schema.Catalog, rel *schema.Relation, terms ...Term) (Atom, e
 	return Atom{Rel: rel.ID, Terms: terms}, nil
 }
 
-// NewAtom is the Must-style form of MakeAtom for static setup code: it
-// panics with a *schema.ArityError on mismatch.
-func NewAtom(cat *schema.Catalog, rel *schema.Relation, terms ...Term) Atom {
-	a, err := MakeAtom(cat, rel, terms...)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // String renders the atom.
 func (a Atom) String(cat *schema.Catalog, u *symtab.Universe) string {
 	parts := make([]string, len(a.Terms))
@@ -132,12 +122,6 @@ func (d *TGD) FrontierVars() []string {
 func (d *TGD) IsGAV() bool {
 	return len(d.Head) == 1 && len(d.ExistentialVars()) == 0
 }
-
-// IsLAV reports whether the tgd is a LAV constraint: a single body atom.
-func (d *TGD) IsLAV() bool { return len(d.Body) == 1 }
-
-// IsFull reports whether the tgd has no existential variables.
-func (d *TGD) IsFull() bool { return len(d.ExistentialVars()) == 0 }
 
 // Validate checks structural sanity: nonempty body and head, and all head
 // atoms' constant-free positions fine (nothing else to check structurally).

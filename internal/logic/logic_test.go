@@ -8,6 +8,22 @@ import (
 	"repro/internal/symtab"
 )
 
+// IsLAV reports whether the tgd is a LAV constraint: a single body atom.
+func (d *TGD) IsLAV() bool { return len(d.Body) == 1 }
+
+// IsFull reports whether the tgd has no existential variables.
+func (d *TGD) IsFull() bool { return len(d.ExistentialVars()) == 0 }
+
+// NewAtom is the Must-style form of MakeAtom for static test setup: it
+// panics with a *schema.ArityError on mismatch.
+func NewAtom(cat *schema.Catalog, rel *schema.Relation, terms ...Term) Atom {
+	a, err := MakeAtom(cat, rel, terms...)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func fixture() (*schema.Catalog, *symtab.Universe) {
 	cat := schema.NewCatalog()
 	cat.MustAdd("E", 2)

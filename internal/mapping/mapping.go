@@ -108,16 +108,6 @@ func (m *Mapping) AllTgds() []*logic.TGD {
 	return out
 }
 
-// WithoutEgds returns M^tgd, the mapping with all egds dropped (Def. 2).
-// The returned mapping shares catalog, universe, schemas and tgd slices.
-func (m *Mapping) WithoutEgds() *Mapping {
-	return &Mapping{
-		Cat: m.Cat, U: m.U,
-		Source: m.Source, Target: m.Target,
-		ST: m.ST, TTgds: m.TTgds,
-	}
-}
-
 // Stats summarizes the mapping size (used by the reduction-blowup experiment).
 type Stats struct {
 	STTgds, TargetTgds, TargetEgds int

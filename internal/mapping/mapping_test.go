@@ -8,6 +8,26 @@ import (
 	"repro/internal/symtab"
 )
 
+// newAtom builds an atom for static test setup, panicking on an arity
+// mismatch.
+func newAtom(cat *schema.Catalog, rel *schema.Relation, terms ...logic.Term) logic.Atom {
+	a, err := logic.MakeAtom(cat, rel, terms...)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// WithoutEgds returns M^tgd, the mapping with all egds dropped (Def. 2).
+// The returned mapping shares catalog, universe, schemas and tgd slices.
+func (m *Mapping) WithoutEgds() *Mapping {
+	return &Mapping{
+		Cat: m.Cat, U: m.U,
+		Source: m.Source, Target: m.Target,
+		ST: m.ST, TTgds: m.TTgds,
+	}
+}
+
 func fixture() (*schema.Catalog, *symtab.Universe, *Mapping, *schema.Relation, *schema.Relation) {
 	cat := schema.NewCatalog()
 	u := symtab.NewUniverse()
@@ -22,13 +42,13 @@ func fixture() (*schema.Catalog, *symtab.Universe, *Mapping, *schema.Relation, *
 func TestValidateGood(t *testing.T) {
 	cat, _, m, r, s := fixture()
 	m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
 	}}
 	m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(cat, s, logic.V("x"), logic.V("y")),
-			logic.NewAtom(cat, s, logic.V("x"), logic.V("z")),
+			newAtom(cat, s, logic.V("x"), logic.V("y")),
+			newAtom(cat, s, logic.V("x"), logic.V("z")),
 		},
 		L: logic.V("y"), R: logic.V("z"),
 	}}
@@ -55,8 +75,8 @@ func TestValidateWrongSides(t *testing.T) {
 	cat, _, m, r, s := fixture()
 	// s-t tgd with target body atom.
 	m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
 	}}
 	if m.Validate() == nil {
 		t.Fatal("target body in s-t tgd accepted")
@@ -64,8 +84,8 @@ func TestValidateWrongSides(t *testing.T) {
 	m.ST = nil
 	// target tgd mentioning source.
 	m.TTgds = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
 	}}
 	if m.Validate() == nil {
 		t.Fatal("source atom in target tgd accepted")
@@ -73,7 +93,7 @@ func TestValidateWrongSides(t *testing.T) {
 	m.TTgds = nil
 	// egd over source.
 	m.TEgds = []*logic.EGD{{
-		Body: []logic.Atom{logic.NewAtom(cat, r, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(cat, r, logic.V("x"), logic.V("y"))},
 		L:    logic.V("x"), R: logic.V("y"),
 	}}
 	if m.Validate() == nil {
@@ -84,11 +104,11 @@ func TestValidateWrongSides(t *testing.T) {
 func TestWithoutEgds(t *testing.T) {
 	cat, _, m, r, s := fixture()
 	m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
 	}}
 	m.TEgds = []*logic.EGD{{
-		Body: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
 		L:    logic.V("x"), R: logic.V("y"),
 	}}
 	mt := m.WithoutEgds()
@@ -103,12 +123,12 @@ func TestWithoutEgds(t *testing.T) {
 func TestStatsAndAllTgds(t *testing.T) {
 	cat, _, m, r, s := fixture()
 	st := &logic.TGD{
-		Body: []logic.Atom{logic.NewAtom(cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
 	}
 	tt := &logic.TGD{
-		Body: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(cat, s, logic.V("y"), logic.V("x"))},
+		Body: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(cat, s, logic.V("y"), logic.V("x"))},
 	}
 	m.ST = []*logic.TGD{st}
 	m.TTgds = []*logic.TGD{tt}
@@ -124,8 +144,8 @@ func TestStatsAndAllTgds(t *testing.T) {
 func TestIsGAVNegative(t *testing.T) {
 	cat, _, m, r, s := fixture()
 	m.ST = []*logic.TGD{{
-		Body: []logic.Atom{logic.NewAtom(cat, r, logic.V("x"), logic.V("y"))},
-		Head: []logic.Atom{logic.NewAtom(cat, s, logic.V("x"), logic.V("z"))},
+		Body: []logic.Atom{newAtom(cat, r, logic.V("x"), logic.V("y"))},
+		Head: []logic.Atom{newAtom(cat, s, logic.V("x"), logic.V("z"))},
 	}}
 	if m.IsGAV() {
 		t.Fatal("existential tgd classified GAV")

@@ -209,6 +209,8 @@ func (sc *Scenario) Info() ScenarioInfo {
 		SuspectFacts: sc.ex.SuspectFacts(),
 		Queries:      append([]string{}, sc.queryNames...),
 		Stats:        st,
+
+		QueryStateBytes: sc.ex.QueryStateBytes(),
 	}
 }
 

@@ -232,6 +232,9 @@ type ScenarioInfo struct {
 	SuspectFacts int              `json:"suspect_facts"`
 	Queries      []string         `json:"queries"`
 	Stats        xr.ExchangeStats `json:"stats"`
+	// QueryStateBytes is the estimated size of the tenant's query state:
+	// its signature programs, persistent solvers and query plans.
+	QueryStateBytes int64 `json:"query_state_bytes"`
 }
 
 // ListResponse is the body of GET /v1/scenarios.

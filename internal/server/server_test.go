@@ -805,3 +805,54 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryStateBytesPerTenant: each tenant reports the size of its own
+// query state. A tenant nothing has asked holds none, asking one tenant
+// leaves the other's number alone, and a repeat adds nothing.
+func TestQueryStateBytesPerTenant(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	loadScenario(t, ts.URL, "k4", tricolorMapping, k4Facts, k4Query)
+	loadScenario(t, ts.URL, "k3", tricolorMapping, k3Facts, k3Query)
+	sizes := func() map[string]int64 {
+		t.Helper()
+		code, body, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/scenarios", nil)
+		if code != http.StatusOK {
+			t.Fatalf("list: status %d", code)
+		}
+		var list ListResponse
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, info := range list.Scenarios {
+			out[info.Name] = info.QueryStateBytes
+		}
+		return out
+	}
+	ask := func(name string) {
+		t.Helper()
+		if code, body, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/scenarios/"+name+"/query",
+			QueryRequest{Name: "inAllRepairs"}); code != http.StatusOK {
+			t.Fatalf("query %s: status %d, body %s", name, code, body)
+		}
+	}
+	if got := sizes(); got["k4"] != 0 || got["k3"] != 0 {
+		t.Fatalf("query state before any query: %v, want none", got)
+	}
+	ask("k4")
+	afterK4 := sizes()
+	if afterK4["k4"] <= 0 || afterK4["k3"] != 0 {
+		t.Fatalf("query state after asking k4: %v, want k4 only", afterK4)
+	}
+	ask("k3")
+	ask("k4")
+	got := sizes()
+	if got["k3"] <= 0 || got["k4"] != afterK4["k4"] {
+		t.Fatalf("query state after asking k3 and repeating k4: %v, want k3 > 0 and k4 = %d", got, afterK4["k4"])
+	}
+	code, body, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/scenarios/k3", nil)
+	var info ScenarioInfo
+	if err := json.Unmarshal(body, &info); code != http.StatusOK || err != nil || info.QueryStateBytes != got["k3"] {
+		t.Fatalf("info k3: status %d, %+v (err %v), want query_state_bytes %d", code, info, err, got["k3"])
+	}
+}

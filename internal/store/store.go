@@ -242,9 +242,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// DataDir returns the store's root directory.
-func (s *Store) DataDir() string { return s.dir }
-
 // Close stops the background loop and makes one final attempt to flush
 // deferred saves. Safe to call once.
 func (s *Store) Close() {

@@ -87,12 +87,6 @@ func (u *Universe) FreshNull() Value {
 	return Value(-u.nulls)
 }
 
-// NumNulls returns how many nulls FreshNull has handed out.
-func (u *Universe) NumNulls() int { return int(u.nulls) }
-
-// NumConsts returns how many constants have been interned.
-func (u *Universe) NumConsts() int { return len(u.names) }
-
 // Name renders v for display: the interned name for constants, "_Nk" for
 // labeled nulls.
 func (u *Universe) Name(v Value) string {

@@ -5,6 +5,12 @@ import (
 	"testing/quick"
 )
 
+// NumNulls returns how many nulls FreshNull has handed out.
+func (u *Universe) NumNulls() int { return int(u.nulls) }
+
+// NumConsts returns how many constants have been interned.
+func (u *Universe) NumConsts() int { return len(u.names) }
+
 func TestConstInterning(t *testing.T) {
 	u := NewUniverse()
 	a := u.Const("a")

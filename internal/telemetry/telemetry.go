@@ -450,18 +450,3 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 	type plain Snapshot // avoid recursion
 	return json.Marshal(plain(s))
 }
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -5,11 +5,27 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// CounterNames returns the registered counter names, sorted.
+func (r *Registry) CounterNames() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.counters))
+	for name := range r.counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // TestNilSafety exercises every instrument method on nil receivers and a
 // nil registry: the disabled-telemetry fast path must never panic.

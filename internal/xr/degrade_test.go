@@ -330,7 +330,7 @@ func TestPoisonedSolverPanicRebuilds(t *testing.T) {
 	}
 	const key = "0"
 	sabotage := func() {
-		sp, _ := ex.sigProgramFor(key)
+		sp := ex.state.program(key)
 		sp.incMu.Lock()
 		sp.inc.solver = nil // the next session on this signature panics
 		sp.inc.forget()     // and neither the memo nor a stored model can spare the query that session

@@ -44,8 +44,8 @@ import (
 // group (out.degraded != nil) yields Unknown explanations without solving;
 // otherwise the group's candidates share one fresh solver and each gets
 // its own witness session.
-func (ex *Exchange) explainGroup(ctx context.Context, g *sigGroup, out *groupOutcome, brave bool, qname string) (es []*explain.Explanation, err error) {
-	key := g.key
+func (ex *Exchange) explainGroup(ctx context.Context, a *ask, g *sigGroup, out *groupOutcome) (es []*explain.Explanation, err error) {
+	key, brave, qname := g.key, a.brave, a.qname
 	es = make([]*explain.Explanation, 0, len(g.cands))
 	if out.degraded != nil {
 		cause := classifyCause(out.degraded.Err)
@@ -64,8 +64,7 @@ func (ex *Exchange) explainGroup(ctx context.Context, g *sigGroup, out *groupOut
 		return es, nil
 	}
 	defer recoverInternal("explain signature {"+key+"}", &err)
-	sp, _ := ex.sigProgramFor(key)
-	sp.ensure(ex, g.sig)
+	sp, _ := ex.sigProgramFor(key, g.sig, a.mt)
 
 	spec := sp.enc.specialize()
 	qas := make([]asp.AtomID, len(g.cands))

@@ -25,7 +25,11 @@ func renderAll(cat *schema.Catalog, u *symtab.Universe, ex *Exchange, res *Resul
 		FormatFact:  func(f chase.FactID) string { return ex.Prov.Fact(f).String(cat, u) },
 		FormatValue: func(v symtab.Value) string { return u.Name(v) },
 	}
-	return r.RenderAll(res.Explanations)
+	var b strings.Builder
+	for _, e := range res.Explanations {
+		b.WriteString(r.Render(e))
+	}
+	return b.String()
 }
 
 // TestExplainDeterminismConflictFarm: explanation output is byte-identical

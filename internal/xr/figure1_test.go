@@ -30,13 +30,13 @@ func TestFigure1Discrepancy(t *testing.T) {
 	t0 := w.tgtRel("T0", 1)
 	t1 := w.tgtRel("T1", 1)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, s1, logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, t1, logic.V("y"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, s1, logic.V("y")), logic.NewAtom(w.cat, s2, logic.V("w"), logic.V("z"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, t0, logic.V("w"))}},
+		{Body: []logic.Atom{newAtom(w.cat, s1, logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, t1, logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, s1, logic.V("y")), newAtom(w.cat, s2, logic.V("w"), logic.V("z"))},
+			Head: []logic.Atom{newAtom(w.cat, t0, logic.V("w"))}},
 	}
 	w.m.TEgds = []*logic.EGD{{
-		Body: []logic.Atom{logic.NewAtom(w.cat, t0, logic.V("y")), logic.NewAtom(w.cat, t1, logic.V("z"))},
+		Body: []logic.Atom{newAtom(w.cat, t0, logic.V("y")), newAtom(w.cat, t1, logic.V("z"))},
 		L:    logic.V("z"), R: logic.V("y"),
 	}}
 	w.add(s0, "c0")
@@ -82,7 +82,7 @@ func TestFigure1Discrepancy(t *testing.T) {
 	// q(x) :- T1(x) has no certain answer (T1(c2) absent from repair {S0,S2}).
 	q := &logic.UCQ{Name: "q", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, t1, logic.V("x"))},
+		Body: []logic.Atom{newAtom(w.cat, t1, logic.V("x"))},
 	}}}
 	mono, err := Monolithic(w.m, w.src, []*logic.UCQ{q}, Options{})
 	if err != nil {

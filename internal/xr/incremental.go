@@ -145,7 +145,7 @@ func (sp *sigProgram) incSolverLocked(ex *Exchange, mt *meters) *incSolver {
 	}
 	spec := sp.enc.specialize()
 	sp.inc = &incSolver{
-		id:        ex.solverIDs.Add(1),
+		id:        ex.state.solverIDs.Add(1),
 		spec:      spec,
 		solver:    asp.NewStableSolver(spec.gp),
 		cands:     make(map[string]asp.AtomID),

@@ -26,13 +26,8 @@ import (
 // unpublishWirings drops the published wiring of every cached plan group,
 // so the next ask of each group runs it as a job, which wires it again.
 func unpublishWirings(ex *Exchange) {
-	ex.planMu.Lock()
-	defer ex.planMu.Unlock()
-	for _, e := range ex.plans {
-		if e.plan == nil {
-			continue
-		}
-		for _, g := range e.plan.groups {
+	for _, p := range cachedEntries[*queryPlan](ex) {
+		for _, g := range p.groups {
 			g.wired.Store(nil)
 		}
 	}
@@ -278,7 +273,7 @@ func runInPlace(t *testing.T, sc memoScenario) (decided int) {
 				case site == faultSiteCache && k == groups[1].key && refetched:
 					// groups[1] is decided in place after groups[0] was
 					// evicted and before its job runs.
-					ex.sigProgramFor(key)
+					ex.sigProgramFor(key, groups[0].sig, nil)
 				}
 				return nil
 			}

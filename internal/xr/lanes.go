@@ -16,9 +16,9 @@ import (
 // single-threaded phases, while goroutines doing solver work across all of
 // them never outnumber the lanes.
 //
-// A job takes its lane before it touches the signature-program cache
-// (progMu) or a persistent solver (incMu), so the lock order is always
-// lane first, and no job waits for a lane while it holds either lock.
+// A job takes its lane before it touches the query state (state.go) or a
+// persistent solver (incMu), so the lock order is always lane first, and
+// no job waits for a lane while it holds either lock.
 type LanePool struct {
 	sem  chan struct{}
 	busy *telemetry.Gauge     // xr_lanes_in_use

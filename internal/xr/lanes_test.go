@@ -180,7 +180,7 @@ func TestLaneWait(t *testing.T) {
 	tt, _ := w.cat.ByName("T")
 	safeQ := &logic.UCQ{Name: "safe", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("v")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, tt, logic.C(w.u.Const("clean0")), logic.V("v"))},
+		Body: []logic.Atom{newAtom(w.cat, tt, logic.C(w.u.Const("clean0")), logic.V("v"))},
 	}}}
 
 	pool := NewLanePool(1, nil)

@@ -332,11 +332,7 @@ func memoImplicationHits(t *testing.T, sc memoScenario, firstBrave bool) int64 {
 	}
 	var hits int64
 	for _, q := range sc.queries {
-		for _, sp := range ex.progCache {
-			if sp.inc != nil {
-				sp.inc.forget()
-			}
-		}
+		forgetVerdicts(ex)
 		if _, err := ex.query(q, firstBrave, Options{}); err != nil {
 			t.Fatal(err)
 		}

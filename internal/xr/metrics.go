@@ -60,7 +60,6 @@ type meters struct {
 	cacheMisses    *telemetry.Counter
 	learnedClauses *telemetry.Counter
 	programSeconds *telemetry.Histogram
-	sigcacheSize   *telemetry.Gauge
 
 	// Solver effort (DPLL core + stable-model layer).
 	decisions        *telemetry.Counter
@@ -84,10 +83,10 @@ type meters struct {
 	memoHits      *telemetry.Counter
 	modelHits     *telemetry.Counter
 
-	// Query plans (DESIGN.md §9.3): asks served from a cached plan, and
-	// plans evicted to keep the cache within its byte bound.
-	planHits      *telemetry.Counter
-	planEvictions *telemetry.Counter
+	// Query state (DESIGN.md §9.3): asks served from a cached plan, and
+	// programs and plans evicted to keep the state within its byte bound.
+	planHits       *telemetry.Counter
+	stateEvictions *telemetry.Counter
 
 	// Degradation (partial-results mode; DESIGN.md §11).
 	partialQueries   *telemetry.Counter
@@ -141,7 +140,6 @@ func newMeters(reg *telemetry.Registry) *meters {
 		cacheMisses:    reg.Counter("xr_sigcache_misses_total"),
 		learnedClauses: reg.Counter("xr_sigcache_learned_clauses_total"),
 		programSeconds: reg.Histogram("xr_program_seconds"),
-		sigcacheSize:   reg.Gauge("xr_sigcache_entries"),
 
 		decisions:        reg.Counter("xr_solver_decisions_total"),
 		conflicts:        reg.Counter("xr_solver_conflicts_total"),
@@ -160,8 +158,8 @@ func newMeters(reg *telemetry.Registry) *meters {
 		memoHits:      reg.Counter("xr_solver_verdict_memo_hits_total"),
 		modelHits:     reg.Counter("xr_solver_model_memo_hits_total"),
 
-		planHits:      reg.Counter("xr_query_plan_hits_total"),
-		planEvictions: reg.Counter("xr_query_plan_evictions_total"),
+		planHits:       reg.Counter("xr_query_plan_hits_total"),
+		stateEvictions: reg.Counter("xr_query_state_evictions_total"),
 
 		partialQueries:   reg.Counter("xr_partial_queries_total"),
 		degradedSigs:     reg.Counter("xr_signatures_degraded_total"),
@@ -304,12 +302,13 @@ func (m *meters) recordPlanHit() {
 	m.planHits.Inc()
 }
 
-// recordPlanEvictions counts plans evicted past the plan cache's bound.
-func (m *meters) recordPlanEvictions(n int) {
-	if m == nil {
+// recordStateEvictions counts programs and plans evicted past the query
+// state's bound.
+func (m *meters) recordStateEvictions(n int) {
+	if m == nil || n == 0 {
 		return
 	}
-	m.planEvictions.Add(int64(n))
+	m.stateEvictions.Add(int64(n))
 }
 
 // recordLearned counts one distinct maximality clause learned by one
@@ -340,17 +339,6 @@ func (m *meters) recordDegradation(degraded int) {
 	}
 	m.partialQueries.Inc()
 	m.degradedSigs.Add(int64(degraded))
-}
-
-// recordSigcacheSize publishes the exchange's current cache population.
-func (m *meters) recordSigcacheSize(ex *Exchange) {
-	if m == nil {
-		return
-	}
-	ex.progMu.Lock()
-	n := len(ex.progCache)
-	ex.progMu.Unlock()
-	m.sigcacheSize.Set(int64(n))
 }
 
 // recordRepairs counts repairs produced by an enumeration call.

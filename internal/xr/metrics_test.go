@@ -100,8 +100,8 @@ func TestMetricsMatchTraceEvents(t *testing.T) {
 			t.Fatalf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if snap.Gauges["xr_sigcache_entries"] != int64(res.Stats.Programs) {
-		t.Fatalf("sigcache gauge = %d, want %d", snap.Gauges["xr_sigcache_entries"], res.Stats.Programs)
+	if n := len(cachedEntries[*sigProgram](ex)); n != res.Stats.Programs {
+		t.Fatalf("%d signature programs cached, want %d", n, res.Stats.Programs)
 	}
 	if snap.Histograms["xr_program_seconds"].Count != int64(res.Stats.Programs) {
 		t.Fatalf("program histogram count = %d, want %d",
@@ -132,8 +132,7 @@ func TestLearnedClausesCountedOncePerRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, _ := ex.sigProgramFor("0")
-	sp.ensure(ex, []int{0})
+	sp, _ := ex.sigProgramFor("0", []int{0}, nil)
 	e := sp.enc
 	if len(e.deletable) != 2 {
 		t.Fatalf("deletable facts = %d, want 2", len(e.deletable))

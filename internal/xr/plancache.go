@@ -1,7 +1,6 @@
 package xr
 
 import (
-	"container/list"
 	"encoding/binary"
 	"slices"
 	"strings"
@@ -12,20 +11,15 @@ import (
 	"repro/internal/symtab"
 )
 
-// This file implements the query-plan cache of the segmentary query path
+// This file implements the query plans of the segmentary query path
 // (DESIGN.md §9.3): the query-specific half of a query — its candidate
 // count, its safe answers and its signature groups — computed once per
-// query per Exchange. An Exchange is immutable, so all three are a pure
-// function of the rewritten query, and XR-Certain and XR-Possible answers
-// share them: only the per-group decision differs. A warm ask then skips
-// candidate collection and the safe split, and a group the persistent
-// solver has already wired skips candidateKey too.
-
-// maxPlanBytes bounds each Exchange's plan cache by the estimated size of
-// the plans it holds; the least recently used plans are evicted past it.
-// The plans of the genome-read benchmark's whole 11-query suite take
-// about 1.4 MB, so workloads with a fixed query set never evict.
-const maxPlanBytes = 16 << 20
+// query per Exchange and kept in its query state (state.go). An Exchange
+// is immutable, so all three are a pure function of the rewritten query,
+// and XR-Certain and XR-Possible answers share them: only the per-group
+// decision differs. A warm ask then skips candidate collection and the
+// safe split, and a group the persistent solver has already wired skips
+// candidateKey too.
 
 // queryPlan is what a segmentary query derives from the Exchange before
 // solving. Plans are shared by every ask of the query and never mutated
@@ -89,75 +83,17 @@ func (ex *Exchange) newPlan(cands []*candidate) *queryPlan {
 	return p
 }
 
-// planEntry is one slot of the plan cache.
-type planEntry struct {
-	key   string
-	ready chan struct{} // closed when the build ends
-	plan  *queryPlan    // nil if the build panicked
-	bytes int64
-	elem  *list.Element // position in Exchange.planLRU; nil until built
-}
-
 // planFor returns the plan of a rewritten query, building it on the first
-// ask. Concurrent first asks build it once: the others wait for the
-// build, which, like the candidate collection each would otherwise run
-// itself, has no cancellation point. A build that panics leaves no entry
-// behind, so its waiters and later asks build again.
+// ask (queryState.get). Like the candidate collection each ask would
+// otherwise run itself, the build has no cancellation point.
 func (ex *Exchange) planFor(rq *logic.UCQ, mt *meters) *queryPlan {
-	key := planKey(rq)
-	for {
-		ex.planMu.Lock()
-		e, ok := ex.plans[key]
-		if !ok {
-			break // still holding planMu, to insert the entry this ask builds
-		}
-		if e.elem != nil {
-			ex.planLRU.MoveToFront(e.elem)
-		}
-		ex.planMu.Unlock()
-		<-e.ready
-		if e.plan != nil {
-			mt.recordPlanHit()
-			return e.plan
-		}
+	v, hit := ex.state.get(ex.state.plans, planKey(rq), mt, func() stateValue {
+		return ex.newPlan(collectCandidates(rq, ex.Prov))
+	})
+	if hit {
+		mt.recordPlanHit()
 	}
-	e := &planEntry{key: key, ready: make(chan struct{})}
-	ex.plans[key] = e
-	ex.planMu.Unlock()
-	defer func() {
-		if e.plan == nil {
-			ex.planMu.Lock()
-			if ex.plans[key] == e {
-				delete(ex.plans, key)
-			}
-			ex.planMu.Unlock()
-		}
-		close(e.ready)
-	}()
-
-	plan := ex.newPlan(collectCandidates(rq, ex.Prov))
-	evicted := 0
-	ex.planMu.Lock()
-	e.plan, e.bytes = plan, plan.bytes()+int64(len(key))
-	if ex.plans[key] == e {
-		e.elem = ex.planLRU.PushFront(e)
-		ex.planBytes += e.bytes
-		for ex.planBytes > ex.planCap {
-			evicted++
-			ex.dropPlanLocked(ex.planLRU.Back().Value.(*planEntry))
-		}
-	}
-	ex.planMu.Unlock()
-	mt.recordPlanEvictions(evicted)
-	return plan
-}
-
-// dropPlanLocked removes a built entry from the cache. Asks holding its
-// plan keep using it. The caller holds planMu.
-func (ex *Exchange) dropPlanLocked(e *planEntry) {
-	ex.planLRU.Remove(e.elem)
-	delete(ex.plans, e.key)
-	ex.planBytes -= e.bytes
+	return v.(*queryPlan)
 }
 
 // planKey returns the canonical encoding of a rewritten UCQ. Each clause

@@ -1,8 +1,8 @@
 package xr
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,32 +14,44 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file pins the query-plan cache (DESIGN.md §9.3). A plan serves
-// every later ask of its query, in either semantics and under any name,
-// and nothing that discards state behind a plan changes an answer: a
+// This file pins the query state (DESIGN.md §9.3). A plan serves every
+// later ask of its query, in either semantics and under any name, and
+// nothing that discards state behind a plan changes an answer: a
 // persistent solver poisoned by a panic, a signature program evicted as
-// corrupt, or the plan itself evicted.
+// corrupt or past the bound, a build that panicked, or the plan itself
+// evicted.
 
-// evictAllPlans empties ex's plan cache, as an eviction of every plan
-// would. Asks already holding a plan keep it.
-func evictAllPlans(ex *Exchange) {
-	ex.planMu.Lock()
-	defer ex.planMu.Unlock()
-	for ex.planLRU.Len() > 0 {
-		ex.dropPlanLocked(ex.planLRU.Back().Value.(*planEntry))
+// evictAll empties ex's query state, programs and plans alike, as an
+// eviction of every entry would. Asks already holding an entry keep it.
+func evictAll(ex *Exchange) {
+	qs := &ex.state
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	for qs.lru.Len() > 0 {
+		qs.dropLocked(qs.lru.Back().Value.(*stateEntry))
 	}
+}
+
+// cachedEntries returns the built entries of one kind in ex's query
+// state, *sigProgram or *queryPlan, by key.
+func cachedEntries[T stateValue](ex *Exchange) map[string]T {
+	ex.state.mu.Lock()
+	defer ex.state.mu.Unlock()
+	out := map[string]T{}
+	for _, table := range []stateTable{ex.state.programs, ex.state.plans} {
+		for key, e := range table {
+			if v, ok := e.val.(T); ok {
+				out[key] = v
+			}
+		}
+	}
+	return out
 }
 
 // eachSigProgram calls fn on every cached signature program, holding the
 // program's incMu.
 func eachSigProgram(ex *Exchange, fn func(*sigProgram)) {
-	ex.progMu.Lock()
-	sps := make([]*sigProgram, 0, len(ex.progCache))
-	for _, sp := range ex.progCache {
-		sps = append(sps, sp)
-	}
-	ex.progMu.Unlock()
-	for _, sp := range sps {
+	for _, sp := range cachedEntries[*sigProgram](ex) {
 		sp.incMu.Lock()
 		fn(sp)
 		sp.incMu.Unlock()
@@ -92,8 +104,9 @@ func requireSameExceptCacheHits(t *testing.T, label string, want, got *Result) {
 // and M3 at scale 0.1, random weakly-acyclic mappings) from one long-lived
 // Exchange, warm, as Answer and Possible at Parallelism 1, 4 and 8, after
 // each of: nothing (plan hits), every persistent solver poisoned, a mix
-// of asks under CacheCorrupt faults that evict signature programs, and
-// every plan evicted. Every warm result must equal the fresh reference.
+// of asks under CacheCorrupt faults that evict signature programs, and a
+// pass that empties the whole query state, programs and plans, after
+// every ask. Every result must equal the fresh reference.
 func TestPlanCacheLongLived(t *testing.T) {
 	var hits, rebuilt int64
 	for si, sc := range memoScenarios(t) {
@@ -191,16 +204,43 @@ func runPlanMix(t *testing.T, sc memoScenario, seed uint64) (hits, rebuilt int64
 	}
 	warm("after cache-corrupt")
 
-	evictAllPlans(ex)
-	warm("after plan eviction")
+	// Empty the whole state before the first ask and after every ask: each
+	// ask builds its plan and its programs afresh and hits none of them.
+	evictAll(ex)
+	for _, q := range sc.queries {
+		for _, brave := range []bool{false, true} {
+			for _, par := range []int{1, 4, 8} {
+				label := fmt.Sprintf("evicted %s brave=%v par=%d", q.Name, brave, par)
+				res, err := ex.query(q, brave, Options{Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				evictAll(ex)
+				if res.Stats.CacheHits != 0 {
+					t.Fatalf("%s: %d cache hits on an emptied state", label, res.Stats.CacheHits)
+				}
+				requireSameExceptCacheHits(t, label, reference(q, brave), res)
+				requireSameUnknown(t, label, reference(q, brave), res)
+			}
+		}
+	}
+	// A cold pass, checked above, caches every program again, so the warm
+	// round hits them.
+	for _, q := range sc.queries {
+		if _, err := ex.query(q, false, Options{Parallelism: 1}); err != nil {
+			t.Fatalf("cold after eviction %s: %v", q.Name, err)
+		}
+	}
+	warm("after eviction")
 	return reg.Counter("xr_query_plan_hits_total").Value(), builds.Value() - afterWarm
 }
 
 // TestPlanCacheConcurrentCorruption asks the same queries from four
-// goroutines at once under CacheCorrupt faults, so asks holding a
-// signature program that another ask has just evicted wire the same plan
-// group as asks on its replacement: two incMus over one group. Run under
-// -race; every answer must equal the fresh reference.
+// goroutines at once under CacheCorrupt faults, with the query state
+// bounded below its working set, so asks holding a signature program that
+// another ask has just evicted, as corrupt or past the bound, wire the
+// same plan group as asks on its replacement: two incMus over one group.
+// Run under -race; every answer must equal the fresh reference.
 func TestPlanCacheConcurrentCorruption(t *testing.T) {
 	world, err := genome.NewWorld()
 	if err != nil {
@@ -212,7 +252,8 @@ func TestPlanCacheConcurrentCorruption(t *testing.T) {
 	}
 	p, _ := genome.ProfileByName("M3", 0.1)
 	src := genome.Generate(world, p)
-	ex, err := NewExchange(world.M, src)
+	reg := telemetry.NewRegistry()
+	ex, err := NewExchangeOpts(world.M, src, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +265,8 @@ func TestPlanCacheConcurrentCorruption(t *testing.T) {
 	for i, q := range queries {
 		want[i] = tupleStrings(freshResult(t, ref, q, false, 1))
 	}
+	// ref now holds every base program the suite reaches, without solvers.
+	ex.state.cap = ref.QueryStateBytes() / 2
 	inj := faultkit.New(5, faultkit.Fault{Kind: faultkit.CacheCorrupt, Rate: 0.5})
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -257,6 +300,9 @@ func TestPlanCacheConcurrentCorruption(t *testing.T) {
 	}
 	if inj.Fired(faultkit.CacheCorrupt) == 0 {
 		t.Fatal("vacuous run: no CacheCorrupt fault fired")
+	}
+	if reg.Counter("xr_query_state_evictions_total").Value() == 0 {
+		t.Fatal("vacuous run: nothing was evicted past the bound")
 	}
 }
 
@@ -338,17 +384,16 @@ func TestPlanSharedAcrossNamesAndSemantics(t *testing.T) {
 			t.Fatalf("%s: Possible after Answer missed the plan", q.Name)
 		}
 	}
-	ex.planMu.Lock()
-	n := len(ex.plans)
-	ex.planMu.Unlock()
-	if n != len(queries) {
+	if n := len(cachedEntries[*queryPlan](ex)); n != len(queries) {
 		t.Fatalf("%d plans cached for %d distinct queries", n, len(queries))
 	}
 }
 
-// TestPlanCacheEvictsPastCap: distinct queries past the cache's byte
-// bound evict the least recently used plans, move the eviction counter,
-// keep the cache within the bound, and change no answer.
+// TestPlanCacheEvictsPastCap: past the query state's byte bound, the
+// least recently used signature programs and plans are evicted. With a
+// bound of half the suite's working set, both kinds are evicted, the
+// estimate stays within the bound after every ask, the eviction counter
+// moves, and no answer changes.
 func TestPlanCacheEvictsPastCap(t *testing.T) {
 	world, err := genome.NewWorld()
 	if err != nil {
@@ -369,20 +414,20 @@ func TestPlanCacheEvictsPastCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Size the bound to hold the three largest plans, not all eleven.
-	var sizes []int64
+	// The working set is what one pass leaves on a twin exchange.
+	twin, err := NewExchange(world.M, src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range queries {
-		rq, err := ex.Red.RewriteQuery(q)
-		if err != nil {
+		if _, err := twin.Answer(q); err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, ex.newPlan(collectCandidates(rq, ex.Prov)).bytes()+int64(len(planKey(rq))))
 	}
-	slices.Sort(sizes)
-	n := len(sizes)
-	ex.planCap = sizes[n-1] + sizes[n-2] + sizes[n-3]
+	programs := len(cachedEntries[*sigProgram](twin))
+	ex.state.cap = twin.QueryStateBytes() / 2
 
-	evictions := reg.Counter("xr_query_plan_evictions_total")
+	evictions := reg.Counter("xr_query_state_evictions_total")
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range queries {
 			inline := renamed(q)
@@ -391,20 +436,22 @@ func TestPlanCacheEvictsPastCap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireCrossModeResult(t, inline.Name, freshResult(t, ref, q, false, 4), res)
-			ex.planMu.Lock()
-			size, held := ex.planBytes, len(ex.plans)
-			ex.planMu.Unlock()
-			if size > ex.planCap {
-				t.Fatalf("%s: plan cache holds %d bytes, bound %d", inline.Name, size, ex.planCap)
-			}
-			if held > len(queries)-1 {
-				t.Fatalf("%s: %d plans held under a bound smaller than the suite", inline.Name, held)
+			requireSameExceptCacheHits(t, inline.Name, freshResult(t, ref, q, false, 4), res)
+			if size := ex.QueryStateBytes(); size > ex.state.cap {
+				t.Fatalf("%s: query state holds %d bytes, bound %d", inline.Name, size, ex.state.cap)
 			}
 		}
 	}
 	if evictions.Value() == 0 {
-		t.Fatal("xr_query_plan_evictions_total did not move past the bound")
+		t.Fatal("xr_query_state_evictions_total did not move past the bound")
+	}
+	// Without an eviction the second pass would hit every plan, and only
+	// the first ask of each signature would miss its program.
+	if hits := reg.Counter("xr_query_plan_hits_total").Value(); hits >= int64(len(queries)) {
+		t.Fatalf("%d plan hits in two passes of %d queries: no plan was evicted", hits, len(queries))
+	}
+	if misses := reg.Counter("xr_sigcache_misses_total").Value(); misses <= int64(programs) {
+		t.Fatalf("%d program misses for %d signatures: no program was evicted", misses, programs)
 	}
 }
 
@@ -469,8 +516,8 @@ func TestPlanBuildPanicNotStored(t *testing.T) {
 		_, _ = ex.Answer(q)
 	}()
 	ex.Prov = prov
-	if len(ex.plans) != 0 || ex.planLRU.Len() != 0 || ex.planBytes != 0 {
-		t.Fatalf("a panicked build left %d plans (%d bytes)", len(ex.plans), ex.planBytes)
+	if n, size := len(ex.state.programs)+len(ex.state.plans), ex.QueryStateBytes(); n != 0 || size != 0 {
+		t.Fatalf("a panicked build left %d entries (%d bytes)", n, size)
 	}
 	hits := reg.Counter("xr_query_plan_hits_total")
 	res, err := ex.Answer(q)
@@ -487,6 +534,41 @@ func TestPlanBuildPanicNotStored(t *testing.T) {
 	requireCrossModeResult(t, "after panic", freshResult(t, fresh, q, false, 1), res)
 	if _, err := ex.Answer(q); err != nil || hits.Value() != 1 {
 		t.Fatalf("repeat: err %v, %d plan hits, want 1", err, hits.Value())
+	}
+}
+
+// TestProgramBuildPanicNotStored: a signature program whose base
+// grounding panics leaves no program behind. The ask fails with
+// ErrInternal, and once the cause is gone the next ask builds the
+// program again and answers exactly.
+func TestProgramBuildPanicNotStored(t *testing.T) {
+	w, q := conflictFarm(6)
+	ex, err := NewExchange(w.m, w.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(planOf(t, ex, q).groups) == 0 {
+		t.Fatal("the query has no signature group")
+	}
+	clusters := ex.Clusters
+	ex.Clusters = nil // the base grounding indexes them; the plan does not
+	if _, err := ex.Answer(q); !errors.Is(err, ErrInternal) {
+		t.Fatalf("an ask whose grounding panics returned %v, want ErrInternal", err)
+	}
+	ex.Clusters = clusters
+	if n := len(cachedEntries[*sigProgram](ex)); n != 0 {
+		t.Fatalf("panicked builds left %d programs", n)
+	}
+	fresh, err := NewExchange(w.m, w.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		res, err := ex.Answer(q)
+		if err != nil {
+			t.Fatalf("pass %d after the panic: %v", pass, err)
+		}
+		requireCrossModeResult(t, fmt.Sprintf("pass %d after the panic", pass), freshResult(t, fresh, q, false, 1), res)
 	}
 }
 

@@ -11,10 +11,16 @@ import (
 	"repro/internal/testkit"
 )
 
-// IsSuspect reports whether a source fact is suspect (Definition 5).
+// IsSuspect reports whether a source fact is suspect (Definition 5): the
+// safe-derivable facts exclude exactly the suspect ones, and a source fact
+// has no derivation but itself.
 func (ex *Exchange) IsSuspect(f instance.Fact) bool {
-	id, ok := ex.Prov.FactIDOf(f)
-	return ok && ex.suspect[id]
+	g, ok := ex.Prov.Instance.GenOf(f.Rel, f.Args)
+	if !ok {
+		return false
+	}
+	id, ok := ex.Prov.FactIDOfGen(g)
+	return ok && ex.Prov.IsSource(id) && !ex.safeDerivable[id]
 }
 
 // TestSourceRepairProperties checks Definition 1's invariants on random

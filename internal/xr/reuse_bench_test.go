@@ -41,8 +41,7 @@ func benchGroups(b *testing.B, profile string) (*Exchange, []*sigGroup) {
 	}
 	groups := ex.newPlan(collectCandidates(rq, ex.Prov)).groups
 	for _, g := range groups {
-		sp, _ := ex.sigProgramFor(g.key)
-		sp.ensure(ex, g.sig)
+		ex.sigProgramFor(g.key, g.sig, nil)
 	}
 	if len(groups) == 0 {
 		b.Fatalf("profile %s produced no solver groups for ep3", profile)
@@ -85,7 +84,7 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 			ex, gs := benchGroups(b, profile)
 			sps := make([]*sigProgram, len(gs))
 			for j, g := range gs {
-				sps[j], _ = ex.sigProgramFor(g.key)
+				sps[j], _ = ex.sigProgramFor(g.key, g.sig, nil)
 			}
 			solveAll = func() {
 				for j, g := range gs {

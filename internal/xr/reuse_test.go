@@ -66,8 +66,7 @@ func freshResult(t testing.TB, ex *Exchange, q *logic.UCQ, brave bool, par int) 
 
 // freshSolve decides one signature group on a throwaway solver.
 func freshSolve(t testing.TB, ex *Exchange, g *sigGroup, brave bool) groupOutcome {
-	sp, hit := ex.sigProgramFor(g.key)
-	sp.ensure(ex, g.sig)
+	sp, hit := ex.sigProgramFor(g.key, g.sig, nil)
 	spec := sp.enc.specialize()
 	var atoms []asp.AtomID
 	var live []*candidate
@@ -337,9 +336,7 @@ func TestReuseObservable(t *testing.T) {
 	// atom is one memo hit, and every group still reports a reused-solver
 	// trace event with zero work.
 	wired := 0
-	for _, sp := range ex.progCache {
-		wired += len(sp.inc.cands)
-	}
+	eachSigProgram(ex, func(sp *sigProgram) { wired += len(sp.inc.cands) })
 	for _, brave := range []bool{false, true} {
 		builds := counter("xr_solver_reuse_builds_total")
 		sessions := counter("xr_solver_reuse_sessions_total")

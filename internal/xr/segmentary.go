@@ -2,15 +2,12 @@ package xr
 
 import (
 	"cmp"
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/asp"
@@ -79,10 +76,6 @@ type Exchange struct {
 	Prov *chase.Provenance
 
 	Clusters []*Cluster
-	// suspect marks the source facts in some violation's support closure
-	// (Definition 5); their union is the source repair envelope I_suspect
-	// (Proposition 3).
-	suspect map[chase.FactID]bool
 	// safeDerivable marks, per FactID, the facts derivable without any
 	// suspect source fact; this is I_safe ∪ J_safe computed on the support
 	// hypergraph.
@@ -91,24 +84,9 @@ type Exchange struct {
 	// contains it.
 	clustersOf map[chase.FactID][]int
 
-	// progCache holds one cached signature program per canonical signature
-	// key (see sigcache.go). Guarded by progMu; safe for concurrent queries.
-	progMu    sync.Mutex
-	progCache map[string]*sigProgram
-	// solverIDs numbers the persistent solvers built for progCache. A plan
-	// group's wiring names its solver by id rather than by pointer, so a
-	// cached plan never keeps a poisoned or evicted solver alive.
-	solverIDs atomic.Uint64
-
-	// plans holds one queryPlan per canonical rewritten query (see
-	// plancache.go), at most planCap estimated bytes of them; planLRU
-	// orders the built entries by last use, most recent first. Guarded by
-	// planMu.
-	planMu    sync.Mutex
-	plans     map[string]*planEntry
-	planLRU   list.List
-	planBytes int64
-	planCap   int64
+	// state owns the query phase's signature programs and query plans
+	// (state.go).
+	state queryState
 
 	// mt is the instrument set of the registry the Exchange was built with
 	// (nil when telemetry is off); per-call registries override it.
@@ -155,11 +133,8 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 	ex := &Exchange{
 		Red:        red,
 		Prov:       prov,
-		suspect:    make(map[chase.FactID]bool),
 		clustersOf: make(map[chase.FactID][]int),
-		progCache:  make(map[string]*sigProgram),
-		plans:      make(map[string]*planEntry),
-		planCap:    maxPlanBytes,
+		state:      queryState{programs: stateTable{}, plans: stateTable{}, cap: maxQueryStateBytes},
 	}
 
 	// Support closure per violation; cluster by overlapping source envelopes
@@ -187,7 +162,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 	}
 
 	envs := make([]vioEnv, len(prov.Violations))
-	owner := make(map[chase.FactID]int) // source fact -> first violation seen
+	owner := make(map[chase.FactID]int) // suspect source fact (Definition 5) -> first violation seen
 	suspect := make([]bool, prov.NumFacts())
 	for vi, v := range prov.Violations {
 		closure := prov.SupportClosure(v.Body)
@@ -195,7 +170,6 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		for f := range closure {
 			if prov.IsSource(f) {
 				srcEnv = append(srcEnv, f)
-				ex.suspect[f] = true
 				suspect[f] = true
 				if prev, ok := owner[f]; ok {
 					union(prev, vi)
@@ -249,7 +223,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 		TotalFacts:     prov.NumFacts(),
 		Violations:     len(prov.Violations),
 		Clusters:       len(ex.Clusters),
-		SuspectSource:  len(ex.suspect),
+		SuspectSource:  len(owner),
 		SafeDerivable:  safe,
 		ReduceDuration: afterReduce.Sub(start),
 		ChaseDuration:  afterChase.Sub(afterReduce),
@@ -297,7 +271,7 @@ func NewExchangeOpts(m *mapping.Mapping, src *instance.Instance, opts Options) (
 }
 
 // SuspectSourceFacts returns |I_suspect|.
-func (ex *Exchange) SuspectSourceFacts() int { return len(ex.suspect) }
+func (ex *Exchange) SuspectSourceFacts() int { return ex.Stats.SuspectSource }
 
 // Profile returns a deterministic point-in-time snapshot of the
 // Exchange's workload hardness profiler: per-signature and per-cluster
@@ -392,7 +366,6 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	defer func() {
 		res.Stats.Duration = time.Since(start)
 		mt.recordQuery(engine, res.Stats)
-		mt.recordSigcacheSize(ex)
 		qspan.ArgInt("candidates", int64(res.Stats.Candidates))
 		qspan.ArgInt("programs", int64(res.Stats.Programs))
 		qspan.End()
@@ -440,7 +413,7 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 			if opts.Explain {
 				espan := opts.Tracer.StartSpan(qspan.ID(), "explain {"+g.key+"}")
 				espan.SetLane(worker)
-				es, err := ex.explainGroup(ctx, g, &out, brave, q.Name)
+				es, err := ex.explainGroup(ctx, a, g, &out)
 				espan.End()
 				if err != nil {
 					return err
@@ -724,7 +697,7 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, a *ask, t *sigTask, inP
 			span.ArgInt("attempt", t.scale)
 		}
 		defer span.End()
-		sp, hit = ex.sigProgramFor(key)
+		sp, hit = ex.sigProgramFor(key, g.sig, a.mt)
 	}
 	if opts.SignatureTimeout > 0 {
 		var cancel context.CancelFunc
@@ -737,23 +710,19 @@ func (ex *Exchange) solveSigAttempt(ctx context.Context, a *ask, t *sigTask, inP
 		if herr := opts.FaultHook(faultSiteCache, key); herr != nil {
 			// The cached entry is reported corrupt: drop it and rebuild from
 			// the (immutable) exchange, losing only learned clauses. Only a
-			// job builds a solver.
-			ex.discardSigProgram(key, sp)
+			// job builds a program.
+			ex.state.evict(ex.state.programs, key, sp)
 			if inPlace {
 				t.evicted = true
 				return out, errToJob
 			}
-			sp, hit = ex.sigProgramFor(key)
+			sp, hit = ex.sigProgramFor(key, g.sig, a.mt)
 		}
 	}
 	if opts.FaultHook != nil {
 		if herr := opts.FaultHook(faultSiteGround, key); herr != nil {
 			return out, fmt.Errorf("grounding signature program: %w", herr)
 		}
-	}
-	sp.ensure(ex, g.sig)
-
-	if opts.FaultHook != nil {
 		if herr := opts.FaultHook(faultSiteSolve, key); herr != nil {
 			return out, fmt.Errorf("solving signature program: %w", herr)
 		}
@@ -842,7 +811,7 @@ func (ex *Exchange) decideFromMemo(g *sigGroup, brave bool) (*sigProgram, sigSol
 	if w == nil {
 		return nil, sigSolve{}, false
 	}
-	sp := ex.cachedSigProgram(g.key)
+	sp := ex.state.program(g.key)
 	if sp == nil || !sp.incMu.TryRLock() {
 		return nil, sigSolve{}, false
 	}
@@ -875,8 +844,12 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 			panic(r)
 		}
 	}()
+	size := sp.bytes()
 	inc := sp.incSolverLocked(ex, mt)
 	w := inc.wireCandidates(g)
+	if grown := sp.bytes(); grown != size {
+		ex.state.resize(ex.state.programs, g.key, sp, grown, mt)
+	}
 	if sv, ok := inc.memoSolve(w, brave); ok {
 		return sv
 	}

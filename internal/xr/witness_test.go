@@ -91,13 +91,14 @@ func checkWitnessModels(t *testing.T, sc memoScenario) (models, atoms int) {
 		}
 	}
 	rc := newRepairChecker(ex, sc.m)
-	keys := make([]string, 0, len(ex.progCache))
-	for key := range ex.progCache {
+	programs := cachedEntries[*sigProgram](ex)
+	keys := make([]string, 0, len(programs))
+	for key := range programs {
 		keys = append(keys, key)
 	}
 	slices.Sort(keys)
 	for _, key := range keys {
-		sp := ex.progCache[key]
+		sp := programs[key]
 		if sp.inc == nil {
 			continue
 		}

@@ -13,6 +13,16 @@ import (
 	"repro/internal/testkit"
 )
 
+// newAtom builds an atom for static test setup, panicking on an arity
+// mismatch.
+func newAtom(cat *schema.Catalog, rel *schema.Relation, terms ...logic.Term) logic.Atom {
+	a, err := logic.MakeAtom(cat, rel, terms...)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 type tw struct {
 	cat *schema.Catalog
 	u   *symtab.Universe
@@ -64,15 +74,15 @@ func keyConflictWorld() *tw {
 	b := w.srcRel("B", 2)
 	tt := w.tgtRel("T", 2)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, a, logic.V("x"), logic.V("v"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tt, logic.V("x"), logic.V("v"))}, Label: "a"},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, b, logic.V("x"), logic.V("v"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tt, logic.V("x"), logic.V("v"))}, Label: "b"},
+		{Body: []logic.Atom{newAtom(w.cat, a, logic.V("x"), logic.V("v"))},
+			Head: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("v"))}, Label: "a"},
+		{Body: []logic.Atom{newAtom(w.cat, b, logic.V("x"), logic.V("v"))},
+			Head: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("v"))}, Label: "b"},
 	}
 	w.m.TEgds = []*logic.EGD{{
 		Body: []logic.Atom{
-			logic.NewAtom(w.cat, tt, logic.V("x"), logic.V("v")),
-			logic.NewAtom(w.cat, tt, logic.V("x"), logic.V("v2")),
+			newAtom(w.cat, tt, logic.V("x"), logic.V("v")),
+			newAtom(w.cat, tt, logic.V("x"), logic.V("v2")),
 		},
 		L: logic.V("v"), R: logic.V("v2"), Label: "key",
 	}}
@@ -83,7 +93,7 @@ func (w *tw) queryT() *logic.UCQ {
 	tt, _ := w.cat.ByName("T")
 	return &logic.UCQ{Name: "q", Arity: 2, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x"), logic.V("v")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, tt, logic.V("x"), logic.V("v"))},
+		Body: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("v"))},
 	}}}
 }
 
@@ -191,20 +201,20 @@ func TestPaperExample1(t *testing.T) {
 	pp := w.tgtRel("P1", 2)
 	qq := w.tgtRel("Q1", 2)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, q, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, qq, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, pp, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, q, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, qq, logic.V("x"), logic.V("y"))}},
 	}
 	w.m.TEgds = []*logic.EGD{
 		{Body: []logic.Atom{
-			logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, pp, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, pp, logic.V("x"), logic.V("y2")),
 		}, L: logic.V("y"), R: logic.V("y2")},
 		{Body: []logic.Atom{
-			logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, pp, logic.V("x"), logic.V("y2")),
-			logic.NewAtom(w.cat, qq, logic.V("y"), logic.V("y2")),
+			newAtom(w.cat, pp, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, pp, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, qq, logic.V("y"), logic.V("y2")),
 		}, L: logic.V("y"), R: logic.V("y2")},
 	}
 	w.add(p, "a", "b")
@@ -235,7 +245,7 @@ func TestPaperExample1(t *testing.T) {
 	// And query answering still agrees with brute force.
 	qq2 := &logic.UCQ{Name: "qq", Arity: 2, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x"), logic.V("y")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, qq, logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, qq, logic.V("x"), logic.V("y"))},
 	}}}
 	want, err := BruteForce(w.m, w.src, []*logic.UCQ{qq2})
 	if err != nil {
@@ -263,13 +273,13 @@ func TestPaperExample2(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		w.m.ST = append(w.m.ST, &logic.TGD{
-			Body: []logic.Atom{logic.NewAtom(w.cat, srcs[i], logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tgts[i], logic.V("x"), logic.V("y"))},
+			Body: []logic.Atom{newAtom(w.cat, srcs[i], logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, tgts[i], logic.V("x"), logic.V("y"))},
 		})
 		w.m.TEgds = append(w.m.TEgds, &logic.EGD{
 			Body: []logic.Atom{
-				logic.NewAtom(w.cat, tgts[i], logic.V("x"), logic.V("y")),
-				logic.NewAtom(w.cat, tgts[i], logic.V("x"), logic.V("y2")),
+				newAtom(w.cat, tgts[i], logic.V("x"), logic.V("y")),
+				newAtom(w.cat, tgts[i], logic.V("x"), logic.V("y2")),
 			},
 			L: logic.V("y"), R: logic.V("y2"),
 		})
@@ -286,7 +296,7 @@ func TestPaperExample2(t *testing.T) {
 	// q(x) :- Q1(x,y): certain (x=a survives in both repairs of cluster 1).
 	q := &logic.UCQ{Name: "q", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, tgts[0], logic.V("x"), logic.V("y"))},
+		Body: []logic.Atom{newAtom(w.cat, tgts[0], logic.V("x"), logic.V("y"))},
 	}}}
 	var atoms int
 	res, err := ex.AnswerOpts(q, Options{Trace: func(ev TraceEvent) { atoms += ev.Atoms }})
@@ -318,23 +328,23 @@ func TestPaperExample3(t *testing.T) {
 	ss := w.tgtRel("S", 2)
 	tt := w.tgtRel("TT", 3)
 	w.m.ST = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, p, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, rr, logic.V("x"), logic.V("y"))}},
-		{Body: []logic.Atom{logic.NewAtom(w.cat, q, logic.V("x"), logic.V("y"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, ss, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, p, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, rr, logic.V("x"), logic.V("y"))}},
+		{Body: []logic.Atom{newAtom(w.cat, q, logic.V("x"), logic.V("y"))},
+			Head: []logic.Atom{newAtom(w.cat, ss, logic.V("x"), logic.V("y"))}},
 	}
 	w.m.TTgds = []*logic.TGD{
-		{Body: []logic.Atom{logic.NewAtom(w.cat, rr, logic.V("x"), logic.V("y")), logic.NewAtom(w.cat, ss, logic.V("x"), logic.V("z"))},
-			Head: []logic.Atom{logic.NewAtom(w.cat, tt, logic.V("x"), logic.V("y"), logic.V("z"))}},
+		{Body: []logic.Atom{newAtom(w.cat, rr, logic.V("x"), logic.V("y")), newAtom(w.cat, ss, logic.V("x"), logic.V("z"))},
+			Head: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("y"), logic.V("z"))}},
 	}
 	w.m.TEgds = []*logic.EGD{
 		{Body: []logic.Atom{
-			logic.NewAtom(w.cat, rr, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, rr, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, rr, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, rr, logic.V("x"), logic.V("y2")),
 		}, L: logic.V("y"), R: logic.V("y2")},
 		{Body: []logic.Atom{
-			logic.NewAtom(w.cat, ss, logic.V("x"), logic.V("y")),
-			logic.NewAtom(w.cat, ss, logic.V("x"), logic.V("y2")),
+			newAtom(w.cat, ss, logic.V("x"), logic.V("y")),
+			newAtom(w.cat, ss, logic.V("x"), logic.V("y2")),
 		}, L: logic.V("y"), R: logic.V("y2")},
 	}
 	w.add(p, "a1", "a2")
@@ -352,7 +362,7 @@ func TestPaperExample3(t *testing.T) {
 	// q3(x,y,z) :- TT(x,y,z): every TT fact depends on both clusters.
 	q3 := &logic.UCQ{Name: "q3", Arity: 3, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x"), logic.V("y"), logic.V("z")},
-		Body: []logic.Atom{logic.NewAtom(w.cat, tt, logic.V("x"), logic.V("y"), logic.V("z"))},
+		Body: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("y"), logic.V("z"))},
 	}}}
 	res, err := ex.Answer(q3)
 	if err != nil {

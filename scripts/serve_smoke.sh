@@ -243,6 +243,15 @@ plans_after=$(plan_hits)
 [[ -n "$plans_after" && "$plans_after" -gt "${plans_before:-0}" ]] \
   || fail "budgeted re-ask did not move xr_query_plan_hits_total ($plans_before -> $plans_after)"
 
+# The tenant keeps what its queries built (signature programs, persistent
+# solvers, query plans) as its query state, reported per tenant; the
+# default byte bound is far above this workload, so nothing was evicted.
+state_bytes=$(curl -fsS "$base/v1/scenarios/tri-k4" | jq '.query_state_bytes')
+[[ -n "$state_bytes" && "$state_bytes" -gt 0 ]] \
+  || fail "tri-k4 query_state_bytes = $state_bytes after its queries, want > 0"
+[[ "$(counter xr_query_state_evictions_total)" == "0" ]] \
+  || fail "xr_query_state_evictions_total = $(counter xr_query_state_evictions_total), want 0"
+
 # Per-tenant metrics are exposed on the same mux. Capture the body before
 # grepping: `curl | grep -q` races (grep exits on match, curl dies with
 # EPIPE, and pipefail turns that into a spurious failure).

@@ -221,6 +221,13 @@ func (e *Exchange) SuspectFacts() int { return e.ex.SuspectSourceFacts() }
 // Stats returns the raw exchange statistics.
 func (e *Exchange) Stats() xr.ExchangeStats { return e.ex.Stats }
 
+// QueryStateBytes returns the estimated size, in bytes, of what the
+// exchange's queries have left on it: signature programs with their
+// persistent solvers, and query plans. It is bounded per exchange; the
+// least recently used entries are evicted past the bound, which changes
+// no answer.
+func (e *Exchange) QueryStateBytes() int64 { return e.ex.QueryStateBytes() }
+
 // Profile returns a deterministic snapshot of the exchange's workload
 // hardness profiler: per-signature and per-cluster solve accounting
 // accumulated across every query since the Exchange was built. Requires
