@@ -2,6 +2,7 @@ package gavreduce
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/logic"
@@ -498,8 +499,15 @@ func (r *Reduction) emitEqClosure() {
 	}
 
 	// Reflexivity for skolem shapes, seeded from every shaped-relation
-	// position carrying that shape.
-	for rel, vecs := range r.vecSeen {
+	// position carrying that shape, in relation order: the chase fires
+	// tgds in emission order, so it must not follow map order.
+	rels := make([]schema.RelID, 0, len(r.vecSeen))
+	for rel := range r.vecSeen {
+		rels = append(rels, rel)
+	}
+	slices.Sort(rels)
+	for _, rel := range rels {
+		vecs := r.vecSeen[rel]
 		keys := make([]string, 0, len(vecs))
 		for k := range vecs {
 			keys = append(keys, k)

@@ -2,10 +2,12 @@ package gavreduce
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/chase"
 	"repro/internal/cq"
+	"repro/internal/genome"
 	"repro/internal/instance"
 	"repro/internal/logic"
 	"repro/internal/mapping"
@@ -381,5 +383,46 @@ func TestRewriteQueryRejectsSourceRelations(t *testing.T) {
 	}}}
 	if _, err := red.RewriteQuery(q); err == nil {
 		t.Fatal("query over source relation accepted")
+	}
+}
+
+// TestReducePureFunctionOfMapping reduces one mapping 20 times in one
+// process and requires identical tgd and egd lists every time: the chase
+// fires tgds in list order, so a reduction that follows map iteration
+// order changes support sets, and with them signature programs, from
+// process to process.
+func TestReducePureFunctionOfMapping(t *testing.T) {
+	world, err := genome.NewWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := []*testkit.World{{Cat: world.Cat, U: world.U, M: world.M}}
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 8; trial++ {
+		worlds = append(worlds, testkit.RandomMapping(rng, testkit.Options{Existentials: true, TargetTgds: 2, Egds: 4}))
+	}
+	render := func(w *testkit.World) string {
+		red, err := Reduce(w.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tgds := range [][]*logic.TGD{red.M.ST, red.M.TTgds} {
+			for _, d := range tgds {
+				b.WriteString(d.String(w.Cat, w.U) + "\n")
+			}
+		}
+		for _, d := range red.M.TEgds {
+			b.WriteString(d.String(w.Cat, w.U) + "\n")
+		}
+		return b.String()
+	}
+	for wi, w := range worlds {
+		want := render(w)
+		for call := 1; call < 20; call++ {
+			if got := render(w); got != want {
+				t.Fatalf("mapping %d: call %d reduced to a different dependency list than call 0", wi, call)
+			}
+		}
 	}
 }
