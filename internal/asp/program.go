@@ -73,7 +73,9 @@ func (p *GroundProgram) NumAtoms() int { return len(p.names) }
 // tables are copied, so atoms and rules added to the clone never touch the
 // original. The per-rule Head/Pos/Neg slices are shared — they are
 // immutable once added. Cloning an already-grounded base and extending the
-// copy is how cached signature programs are specialized per query.
+// copy is how a cached signature program is specialized: once for its
+// persistent solver, which then grows with every new candidate, and once
+// per group an explain pass solves.
 func (p *GroundProgram) Clone() *GroundProgram {
 	q := &GroundProgram{
 		names: append(make([]string, 0, len(p.names)+8), p.names...),

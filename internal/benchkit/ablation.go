@@ -44,8 +44,7 @@ func (r *Runner) AblationFigure1(trials int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gp, _ := xr.Figure1Program(prov)
-		fig1 := asp.NewStableSolver(gp).Enumerate(func([]bool) bool { return true })
+		fig1 := asp.NewStableSolver(xr.Figure1Program(prov)).Enumerate(func([]bool) bool { return true })
 		corrected := xr.CountRepairModels(prov)
 
 		b.instances++

@@ -242,7 +242,7 @@ var collectSink []*candidate
 // readShape builds the exchange of the genome-read shape of the xrperf
 // benchmark (1,600 transcripts, 20% suspect) with opts and returns it with
 // the genome query suite.
-func readShape(b *testing.B, opts Options) (*Exchange, []*logic.UCQ) {
+func readShape(b testing.TB, opts Options) (*Exchange, []*logic.UCQ) {
 	b.Helper()
 	w, err := genome.NewWorld()
 	if err != nil {

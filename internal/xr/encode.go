@@ -2,7 +2,7 @@ package xr
 
 import (
 	"slices"
-	"strconv"
+	"sort"
 
 	"repro/internal/asp"
 	"repro/internal/chase"
@@ -53,134 +53,140 @@ import (
 //
 // The original (unsubscripted) relations are pre-evaluated: every stable
 // model of Π_M ∪ I interprets them as I ∪ J where J is the quasi-solution.
-// Facts marked "true" by the state function (the safe part in the
-// segmentary pipeline) are pinned to the remainder state, and every literal
-// about them evaluates away. Support sets and violations reaching outside
-// the universe are omitted — they do not exist in the restricted sub-world
-// (Theorem 4).
+// Pinned facts (the safe part in the segmentary pipeline) are fixed to the
+// remainder state, and every literal about them evaluates away. Support
+// sets and violations reaching outside the variable and pinned facts are
+// omitted — they do not exist in the restricted sub-world (Theorem 4).
+//
+// # One numbering
+//
+// A program numbers its variable facts densely: a fact's local id is its
+// index in vars, which is ascending, so the source facts come first. Every
+// table behind the program is a slice over local ids — the "remains" and
+// "deleted" atoms, the suspect closure, the maximality index, witnesses
+// and candidate keys — and the atoms themselves are anonymous.
 type encoder struct {
 	prov *chase.Provenance
 	gp   *asp.GroundProgram
 
-	// state returns how fact f participates: variable, true, or absent.
-	state func(chase.FactID) factState
+	vars       []chase.FactID // variable facts, ascending; local id = index
+	sources    int            // vars[:sources] are source facts
+	pinned     []bool         // by FactID, facts pinned to "remains" (nil: none)
+	violations []int          // covered violations, ascending indexes into prov.Violations
 
-	r map[chase.FactID]asp.AtomID // "remains" atoms for variable facts
-	d map[chase.FactID]asp.AtomID // "deleted" atoms for deletable source facts
-
-	deletable         []chase.FactID // source facts with a choice
-	coveredViolations []int          // indexes into prov.Violations with covered bodies
+	r         []asp.AtomID // by local id, the "remains" atom
+	d         []asp.AtomID // by local id, the "deleted" atom of a deletable fact
+	deletable []int32      // local ids of the source facts with a choice, ascending
 }
 
-type factState int8
-
-const (
-	factAbsent factState = iota
-	factTrue             // pinned to "remains"; no atoms allocated
-	factVar              // solver atoms allocated
-)
-
-func newEncoder(prov *chase.Provenance, state func(chase.FactID) factState) *encoder {
-	return &encoder{
-		prov:  prov,
-		gp:    asp.NewGroundProgram(),
-		state: state,
-		r:     make(map[chase.FactID]asp.AtomID),
-		d:     make(map[chase.FactID]asp.AtomID),
+// newEncoder grounds the program over the variable facts vars (ascending),
+// with the facts marked in pinned held true and the given violations
+// (ascending) as its constraints. Each violation must be covered: every
+// fact of its body variable or pinned. Atoms are allocated on first use:
+// in the order the rules meet the facts, then each variable fact without a
+// rule (a derived fact none of whose support sets is covered). So every
+// variable fact has its "remains" atom once the build returns, and
+// candidate wiring on a specialization only reads the tables.
+func newEncoder(prov *chase.Provenance, vars []chase.FactID, pinned []bool, violations []int) *encoder {
+	e := &encoder{
+		prov:       prov,
+		gp:         asp.NewGroundProgram(),
+		vars:       vars,
+		sources:    sort.Search(len(vars), func(i int) bool { return !prov.IsSource(vars[i]) }),
+		pinned:     pinned,
+		violations: violations,
+		r:          make([]asp.AtomID, len(vars)),
+		d:          make([]asp.AtomID, len(vars)),
 	}
+	for l := range e.r {
+		e.r[l] = -1
+	}
+	e.emit()
+	for l := range e.r {
+		e.rAtom(int32(l))
+	}
+	return e
 }
 
-func (e *encoder) rAtom(f chase.FactID) asp.AtomID { return e.atom(e.r, f, 'r') }
-func (e *encoder) dAtom(f chase.FactID) asp.AtomID { return e.atom(e.d, f, 'd') }
-
-func (e *encoder) atom(m map[chase.FactID]asp.AtomID, f chase.FactID, kind byte) asp.AtomID {
-	if a, ok := m[f]; ok {
-		return a
-	}
-	a := e.gp.Atom(string(kind) + "#" + strconv.Itoa(int(f)))
-	m[f] = a
-	return a
-}
-
-// build emits the complete program over every fact of the provenance.
-func (e *encoder) build() {
-	n := e.prov.NumFacts()
-	ids := make([]chase.FactID, 0, n)
-	for id := 0; id < n; id++ {
-		ids = append(ids, chase.FactID(id))
-	}
-	e.emit(ids)
-}
-
-// buildFocused emits the program restricted to the given focus facts and
-// then freezes the atom tables: the "remains" atom of every variable fact
-// is allocated up front, so later candidate wiring (addCandidate on a
-// specialized clone) only reads the shared r/d maps and is safe to run
-// from concurrent per-query specializations.
-func (e *encoder) buildFocused(focus map[chase.FactID]bool) {
-	ids := make([]chase.FactID, 0, len(focus))
-	for f := range focus {
-		ids = append(ids, f)
-	}
-	slices.Sort(ids)
-	e.emit(ids)
-	for _, f := range ids {
-		if e.state(f) == factVar {
-			e.rAtom(f)
+// wholeEncoder grounds the program of the whole exchange: every fact not
+// pinned is variable (pinned may be nil), and every violation is covered.
+func wholeEncoder(prov *chase.Provenance, pinned []bool) *encoder {
+	var vars []chase.FactID
+	for f := range chase.FactID(prov.NumFacts()) {
+		if int(f) >= len(pinned) || !pinned[f] {
+			vars = append(vars, f)
 		}
 	}
+	violations := make([]int, len(prov.Violations))
+	for vi := range violations {
+		violations[vi] = vi
+	}
+	return newEncoder(prov, vars, pinned, violations)
 }
 
-// specialize returns an encoder sharing the frozen base state (atom
-// tables, provenance, state function) but writing to an independent clone
-// of the ground program, so per-query candidates never touch the cached
-// base. Only valid after buildFocused has frozen the atom tables.
+// specialize returns an encoder sharing the base tables (numbering, atoms,
+// provenance) but writing to an independent clone of the ground program,
+// so per-query candidates never touch the cached base.
 func (e *encoder) specialize() *encoder {
 	spec := *e
 	spec.gp = e.gp.Clone()
 	return &spec
 }
 
-func (e *encoder) emit(universe []chase.FactID) {
-	// Covered violations and consistency constraints.
-	for vi, v := range e.prov.Violations {
-		if !e.covered(v.Body) {
+// rAtom returns the "remains" atom of local fact l, allocating it on first
+// use; only the build allocates.
+func (e *encoder) rAtom(l int32) asp.AtomID {
+	if e.r[l] < 0 {
+		e.r[l] = e.gp.AnonAtom()
+	}
+	return e.r[l]
+}
+
+// remains returns the "remains" atoms of the local facts ls, in order.
+func (e *encoder) remains(ls []int32) []asp.AtomID {
+	atoms := make([]asp.AtomID, len(ls))
+	for i, l := range ls {
+		atoms[i] = e.rAtom(l)
+	}
+	return atoms
+}
+
+// locals appends to buf the local ids of the set's variable facts, in set
+// order, and reports whether the set is covered: whether each of its facts
+// is variable or pinned.
+func (e *encoder) locals(buf []int32, set []chase.FactID) ([]int32, bool) {
+	for _, f := range set {
+		if int(f) < len(e.pinned) && e.pinned[f] {
 			continue
 		}
-		e.coveredViolations = append(e.coveredViolations, vi)
-		var pos []asp.AtomID
-		for _, b := range v.Body {
-			if e.state(b) == factVar {
-				pos = append(pos, e.rAtom(b))
-			}
+		l, ok := slices.BinarySearch(e.vars, f)
+		if !ok {
+			return buf, false
 		}
-		e.gp.AddConstraint(pos, nil)
+		buf = append(buf, int32(l))
+	}
+	return buf, true
+}
+
+func (e *encoder) emit() {
+	// Consistency constraints.
+	var ls []int32
+	for _, vi := range e.violations {
+		ls, _ = e.locals(ls[:0], e.prov.Violations[vi].Body)
+		e.gp.AddConstraint(e.remains(ls), nil)
 	}
 
 	// Derivation rules for derived variable facts.
-	var srcVars []chase.FactID
-	for _, f := range universe {
-		if e.state(f) != factVar {
-			continue
-		}
-		if e.prov.IsSource(f) {
-			srcVars = append(srcVars, f)
-			continue
-		}
-		for _, set := range e.prov.Supports(f) {
-			if !e.covered(set) {
+	for l := e.sources; l < len(e.vars); l++ {
+		for _, set := range e.prov.Supports(e.vars[l]) {
+			var covered bool
+			if ls, covered = e.locals(ls[:0], set); !covered {
 				continue
 			}
-			var pos []asp.AtomID
-			for _, b := range set {
-				if e.state(b) == factVar {
-					pos = append(pos, e.rAtom(b))
-				}
-			}
-			if len(pos) == 0 {
-				e.gp.AddFact(e.rAtom(f))
+			if pos := e.remains(ls); len(pos) == 0 {
+				e.gp.AddFact(e.rAtom(int32(l)))
 			} else {
-				e.gp.AddRule([]asp.AtomID{e.rAtom(f)}, pos, nil)
+				e.gp.AddRule([]asp.AtomID{e.rAtom(int32(l))}, pos, nil)
 			}
 		}
 	}
@@ -188,67 +194,54 @@ func (e *encoder) emit(universe []chase.FactID) {
 	// Deletable source facts: those in the support closure of some covered
 	// violation, traversing covered support sets only (Proposition 3
 	// relativized to the sub-world).
-	suspect := e.suspectSources()
-	for _, f := range srcVars {
-		if !suspect[f] {
+	suspect := e.suspect()
+	for l := range int32(e.sources) {
+		r := e.rAtom(l)
+		if !suspect[l] {
 			// Belongs to every repair of the sub-world.
-			e.gp.AddFact(e.rAtom(f))
+			e.gp.AddFact(r)
 			continue
 		}
 		// Choice; maximality is enforced lazily by maximalityAcceptor.
-		r, d := e.rAtom(f), e.dAtom(f)
+		d := e.gp.AnonAtom()
+		e.d[l] = d
 		e.gp.AddRule([]asp.AtomID{r}, nil, []asp.AtomID{d})
 		e.gp.AddRule([]asp.AtomID{d}, nil, []asp.AtomID{r})
 		e.gp.AddConstraint([]asp.AtomID{r, d}, nil)
-		e.deletable = append(e.deletable, f)
+		e.deletable = append(e.deletable, l)
 	}
 }
 
-// covered reports whether every fact of the set is in the universe.
-func (e *encoder) covered(set []chase.FactID) bool {
-	for _, b := range set {
-		if e.state(b) == factAbsent {
-			return false
+// suspect marks, by local id, the facts in the support closure of the
+// covered violations, following covered support sets only. The closure
+// holds no pinned fact: every source fact in a violation's support closure
+// is suspect, so none of its facts is safe-derivable.
+func (e *encoder) suspect() []bool {
+	closure := make([]bool, len(e.vars))
+	var stack, ls []int32
+	push := func(add []int32) {
+		for _, l := range add {
+			if !closure[l] {
+				closure[l] = true
+				stack = append(stack, l)
+			}
 		}
 	}
-	return true
-}
-
-// suspectSources computes the variable source facts lying in the support
-// closure of a covered violation, following covered support sets only.
-func (e *encoder) suspectSources() map[chase.FactID]bool {
-	closure := make(map[chase.FactID]bool)
-	var stack []chase.FactID
-	push := func(f chase.FactID) {
-		if !closure[f] {
-			closure[f] = true
-			stack = append(stack, f)
-		}
-	}
-	for _, vi := range e.coveredViolations {
-		for _, b := range e.prov.Violations[vi].Body {
-			push(b)
-		}
+	for _, vi := range e.violations {
+		ls, _ = e.locals(ls[:0], e.prov.Violations[vi].Body)
+		push(ls)
 	}
 	for len(stack) > 0 {
-		f := stack[len(stack)-1]
+		l := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, set := range e.prov.Supports(f) {
-			if !e.covered(set) {
-				continue
-			}
-			for _, b := range set {
-				push(b)
+		for _, set := range e.prov.Supports(e.vars[l]) {
+			var covered bool
+			if ls, covered = e.locals(ls[:0], set); covered {
+				push(ls)
 			}
 		}
 	}
-	out := make(map[chase.FactID]bool)
-	for f := range closure {
-		if e.prov.IsSource(f) && e.state(f) == factVar {
-			out[f] = true
-		}
-	}
-	return out
+	return closure
 }
 
 // addCandidate wires one candidate answer into the program and returns its
@@ -257,21 +250,17 @@ func (e *encoder) suspectSources() map[chase.FactID]bool {
 func (e *encoder) addCandidate(c *candidate) (asp.AtomID, bool) {
 	qa := e.gp.AnonAtom()
 	any := false
+	var ls []int32
 	for _, set := range c.supports {
-		if !e.covered(set) {
+		var covered bool
+		if ls, covered = e.locals(ls[:0], set); !covered {
 			continue
 		}
 		any = true
-		var pos []asp.AtomID
-		for _, b := range set {
-			if e.state(b) == factVar {
-				pos = append(pos, e.rAtom(b))
-			}
-		}
-		if len(pos) == 0 {
+		if len(ls) == 0 {
 			e.gp.AddFact(qa)
 		} else {
-			e.gp.AddRule([]asp.AtomID{qa}, pos, nil)
+			e.gp.AddRule([]asp.AtomID{qa}, e.remains(ls), nil)
 		}
 	}
 	return qa, any
@@ -296,26 +285,19 @@ func (e *encoder) maximalityAcceptor(s *asp.StableSolver) func(m []bool) [][]asp
 }
 
 // maxIndex is the static derivation index behind the maximality check:
-// covered support sets with pinned facts treated as always present. It
-// depends only on the base encoder — never on per-query candidates — so a
-// cached signature program builds it once and shares it (read-only) across
-// all queries and workers. It numbers the encoder's variable facts densely
-// (local ids, in FactID order), so a check runs on slices, not maps.
+// covered support sets with pinned facts treated as always present, over
+// the encoder's local fact ids. It depends only on the base encoder —
+// never on per-query candidates — so a cached signature program builds it
+// once and shares it (read-only) across all queries and workers.
 type maxIndex struct {
 	// Each rule is one covered support set with a variable fact: the fact
 	// it derives, and how many of its facts are variable.
 	heads       []int32
 	pendingInit []int32
-	watchers    [][]int32    // local fact -> rules with it in their set
-	seeds       []int32      // derived facts with a fully-pinned set
-	sources     []int32      // variable source facts (seed every fixpoint)
-	sourceAtom  []asp.AtomID // "remains" atom of each of sources
-	violations  [][]int32    // variable facts of each covered violation body
-	// deletable lists the encoder's deletable facts in its order, with
-	// their "remains" and "deleted" atoms.
-	deletable []int32
-	delR      []asp.AtomID
-	delD      []asp.AtomID
+	watchers    [][]int32 // local fact -> rules with it in their set
+	seeds       []int32   // derived facts with a fully-pinned set
+	sources     int32     // local facts below it are sources (seed every fixpoint)
+	violations  [][]int32 // variable facts of each covered violation body
 }
 
 // newMaxIndex builds the derivation index, or nil when the encoder has no
@@ -324,68 +306,29 @@ func newMaxIndex(e *encoder) *maxIndex {
 	if len(e.deletable) == 0 {
 		return nil
 	}
-	facts := make([]chase.FactID, 0, len(e.r))
-	for f := range e.r {
-		facts = append(facts, f)
-	}
-	slices.Sort(facts)
-	ids := make(map[chase.FactID]int32, len(facts))
-	for i, f := range facts {
-		ids[f] = int32(i)
-	}
-	// Every variable fact has a "remains" atom (buildFocused, emit), so
-	// every fact the check derives or tests has a local id.
-	local := func(f chase.FactID) int32 {
-		i, ok := ids[f]
-		if !ok {
-			panic("xr: maximality index: variable fact without a remains atom")
-		}
-		return i
-	}
-	x := &maxIndex{watchers: make([][]int32, len(facts))}
-	for i, f := range facts {
-		if e.prov.IsSource(f) {
-			x.sources = append(x.sources, int32(i))
-			x.sourceAtom = append(x.sourceAtom, e.r[f])
-			continue
-		}
-		for _, set := range e.prov.Supports(f) {
-			if !e.covered(set) {
+	x := &maxIndex{watchers: make([][]int32, len(e.vars)), sources: int32(e.sources)}
+	var ls []int32
+	for l := e.sources; l < len(e.vars); l++ {
+		for _, set := range e.prov.Supports(e.vars[l]) {
+			var covered bool
+			if ls, covered = e.locals(ls[:0], set); !covered {
 				continue
 			}
-			var pending int32
-			for _, b := range set {
-				if e.state(b) == factVar {
-					pending++
-				}
-			}
-			if pending == 0 {
-				x.seeds = append(x.seeds, int32(i))
+			if len(ls) == 0 {
+				x.seeds = append(x.seeds, int32(l))
 				continue
 			}
 			ri := int32(len(x.heads))
-			x.heads = append(x.heads, int32(i))
-			x.pendingInit = append(x.pendingInit, pending)
-			for _, b := range set {
-				if e.state(b) == factVar {
-					x.watchers[local(b)] = append(x.watchers[local(b)], ri)
-				}
+			x.heads = append(x.heads, int32(l))
+			x.pendingInit = append(x.pendingInit, int32(len(ls)))
+			for _, b := range ls {
+				x.watchers[b] = append(x.watchers[b], ri)
 			}
 		}
 	}
-	for _, vi := range e.coveredViolations {
-		var body []int32
-		for _, b := range e.prov.Violations[vi].Body {
-			if e.state(b) == factVar {
-				body = append(body, local(b))
-			}
-		}
+	for _, vi := range e.violations {
+		body, _ := e.locals(nil, e.prov.Violations[vi].Body)
 		x.violations = append(x.violations, body)
-	}
-	for _, f := range e.deletable {
-		x.deletable = append(x.deletable, local(f))
-		x.delR = append(x.delR, e.r[f])
-		x.delD = append(x.delD, e.d[f])
 	}
 	return x
 }
@@ -445,7 +388,7 @@ func (x *maxIndex) derivableWith(wk *maxWork, out *stampSet, restored int32) boo
 			queue = append(queue, f)
 		}
 	}
-	for _, f := range x.sources {
+	for f := range x.sources {
 		if !out.contains(f) {
 			push(f)
 		}
@@ -492,30 +435,33 @@ func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, onLearn fu
 	}
 
 	// Bias the search toward keeping facts: maximal models first.
-	s.PreferTrue(x.delR)
+	keep := make([]asp.AtomID, len(e.deletable))
+	for i, l := range e.deletable {
+		keep[i] = e.r[l]
+	}
+	s.PreferTrue(keep)
 
 	// Clause minimization is quadratic in the deleted set; past this size
 	// the unminimized clause is used (still sound, just weaker).
 	const minimizeCap = 24
 
 	wk := x.newWork()
-	var deleted []int // positions in x.deletable
+	var deleted []int32 // local ids of the model's deleted facts
 	return func(m []bool) [][]asp.Lit {
 		wk.dropped.reset()
-		for i, f := range x.sources {
-			if !m[x.sourceAtom[i]] {
+		for f := range x.sources {
+			if !m[e.r[f]] {
 				wk.dropped.add(f)
 			}
 		}
 		deleted = deleted[:0]
-		for i := range x.deletable {
-			if m[x.delD[i]] {
-				deleted = append(deleted, i)
+		for _, f := range e.deletable {
+			if m[e.d[f]] {
+				deleted = append(deleted, f)
 			}
 		}
 		var learned [][]asp.Lit
-		for _, di := range deleted {
-			f := x.deletable[di]
+		for _, f := range deleted {
 			if s.Canceled() {
 				return nil // abandon refinement; the caller is timing out
 			}
@@ -533,12 +479,11 @@ func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, onLearn fu
 			// construction.
 			sup := &wk.sup
 			sup.reset()
-			for _, dj := range deleted {
-				sup.add(x.deletable[dj]) // f itself is always out of the kept set here
+			for _, g := range deleted {
+				sup.add(g) // f itself is always out of the kept set here
 			}
 			if len(deleted) <= minimizeCap {
-				for _, dj := range deleted {
-					g := x.deletable[dj]
+				for _, g := range deleted {
 					if g == f {
 						continue
 					}
@@ -549,10 +494,10 @@ func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, onLearn fu
 				}
 			}
 			atoms := make([]asp.AtomID, 0, len(deleted))
-			atoms = append(atoms, x.delR[di])
-			for _, dj := range deleted {
-				if dj != di && sup.contains(x.deletable[dj]) {
-					atoms = append(atoms, x.delR[dj])
+			atoms = append(atoms, e.r[f])
+			for _, g := range deleted {
+				if g != f && sup.contains(g) {
+					atoms = append(atoms, e.r[g])
 				}
 			}
 			// Sort: clause literal order steers the solver's watches —

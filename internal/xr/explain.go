@@ -176,29 +176,19 @@ func (ex *Exchange) clusterInfos(sig []int) []explain.ClusterInfo {
 
 // witnessFromModel extracts the exchange-repair a stable model describes:
 // dropped vs kept suspect sources, and the derived facts of the sub-world
-// absent from the repair's solution. Iteration is over sorted FactIDs so
-// the witness is a pure function of the model.
+// absent from the repair's solution, each in FactID order.
 func (e *encoder) witnessFromModel(m []bool) *explain.Witness {
 	w := &explain.Witness{}
-	del := append([]chase.FactID(nil), e.deletable...)
-	slices.Sort(del)
-	for _, f := range del {
-		if m[e.d[f]] {
-			w.DroppedSource = append(w.DroppedSource, f)
+	for _, l := range e.deletable {
+		if m[e.d[l]] {
+			w.DroppedSource = append(w.DroppedSource, e.vars[l])
 		} else {
-			w.KeptSuspect = append(w.KeptSuspect, f)
+			w.KeptSuspect = append(w.KeptSuspect, e.vars[l])
 		}
 	}
-	derived := make([]chase.FactID, 0, len(e.r))
-	for f := range e.r {
-		if !e.prov.IsSource(f) {
-			derived = append(derived, f)
-		}
-	}
-	slices.Sort(derived)
-	for _, f := range derived {
-		if !m[e.r[f]] {
-			w.MissingTarget = append(w.MissingTarget, f)
+	for l := e.sources; l < len(e.vars); l++ {
+		if !m[e.r[l]] {
+			w.MissingTarget = append(w.MissingTarget, e.vars[l])
 		}
 	}
 	return w

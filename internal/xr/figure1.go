@@ -21,9 +21,7 @@ import (
 // model because its deletion disables, via the incidental ¬Ri guards, the
 // only rules that would justify it). The corrected encoding in encode.go is
 // used by the actual pipelines.
-//
-// The returned maps give the r-atom of every fact (for reading models).
-func Figure1Program(prov *chase.Provenance) (*asp.GroundProgram, map[chase.FactID]asp.AtomID) {
+func Figure1Program(prov *chase.Provenance) *asp.GroundProgram {
 	gp := asp.NewGroundProgram()
 	r := make(map[chase.FactID]asp.AtomID)
 	d := make(map[chase.FactID]asp.AtomID)
@@ -71,15 +69,14 @@ func Figure1Program(prov *chase.Provenance) (*asp.GroundProgram, map[chase.FactI
 		}
 		gp.AddRule(heads, nil, negs)
 	}
-	return gp, r
+	return gp
 }
 
 // CountRepairModels counts the stable models of the corrected encoding
 // over the full provenance — by construction, the number of source repairs.
 // Exposed for the encoding ablation experiment.
 func CountRepairModels(prov *chase.Provenance) int {
-	enc := newEncoder(prov, func(chase.FactID) factState { return factVar })
-	enc.build()
+	enc := wholeEncoder(prov, nil)
 	solver := asp.NewStableSolver(enc.gp)
 	solver.Acceptor = enc.maximalityAcceptor(solver)
 	return solver.Enumerate(func([]bool) bool { return true })

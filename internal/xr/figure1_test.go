@@ -62,15 +62,13 @@ func TestFigure1Discrepancy(t *testing.T) {
 	}
 
 	// Literal Figure 1: only one stable model.
-	gp, _ := Figure1Program(prov)
-	fig1 := asp.NewStableSolver(gp).Enumerate(func([]bool) bool { return true })
+	fig1 := asp.NewStableSolver(Figure1Program(prov)).Enumerate(func([]bool) bool { return true })
 	if fig1 != 1 {
 		t.Fatalf("Figure 1 program has %d stable models (expected the documented discrepancy: 1)", fig1)
 	}
 
 	// Corrected encoding: both repairs.
-	enc := newEncoder(prov, func(chase.FactID) factState { return factVar })
-	enc.build()
+	enc := wholeEncoder(prov, nil)
 	correctedSolver := asp.NewStableSolver(enc.gp)
 	correctedSolver.Acceptor = enc.maximalityAcceptor(correctedSolver)
 	corrected := correctedSolver.Enumerate(func([]bool) bool { return true })
@@ -123,8 +121,7 @@ func TestCorrectedEncodingModelsMatchRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := newEncoder(prov, func(chase.FactID) factState { return factVar })
-	enc.build()
+	enc := wholeEncoder(prov, nil)
 	solver := asp.NewStableSolver(enc.gp)
 	solver.Acceptor = enc.maximalityAcceptor(solver)
 	n := solver.Enumerate(func([]bool) bool { return true })

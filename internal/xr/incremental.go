@@ -315,26 +315,23 @@ func (inc *incSolver) decideFromModels(pending []asp.AtomID, brave bool, holds m
 // atoms of its variable facts, sorted and joined. Two candidates with the
 // same key get identical wiring (the same rules up to order), so their
 // query atoms are interchangeable in every stable model. It reports false
-// when no support set is covered. Only the frozen base tables are read.
+// when no support set is covered. Only the base tables are read.
 func (e *encoder) candidateKey(c *candidate) (string, bool) {
 	parts := make([]string, 0, len(c.supports))
+	var ls []int32
 	for _, set := range c.supports {
-		if !e.covered(set) {
+		var covered bool
+		if ls, covered = e.locals(ls[:0], set); !covered {
 			continue
 		}
-		ids := make([]int, 0, len(set))
-		for _, b := range set {
-			if e.state(b) == factVar {
-				ids = append(ids, int(e.r[b]))
-			}
-		}
-		sort.Ints(ids)
+		atoms := e.remains(ls)
+		slices.Sort(atoms)
 		var b strings.Builder
-		for i, a := range ids {
+		for i, a := range atoms {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(strconv.Itoa(a))
+			b.WriteString(strconv.Itoa(int(a)))
 		}
 		parts = append(parts, b.String())
 	}

@@ -110,20 +110,19 @@ func monolithicOne(ctx context.Context, gm *mapping.Mapping, src *instance.Insta
 	if cerr := ctxErr(ctx); cerr != nil {
 		return res, cerr
 	}
-	return solveProgram(ctx, prov, rq, func(chase.FactID) factState { return factVar }, res, trace, mt, qname)
+	return solveProgram(ctx, prov, rq, res, trace, mt, qname)
 }
 
-// solveProgram grounds the Figure 1 program over the given universe, adds
-// the query candidates, and runs cautious reasoning under ctx.
-func solveProgram(ctx context.Context, prov *chase.Provenance, rq *logic.UCQ, state func(chase.FactID) factState, res *Result, trace func(TraceEvent), mt *meters, qname string) (*Result, error) {
+// solveProgram grounds the program of the whole exchange, adds the query
+// candidates, and runs cautious reasoning under ctx.
+func solveProgram(ctx context.Context, prov *chase.Provenance, rq *logic.UCQ, res *Result, trace func(TraceEvent), mt *meters, qname string) (*Result, error) {
 	start := time.Now()
 	cands := collectCandidates(rq, prov)
 	res.Stats.Candidates += len(cands)
 	if len(cands) == 0 {
 		return res, nil
 	}
-	enc := newEncoder(prov, state)
-	enc.build()
+	enc := wholeEncoder(prov, nil)
 	atoms := make([]asp.AtomID, 0, len(cands))
 	live := make([]*candidate, 0, len(cands))
 	for _, c := range cands {

@@ -1002,38 +1002,24 @@ func (ex *Exchange) RepairsOpts(limit int, opts Options) (repairs []*instance.In
 	defer cancel()
 
 	// Variables only for the suspect part; everything safe is pinned.
-	state := func(f chase.FactID) factState {
-		if ex.safeDerivable[f] {
-			return factTrue
-		}
-		return factVar
-	}
-	enc := newEncoder(ex.Prov, state)
-	enc.build()
+	enc := wholeEncoder(ex.Prov, ex.safeDerivable)
 	solver := asp.NewStableSolver(enc.gp)
 	solver.SetContext(ctx)
 	solver.Acceptor = enc.maximalityAcceptor(solver)
 
 	// Safe source facts belong to every repair.
 	base := instance.New(ex.Prov.Instance.Catalog())
-	n := ex.Prov.NumFacts()
-	var srcVars []chase.FactID
-	for id := 0; id < n; id++ {
-		f := chase.FactID(id)
-		if !ex.Prov.IsSource(f) {
-			continue
-		}
+	for f := chase.FactID(0); ex.Prov.IsSource(f); f++ {
 		if ex.safeDerivable[f] {
 			base.AddFact(ex.Prov.Fact(f))
-		} else {
-			srcVars = append(srcVars, f)
 		}
 	}
+	srcVars := enc.vars[:enc.sources]
 	var out []*instance.Instance
 	solver.Enumerate(func(m []bool) bool {
 		rep := base.Clone()
-		for _, f := range srcVars {
-			if a, ok := enc.r[f]; ok && m[a] {
+		for l, f := range srcVars {
+			if m[enc.r[l]] {
 				rep.AddFact(ex.Prov.Fact(f))
 			}
 		}

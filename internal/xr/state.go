@@ -2,6 +2,7 @@ package xr
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -169,13 +170,14 @@ func (ex *Exchange) QueryStateBytes() int64 {
 }
 
 // sigProgram is one signature program: the base grounding of the Theorem
-// 4 sub-world restricted to a signature's focus, plus the signature's
+// 4 sub-world restricted to a signature's clusters, plus the signature's
 // persistent solver. Candidate atoms are wired into specializations of
 // the base program — the persistent solver's, which grows with every new
-// candidate, and the explain pass's throwaway ones — and the shared atom
-// tables are frozen by buildFocused, so candidate wiring only reads them.
+// candidate, and the explain pass's throwaway ones — and the base tables
+// are complete once newEncoder returns, so candidate wiring only reads
+// them.
 type sigProgram struct {
-	enc *encoder  // frozen base encoder (program without candidates)
+	enc *encoder  // base encoder (program without candidates)
 	idx *maxIndex // derivation index for the maximality acceptor
 
 	// incMu guards inc, the signature's persistent incremental solver
@@ -195,27 +197,27 @@ func (ex *Exchange) sigProgramFor(key string, sig []int, mt *meters) (*sigProgra
 }
 
 // newSigProgram builds the base signature program: the restriction of the
-// Theorem 2 grounding to the signature's focus, with safe facts pinned
-// true (Theorem 4).
+// Theorem 2 grounding to the signature's clusters, with safe facts pinned
+// true (Theorem 4). Its variable facts are the clusters' influences minus
+// the safe facts. Its violations are the clusters' violations, which are
+// exactly the covered ones: no fact in a violation's support closure is
+// safe, and a violation whose body lies in a cluster's influence has one
+// of that cluster's envelope facts in its closure, so it belongs to the
+// cluster.
 func (ex *Exchange) newSigProgram(sig []int) *sigProgram {
-	focus := make(map[chase.FactID]bool)
+	var vars []chase.FactID
+	var violations []int
 	for _, ci := range sig {
 		for f := range ex.Clusters[ci].Influence {
-			focus[f] = true
+			if !ex.safeDerivable[f] {
+				vars = append(vars, f)
+			}
 		}
+		violations = append(violations, ex.Clusters[ci].Violations...)
 	}
-	state := func(f chase.FactID) factState {
-		switch {
-		case ex.safeDerivable[f]:
-			return factTrue
-		case focus[f]:
-			return factVar
-		default:
-			return factAbsent
-		}
-	}
-	enc := newEncoder(ex.Prov, state)
-	enc.buildFocused(focus)
+	slices.Sort(vars)
+	slices.Sort(violations)
+	enc := newEncoder(ex.Prov, slices.Clip(slices.Compact(vars)), ex.safeDerivable, violations)
 	return &sigProgram{enc: enc, idx: newMaxIndex(enc)}
 }
 

@@ -200,8 +200,8 @@ func (rc *repairChecker) check(t *testing.T, label string, sp *sigProgram, model
 		if !prov.IsSource(f) || rc.ex.safeDerivable[f] {
 			continue
 		}
-		switch a, inSubWorld := sp.enc.r[f]; {
-		case inSubWorld && model[a>>6]&(1<<(a&63)) != 0:
+		switch l, inSubWorld := slices.BinarySearch(sp.enc.vars, f); {
+		case inSubWorld && model[sp.enc.r[l]>>6]&(1<<(sp.enc.r[l]&63)) != 0:
 			kept = append(kept, f)
 		case inSubWorld:
 			dropped = append(dropped, f)
