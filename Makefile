@@ -40,7 +40,7 @@ xrperf-test:
 	cd xrperf && go vet ./... && go test ./...
 
 # fuzz runs each fuzzer for 30s (go's engine takes one fuzzer per
-# invocation). fuzz-smoke is the 10s CI variant wired into check.
+# invocation). fuzz-smoke is the 5s-per-fuzzer CI variant wired into check.
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/asp/
 	go test -fuzz=FuzzGround -fuzztime=30s ./internal/asp/
@@ -53,6 +53,9 @@ fuzz-smoke:
 	go test -fuzz=FuzzParse -fuzztime=5s ./internal/asp/
 	go test -fuzz=FuzzGround -fuzztime=5s ./internal/asp/
 	go test -fuzz=FuzzAssumptions -fuzztime=5s ./internal/asp/
+	go test -fuzz='^FuzzParseMapping$$' -fuzztime=5s ./internal/parser/
+	go test -fuzz='^FuzzParseFacts$$' -fuzztime=5s ./internal/parser/
+	go test -fuzz='^FuzzParseQueries$$' -fuzztime=5s ./internal/parser/
 
 # serve-smoke boots the xrserved daemon on an ephemeral port, loads two
 # tricolor scenarios concurrently, queries both end-to-end (asserting the

@@ -17,7 +17,7 @@ var (
 		"# only a comment",
 		"source R(a). target S(a). tgd R(x) & R(y) -> S(x) & S(y).",
 	}
-	factSeeds  = []string{"R('a', 'b').", "R(1, -2).\nR(x, 'y').", "R(", "."}
+	factSeeds  = []string{"R('a', 'b').", "R(1, -2).\nR(x, 'y').", "R(", ".", "R('','\x03')."}
 	querySeeds = []string{"q(x) :- S(x).", "q() :- S(x), S(y).\nq2(x,x) :- S(x).", "q(x) :-"}
 )
 

@@ -2,7 +2,6 @@ package parser
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/instance"
 	"repro/internal/logic"
@@ -424,8 +423,10 @@ func ParseFacts(src string, w *World) (*instance.Instance, error) {
 	return in, nil
 }
 
-// FormatFacts renders an instance as a fact file (constants quoted),
-// sorted for reproducible output.
+// FormatFacts renders an instance as a fact file, sorted for reproducible
+// output. Constants are double-quoted the way the lexer reads them back: a
+// backslash before each double quote, backslash and newline, and every
+// other byte raw.
 func FormatFacts(in *instance.Instance, cat *schema.Catalog, u *symtab.Universe) string {
 	var b []byte
 	for _, f := range in.Facts() {
@@ -435,7 +436,15 @@ func FormatFacts(in *instance.Instance, cat *schema.Catalog, u *symtab.Universe)
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = strconv.AppendQuote(b, u.Name(v))
+			name := u.Name(v)
+			b = append(b, '"')
+			for j := 0; j < len(name); j++ {
+				if c := name[j]; c == '"' || c == '\\' || c == '\n' {
+					b = append(b, '\\')
+				}
+				b = append(b, name[j])
+			}
+			b = append(b, '"')
 		}
 		b = append(b, ").\n"...)
 	}
