@@ -44,7 +44,7 @@ const maxQueryStateBytes = 64 << 20
 // bytesPerRule is the live heap a signature program holds per rule of its
 // largest program, solver and memos included: the heap that dropping every
 // program frees over their rules after a certain and a possible pass of
-// the genome suite, 856 B on the genome-read and genome-churn shapes.
+// the genome suite, 811 B on the genome-read shape.
 const bytesPerRule = 850
 
 // stateEntry is one slot of the owner.
