@@ -13,9 +13,10 @@ import (
 // query is not certain) and K4 (it is), each on a fresh exchange asked a
 // certain and then a possible pass. Per ask it records the answer count
 // and the solver-accepted count, and per solved program its size and the
-// session's work counters: a change that reorders an atom, a rule or a
-// clause shows here even when no answer changes. Regenerate with
-// -update-golden.
+// session's work counters, clause-database reductions and the learnt
+// clauses they deleted included (K4 is the one solve that reaches a
+// reduction): a change that reorders an atom, a rule or a clause shows
+// here even when no answer changes. Regenerate with -update-golden.
 func TestTricolorTrajectoryGolden(t *testing.T) {
 	var b strings.Builder
 	for _, tc := range []struct {
@@ -37,8 +38,8 @@ func TestTricolorTrajectoryGolden(t *testing.T) {
 			}
 			fmt.Fprintf(&b, "%s: answers=%d solver_accepted=%d\n", mode, len(ans.Tuples), ans.SolverAccepted)
 			for _, ev := range events {
-				fmt.Fprintf(&b, "  {%s} atoms=%d rules=%d decisions=%d conflicts=%d propagations=%d candidates_tested=%d stability_fails=%d\n",
-					ev.SignatureKey, ev.Atoms, ev.Rules, ev.Decisions, ev.Conflicts, ev.Propagations, ev.CandidatesTested, ev.StabilityFails)
+				fmt.Fprintf(&b, "  {%s} atoms=%d rules=%d decisions=%d conflicts=%d propagations=%d candidates_tested=%d stability_fails=%d reductions=%d clauses_deleted=%d\n",
+					ev.SignatureKey, ev.Atoms, ev.Rules, ev.Decisions, ev.Conflicts, ev.Propagations, ev.CandidatesTested, ev.StabilityFails, ev.Reductions, ev.ClausesDeleted)
 			}
 		}
 	}
