@@ -70,7 +70,7 @@ func FuzzGround(f *testing.F) {
 		}
 		// A tiny solve smoke on the accepted programs: the solver must not
 		// panic either. Bound effort so pathological programs stay cheap.
-		if gp.NumAtoms() > 0 && gp.NumAtoms() <= 64 && len(gp.Rules) <= 128 {
+		if gp.NumAtoms() > 0 && gp.NumAtoms() <= 64 && gp.NumRules() <= 128 {
 			s := NewStableSolver(gp)
 			s.SetBudget(10_000, 10_000)
 			s.NextStable()

@@ -57,7 +57,7 @@ func TestGroundNegationSimplification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gp.Rules) != 1 || len(gp.Rules[0].Neg) != 0 {
+	if gp.NumRules() != 1 || len(gp.Rule(0).Neg) != 0 {
 		t.Fatalf("negative literal not simplified: %s", gp.String())
 	}
 	s := NewStableSolver(gp)

@@ -170,8 +170,14 @@ func (s *StableSolver) Extend() {
 
 func (s *StableSolver) extend(fromAtom, fromRule int) {
 	prog := s.prog
-	for ri := fromRule; ri < len(prog.Rules); ri++ {
-		r := &prog.Rules[ri]
+	// Size the arena for the rule clauses and the support clauses: one
+	// literal per atom and one per rule heading it (without the body aux
+	// clauses, which only rules with longer bodies need).
+	clauses, words := prog.NumAtoms()-fromAtom, 2*(prog.NumAtoms()-fromAtom)
+	for ri := fromRule; ri < prog.NumRules(); ri++ {
+		r := prog.Rule(ri)
+		clauses++
+		words += 1 + 2*len(r.Head) + len(r.Pos) + len(r.Neg)
 		if len(r.Head) > 1 {
 			s.normal = false
 		}
@@ -187,21 +193,22 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 			}
 		}
 	}
+	s.sat.reserve(clauses, words)
 	for a := fromAtom; a < prog.NumAtoms(); a++ {
 		s.vars = append(s.vars, s.sat.NewVar())
 		s.headRules = append(s.headRules, nil)
 		s.posWatch = append(s.posWatch, nil)
 		s.isFact = append(s.isFact, false)
 	}
-	for fi := s.nFacts; fi < len(prog.Facts); fi++ {
-		f := prog.Facts[fi]
+	for fi := s.nFacts; fi < prog.NumFacts(); fi++ {
+		f := prog.Fact(fi)
 		s.isFact[f] = true
 		s.sat.AddClause(PosLit(s.vars[f]))
 	}
-	s.nFacts = len(prog.Facts)
+	s.nFacts = prog.NumFacts()
 	var buf []Lit
-	for ri := fromRule; ri < len(prog.Rules); ri++ {
-		r := &prog.Rules[ri]
+	for ri := fromRule; ri < prog.NumRules(); ri++ {
+		r := prog.Rule(ri)
 		s.bodyAux = append(s.bodyAux, 0)
 		s.lfpPending = append(s.lfpPending, 0)
 		if len(r.Head) > 0 {
@@ -226,7 +233,7 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 		s.sat.AddClause(lits...)
 		buf = lits
 	}
-	s.lfpRules.grow(len(prog.Rules))
+	s.lfpRules.grow(prog.NumRules())
 	// Support clauses: a → ∨_{r: a ∈ head(r)} body(r), via body aux vars.
 	// Only new atoms need one; every rule of a new atom is itself new.
 	for a := fromAtom; a < prog.NumAtoms(); a++ {
@@ -256,7 +263,7 @@ func (s *StableSolver) extend(fromAtom, fromRule int) {
 // bodies it reports ok=false (the body is trivially true). Single-literal
 // bodies reuse the literal; longer bodies get a cached aux variable.
 func (s *StableSolver) bodyWitness(ri int) (Lit, bool) {
-	r := &s.prog.Rules[ri]
+	r := s.prog.Rule(ri)
 	n := len(r.Pos) + len(r.Neg)
 	switch n {
 	case 0:
@@ -373,14 +380,16 @@ func (s *StableSolver) checkStable(m []bool) (bool, []bool) {
 		subVar[a] = v
 		return v
 	}
-	for _, f := range s.prog.Facts {
+	for fi := range s.prog.NumFacts() {
+		f := s.prog.Fact(fi)
 		if !m[f] {
 			return false, nil // cannot happen for a classical model; be safe
 		}
 		sub.AddClause(PosLit(varOf(f)))
 	}
 rules:
-	for _, r := range s.prog.Rules {
+	for ri := range s.prog.NumRules() {
+		r := s.prog.Rule(ri)
 		for _, n := range r.Neg {
 			if m[n] {
 				continue rules // rule dropped by the reduct
@@ -464,8 +473,7 @@ func (s *StableSolver) learnUnfounded(m, lfp []bool) {
 	selfLoop := make(map[AtomID]bool)
 	for _, a := range atoms {
 		for _, ri := range s.headRules[a] {
-			r := &s.prog.Rules[ri]
-			for _, b := range r.Pos {
+			for _, b := range s.prog.Rule(int(ri)).Pos {
 				if unfounded[b] {
 					if b == a {
 						selfLoop[a] = true
@@ -504,7 +512,7 @@ func (s *StableSolver) learnLoopSet(loop []AtomID, inLoop map[AtomID]bool) {
 	var witnesses []Lit
 	work := 0
 	for ri := range ruleSet {
-		r := &s.prog.Rules[ri]
+		r := s.prog.Rule(int(ri))
 		external := true
 		for _, b := range r.Pos {
 			if inLoop[b] {
@@ -579,17 +587,17 @@ func (s *StableSolver) lfpReduct(m []bool) []bool {
 	lfp := make([]bool, len(m))
 	reached := &s.lfpRules
 	reached.reset()
-	rules := s.prog.Rules
+	prog := s.prog
 	queue := s.lfpQueue[:0]
 	for _, ri := range s.bodyless {
-		r := &rules[ri]
+		r := prog.Rule(int(ri))
 		if h := r.Head[0]; !lfp[h] && !anyTrue(m, r.Neg) {
 			lfp[h] = true
 			queue = append(queue, h)
 		}
 	}
-	for _, f := range s.prog.Facts {
-		if !lfp[f] {
+	for fi := range prog.NumFacts() {
+		if f := prog.Fact(fi); !lfp[f] {
 			lfp[f] = true
 			queue = append(queue, f)
 		}
@@ -600,7 +608,7 @@ func (s *StableSolver) lfpReduct(m []bool) []bool {
 		for _, ri := range s.posWatch[a] {
 			if !reached.contains(int(ri)) {
 				reached.add(int(ri))
-				if r := &rules[ri]; anyTrue(m, r.Neg) {
+				if r := prog.Rule(int(ri)); anyTrue(m, r.Neg) {
 					s.lfpPending[ri] = -1
 				} else {
 					s.lfpPending[ri] = int32(len(r.Pos))
@@ -611,7 +619,7 @@ func (s *StableSolver) lfpReduct(m []bool) []bool {
 			}
 			s.lfpPending[ri]--
 			if s.lfpPending[ri] == 0 {
-				if h := rules[ri].Head[0]; !lfp[h] {
+				if h := prog.Rule(int(ri)).Head[0]; !lfp[h] {
 					lfp[h] = true
 					queue = append(queue, h)
 				}

@@ -30,13 +30,13 @@ func bruteStableModels(p *GroundProgram) [][]bool {
 }
 
 func isClassicalModel(p *GroundProgram, m []bool) bool {
-	for _, f := range p.Facts {
-		if !m[f] {
+	for i := range p.NumFacts() {
+		if !m[p.Fact(i)] {
 			return false
 		}
 	}
-	for _, r := range p.Rules {
-		if !ruleSatisfied(r, m) {
+	for i := range p.NumRules() {
+		if !ruleSatisfied(p.Rule(i), m) {
 			return false
 		}
 	}
@@ -69,7 +69,8 @@ func ruleSatisfied(r GroundRule, m []bool) bool {
 func isMinimalModelOfReduct(p *GroundProgram, m []bool) bool {
 	// Build the reduct w.r.t. m.
 	var reduct []GroundRule
-	for _, r := range p.Rules {
+	for i := range p.NumRules() {
+		r := p.Rule(i)
 		drop := false
 		for _, g := range r.Neg {
 			if m[g] {
@@ -98,8 +99,8 @@ func isMinimalModelOfReduct(p *GroundProgram, m []bool) bool {
 			}
 		}
 		ok := true
-		for _, f := range p.Facts {
-			if !sub[f] {
+		for i := range p.NumFacts() {
+			if !sub[p.Fact(i)] {
 				ok = false
 				break
 			}

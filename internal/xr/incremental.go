@@ -51,7 +51,7 @@ import (
 // scheduling.
 type incSolver struct {
 	id     uint64            // unique in its Exchange; tags the plan group wirings made on it
-	spec   *encoder          // persistent specialization; its program grows with memoized candidates
+	spec   *encoder          // persistent specialization; its program is a tail of the base that grows with memoized candidates
 	solver *asp.StableSolver // persistent solver over spec.gp
 
 	cands map[string]asp.AtomID // candidate body-structure key -> wired query atom
@@ -187,10 +187,10 @@ func (inc *incSolver) wireCandidates(g *sigGroup) *groupWiring {
 		qa, ok := inc.cands[key]
 		if !ok {
 			gp := inc.spec.gp
-			r := wiredRules{from: int32(len(gp.Rules))}
-			facts := len(gp.Facts)
+			r := wiredRules{from: int32(gp.NumRules())}
+			facts := gp.NumFacts()
 			qa, _ = inc.spec.addCandidate(c)
-			r.to, r.fact = int32(len(gp.Rules)), len(gp.Facts) > facts
+			r.to, r.fact = int32(gp.NumRules()), gp.NumFacts() > facts
 			inc.wiredRules = append(inc.wiredRules, r)
 			inc.cands[key] = qa
 			grew = true
@@ -233,7 +233,7 @@ func (inc *incSolver) memoSolve(w *groupWiring, brave bool) (sigSolve, bool) {
 		memoHits: w.distinct,
 		hasModel: true,
 		reused:   inc.sessions > 0,
-		rules:    len(inc.spec.gp.Rules),
+		rules:    inc.spec.gp.NumRules(),
 		numAtoms: inc.spec.gp.NumAtoms(),
 	}, true
 }
@@ -270,8 +270,8 @@ func (inc *incSolver) holdsIn(model []uint64, qa asp.AtomID) bool {
 		return true
 	}
 rules:
-	for _, rule := range inc.spec.gp.Rules[r.from:r.to] {
-		for _, b := range rule.Pos {
+	for ri := r.from; ri < r.to; ri++ {
+		for _, b := range inc.spec.gp.Rule(int(ri)).Pos {
 			if model[b>>6]&(1<<(b&63)) == 0 {
 				continue rules
 			}
@@ -319,12 +319,13 @@ func (inc *incSolver) decideFromModels(pending []asp.AtomID, brave bool, holds m
 func (e *encoder) candidateKey(c *candidate) (string, bool) {
 	parts := make([]string, 0, len(c.supports))
 	var ls []int32
+	var atoms []asp.AtomID
 	for _, set := range c.supports {
 		var covered bool
 		if ls, covered = e.locals(ls[:0], set); !covered {
 			continue
 		}
-		atoms := e.remains(ls)
+		atoms = e.remains(atoms, ls)
 		slices.Sort(atoms)
 		var b strings.Builder
 		for i, a := range atoms {

@@ -146,7 +146,7 @@ func solveProgram(ctx context.Context, prov *chase.Provenance, rq *logic.UCQ, re
 			RequestID:  telemetry.RequestIDFromContext(ctx),
 			Candidates: len(atoms),
 			Atoms:      enc.gp.NumAtoms(),
-			Rules:      len(enc.gp.Rules),
+			Rules:      enc.gp.NumRules(),
 			Stats:      solver.Stats(),
 			Duration:   time.Since(start),
 		}

@@ -856,7 +856,7 @@ func (ex *Exchange) solveSigReuse(ctx context.Context, sp *sigProgram, g *sigGro
 	sv = sigSolve{
 		w:        w,
 		reused:   inc.sessions > 0,
-		rules:    len(inc.spec.gp.Rules),
+		rules:    inc.spec.gp.NumRules(),
 		numAtoms: inc.spec.gp.NumAtoms(),
 	}
 	holds := make(map[asp.AtomID]bool, len(w.atoms))
@@ -1038,7 +1038,7 @@ func (ex *Exchange) RepairsOpts(limit int, opts Options) (repairs []*instance.In
 			RequestID:  telemetry.RequestIDFromContext(ctx),
 			Candidates: len(srcVars),
 			Atoms:      enc.gp.NumAtoms(),
-			Rules:      len(enc.gp.Rules),
+			Rules:      enc.gp.NumRules(),
 			Stats:      solver.Stats(),
 			Duration:   time.Since(start),
 		}
