@@ -89,10 +89,13 @@ profile-smoke:
 		./internal/benchkit/ ./internal/store/ ./internal/server/
 
 # chaos replays the fault-injection suite (budgets, timeouts, panics,
-# cache corruption) under the race detector at high parallelism.
+# cache corruption) under the race detector at high parallelism, then ten
+# rounds of concurrent certain, possible and explain asks sharing the
+# frozen base programs of one Exchange.
 chaos:
 	go test -race -count=1 -run 'Chaos|Fault|Degrad|Panic|Budget|Signature' \
 		./internal/faultkit/ ./internal/xr/ ./internal/asp/
+	go test -race -count=10 -run '^TestConcurrentQueriesShareCache$$' ./internal/xr
 
 # lint runs staticcheck when it is installed and degrades gracefully when it
 # is not (the container image does not bake it in). The gofmt and grep gates

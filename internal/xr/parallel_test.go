@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,51 +235,58 @@ func TestSecondAnswerHitsCache(t *testing.T) {
 }
 
 // TestConcurrentQueriesShareCache hammers one Exchange from many goroutines
-// (mixed certain/possible) to exercise the signature-program cache under
-// the race detector; all runs must agree with a single-threaded baseline.
+// — certain, possible and explain asks mixed — to exercise the signature
+// programs under the race detector: persistent solvers read their frozen
+// base programs under incMu while explain passes read the same bases
+// without it. Every run must agree with a sequential baseline, and
+// afterwards every cached base must equal a fresh build of its key.
 func TestConcurrentQueriesShareCache(t *testing.T) {
 	w, q := conflictFarm(12)
 	ex, err := NewExchange(w.m, w.src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := ex.Answer(q)
-	if err != nil {
-		t.Fatal(err)
+	type kind struct{ brave, explain bool }
+	kinds := []kind{{false, false}, {true, false}, {false, true}, {true, true}}
+	render := func(k kind, res *Result) string {
+		if k.explain {
+			return renderAll(w.cat, w.u, ex, res)
+		}
+		return strings.Join(tupleStrings(res), "\n")
 	}
-	want := tupleStrings(baseline)
+	ask := func(k kind, par int) (*Result, error) {
+		opts := Options{Parallelism: par, Explain: k.explain}
+		if k.brave {
+			return ex.PossibleOpts(q, opts)
+		}
+		return ex.AnswerOpts(q, opts)
+	}
+	want := map[kind]string{}
+	for _, k := range kinds {
+		res, err := ask(k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.explain && len(res.Explanations) != res.Stats.Candidates {
+			t.Fatalf("%d explanations for %d candidates", len(res.Explanations), res.Stats.Candidates)
+		}
+		want[k] = render(k, res)
+	}
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 16)
-	for g := 0; g < 8; g++ {
-		brave := g%2 == 1
+	for g := 0; g < 12; g++ {
+		k := kinds[g%len(kinds)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opts := Options{Parallelism: 3}
-			var res *Result
-			var err error
-			if brave {
-				res, err = ex.PossibleOpts(q, opts)
-			} else {
-				res, err = ex.AnswerOpts(q, opts)
-			}
+			res, err := ask(k, 3)
 			if err != nil {
 				errCh <- err
 				return
 			}
-			if !brave {
-				got := tupleStrings(res)
-				if len(got) != len(want) {
-					errCh <- fmt.Errorf("concurrent answers diverge: %d vs %d", len(got), len(want))
-					return
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						errCh <- fmt.Errorf("concurrent answer %d differs: %q vs %q", i, got[i], want[i])
-						return
-					}
-				}
+			if got := render(k, res); got != want[k] {
+				errCh <- fmt.Errorf("concurrent ask (possible %v, explain %v) diverges:\n%s\n-- want --\n%s", k.brave, k.explain, got, want[k])
 			}
 		}()
 	}
@@ -285,6 +294,24 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+
+	programs := cachedEntries[*sigProgram](ex)
+	if len(programs) == 0 {
+		t.Fatal("no signature program cached")
+	}
+	for key, sp := range programs {
+		var sig []int
+		for _, id := range strings.Split(key, ",") {
+			ci, err := strconv.Atoi(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig = append(sig, ci)
+		}
+		if got, fresh := programDigest(sp.enc.gp), programDigest(ex.newSigProgram(sig).enc.gp); got != fresh {
+			t.Fatalf("program {%s} after the mix: %s, fresh build %s", key, got, fresh)
+		}
 	}
 }
 
