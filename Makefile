@@ -90,8 +90,9 @@ profile-smoke:
 
 # chaos replays the fault-injection suite (budgets, timeouts, panics,
 # cache corruption) under the race detector at high parallelism, then ten
-# rounds of concurrent certain, possible and explain asks sharing the
-# frozen base programs of one Exchange.
+# rounds of concurrent certain, possible and explain asks on one cold
+# Exchange, reading its greedy decisions in place as they are published
+# and sharing its frozen base programs.
 chaos:
 	go test -race -count=1 -run 'Chaos|Fault|Degrad|Panic|Budget|Signature' \
 		./internal/faultkit/ ./internal/xr/ ./internal/asp/

@@ -187,8 +187,11 @@ func TestRunTraceOut(t *testing.T) {
 // TestRunPartial drives the -partial path end to end: a one-decision
 // budget exhausts on the fixture's conflicted signature, the run degrades
 // instead of failing, and the degraded flag (exit code 3 in main) is set.
+// The query projects T onto its key: t1 is certain without being safe, so
+// no greedy repair decides it and the ask reaches the solver.
 func TestRunPartial(t *testing.T) {
-	m, f, q := fixtureFiles(t)
+	m, f, _ := fixtureFiles(t)
+	q := writeTemp(t, "p.dl", `p(x) :- T(x, v).`)
 	strict := config{engine: "seg", parallel: 1, maxDecisions: 1}
 	if _, err := run(m, f, q, strict); err == nil {
 		t.Fatal("budget exhaustion without -partial should fail the run")

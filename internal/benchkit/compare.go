@@ -149,10 +149,11 @@ func CompareReports(base, cur *BenchReport, thresholdPct float64) *ReportDiff {
 }
 
 // workCounter reports whether a registered telemetry counter measures
-// solver or chase effort (gated exactly) rather than workload size.
+// solver or chase effort, or the atoms the greedy repairs decide in the
+// solver's stead (gated exactly), rather than workload size.
 func workCounter(name string) bool {
 	switch name {
-	case "xr_chase_rule_evals_total", "xr_chase_triggers_fired_total", "xr_index_probes_total":
+	case "xr_chase_rule_evals_total", "xr_chase_triggers_fired_total", "xr_index_probes_total", "xr_greedy_decided_total":
 		return true
 	}
 	return strings.HasPrefix(name, "xr_solver_") && strings.HasSuffix(name, "_total")

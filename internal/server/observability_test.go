@@ -78,7 +78,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	loadScenario(t, ts.URL, "genome", demoMapping, demoFacts, demoQueries)
 
 	const reqID = "corr-test-0042"
-	body, _ := json.Marshal(QueryRequest{Name: "q"})
+	body, _ := json.Marshal(QueryRequest{Query: geneQuery}) // reaches the solver
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/scenarios/genome/query?trace=1", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -45,6 +45,12 @@ q(t, e) :- Gene(t, e).
 anyGene() :- Gene(t, e).
 `
 
+// geneQuery projects the demo's Gene onto its transcript: tx1 is certain
+// without being safe, so no greedy repair decides it and its ask still
+// reaches the solver, where a one-decision budget degrades it; tx2 is
+// safe.
+const geneQuery = "gene(t) :- Gene(t, e)."
+
 // The Theorem 3 tricolor gadget (examples/tricolor), hand-encoded for K4
 // (not 3-colorable: the marker is XR-certain) and K3 (3-colorable: it is
 // not). Two structurally different tenants exercise mixed-tenant load.
@@ -344,14 +350,15 @@ func TestConcurrentMixedTenants(t *testing.T) {
 
 // TestBudgetPartial exercises the graceful-degradation contract over the
 // wire: a decision budget of 1 deterministically exhausts the conflicted
-// signature, yet the response is HTTP 200 with the degraded signature
-// reported and the undecided tuples ?-marked (in the unknown set).
+// signature of geneQuery, yet the response is HTTP 200 with the degraded
+// signature reported and the undecided tuples ?-marked (in the unknown
+// set).
 func TestBudgetPartial(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	loadScenario(t, ts.URL, "genome", demoMapping, demoFacts, demoQueries)
 
 	code, body, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/scenarios/genome/query",
-		QueryRequest{Name: "q", MaxDecisions: 1})
+		QueryRequest{Query: geneQuery, MaxDecisions: 1})
 	if code != http.StatusOK {
 		t.Fatalf("budgeted query: status %d, body %s", code, body)
 	}
@@ -376,7 +383,7 @@ func TestBudgetPartial(t *testing.T) {
 	// partial=false selects exact-or-error: the same budget now fails.
 	no := false
 	code, body, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/scenarios/genome/query",
-		QueryRequest{Name: "q", MaxDecisions: 1, Partial: &no})
+		QueryRequest{Query: geneQuery, MaxDecisions: 1, Partial: &no})
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("strict budgeted query: status %d, want 422; body %s", code, body)
 	}
@@ -454,14 +461,18 @@ func TestDrainOrdering(t *testing.T) {
 }
 
 // TestStreamNDJSON pins the streamed framing to a golden file: a budgeted
-// partial query yields header, the certain row, ?-marked unknowns, the
-// degraded signature, stats, and end — durations normalized to 0.
+// partial query (geneQuery) yields header, the certain row, ?-marked
+// unknowns, the degraded signature, stats, and end — durations normalized
+// to 0.
 func TestStreamNDJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	loadScenario(t, ts.URL, "genome", demoMapping, demoFacts, demoQueries)
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/scenarios/genome/query",
-		strings.NewReader(`{"name":"q","max_decisions":1,"stream":true}`))
+	body, err := json.Marshal(QueryRequest{Query: geneQuery, MaxDecisions: 1, Stream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/scenarios/genome/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,14 +631,15 @@ func TestExplainUsesServerBudgets(t *testing.T) {
 
 // TestExplainAccessLogCarriesSolverWork checks an /explain request
 // attributes its solver work to itself, as a query does: its access-log
-// line carries decisions and the hardest signatures.
+// line carries decisions and the hardest signatures. The K3 gadget's
+// marker is rejected only by a search: no greedy repair refutes it.
 func TestExplainAccessLogCarriesSolverWork(t *testing.T) {
 	sink := &logBuffer{}
 	_, ts := newTestServer(t, Config{Logger: jsonLogger(sink)})
-	loadScenario(t, ts.URL, "genome", demoMapping, demoFacts, demoQueries)
+	loadScenario(t, ts.URL, "k3", tricolorMapping, k3Facts, k3Query)
 
 	const reqID = "explain-work-1"
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/scenarios/genome/explain?query=q&tuple=tx1,4", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/scenarios/k3/explain?query=inAllRepairs", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

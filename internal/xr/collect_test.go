@@ -330,11 +330,12 @@ func servedAsk(reg *telemetry.Registry) func(*Exchange, *logic.UCQ) error {
 // BenchmarkColdSuite measures one sequential pass over the genome suite
 // on a fresh exchange of the genome-churn shape of the xrperf benchmark
 // (360 transcripts, 9% suspect), asked with what xrserved passes
-// (servedAsk): every signature program is grounded, every persistent
-// solver built and every verdict searched or read from stored models
-// within the pass. The exchange is built outside the timer. It reports
-// the solver sessions (each built solver's first session plus the
-// sessions on reused ones) and decisions per pass.
+// (servedAsk): every signature program is grounded with its greedy
+// repairs within the pass, and a persistent solver is built only for a
+// signature whose groups the repairs leave open. The exchange is built
+// outside the timer. It reports the persistent solvers built, the solver
+// sessions (each built solver's first session plus the sessions on
+// reused ones) and decisions per pass.
 func BenchmarkColdSuite(b *testing.B) {
 	w, err := genome.NewWorld()
 	if err != nil {
@@ -351,7 +352,7 @@ func BenchmarkColdSuite(b *testing.B) {
 	sessions := func() int64 {
 		return counter("xr_solver_reuse_sessions_total") + counter("xr_solver_reuse_builds_total")
 	}
-	s0, d0 := sessions(), counter("xr_solver_decisions_total")
+	b0, s0, d0 := counter("xr_solver_reuse_builds_total"), sessions(), counter("xr_solver_decisions_total")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,6 +368,7 @@ func BenchmarkColdSuite(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(counter("xr_solver_reuse_builds_total")-b0)/float64(b.N), "solvers/op")
 	b.ReportMetric(float64(sessions()-s0)/float64(b.N), "sessions/op")
 	b.ReportMetric(float64(counter("xr_solver_decisions_total")-d0)/float64(b.N), "decisions/op")
 }

@@ -228,6 +228,18 @@ func (e *encoder) emit() {
 // is suspect, so none of its facts is safe-derivable.
 func (e *encoder) suspect() []bool {
 	closure := make([]bool, len(e.vars))
+	var ls []int32
+	for _, vi := range e.violations {
+		ls, _ = e.locals(ls[:0], e.prov.Violations[vi].Body)
+		e.close(closure, ls)
+	}
+	return closure
+}
+
+// close marks, by local id, the local facts seeds and their support
+// closure, following covered support sets only, and stops at facts
+// already marked.
+func (e *encoder) close(closure []bool, seeds []int32) {
 	var stack, ls []int32
 	push := func(add []int32) {
 		for _, l := range add {
@@ -237,10 +249,7 @@ func (e *encoder) suspect() []bool {
 			}
 		}
 	}
-	for _, vi := range e.violations {
-		ls, _ = e.locals(ls[:0], e.prov.Violations[vi].Body)
-		push(ls)
-	}
+	push(seeds)
 	for len(stack) > 0 {
 		l := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -251,7 +260,6 @@ func (e *encoder) suspect() []bool {
 			}
 		}
 	}
-	return closure
 }
 
 // addCandidate wires one candidate answer into the program and returns its
@@ -313,15 +321,17 @@ type maxIndex struct {
 	seeds      []int32   // derived facts with a fully-pinned set
 	sources    int32     // local facts below it are sources (seed every fixpoint)
 	violations [][]int32 // variable facts of each covered violation body
+	// vioWatchers[vioFrom[f]:vioFrom[f+1]] are the violations with local
+	// fact f in their body, ascending, once per occurrence (greedy.go).
+	vioFrom     []int32
+	vioWatchers []int32
 }
 
-// newMaxIndex builds the derivation index, or nil when the encoder has no
-// deletable facts (no maximality check needed).
+// newMaxIndex builds the derivation index. A program without deletable
+// facts gets one too: its sub-world has one repair, which the greedy
+// repairs (greedy.go) read from the index.
 func newMaxIndex(e *encoder) *maxIndex {
-	if len(e.deletable) == 0 {
-		return nil
-	}
-	x := &maxIndex{watchFrom: make([]int32, len(e.vars)+1), sources: int32(e.sources)}
+	x := &maxIndex{sources: int32(e.sources)}
 	var ls, bodies []int32 // bodies: the rules' variable facts back to back
 	for l := e.sources; l < len(e.vars); l++ {
 		for _, set := range e.prov.Supports(e.vars[l]) {
@@ -336,32 +346,46 @@ func newMaxIndex(e *encoder) *maxIndex {
 			x.heads = append(x.heads, int32(l))
 			x.pendingInit = append(x.pendingInit, int32(len(ls)))
 			bodies = append(bodies, ls...)
-			for _, b := range ls {
-				x.watchFrom[b+1]++
-			}
 		}
 	}
-	// Counting sort of the occurrences by fact: rules are visited in
-	// ascending order, so each fact's rules come out ascending.
-	for f := 1; f < len(x.watchFrom); f++ {
-		x.watchFrom[f] += x.watchFrom[f-1]
-	}
-	x.watchers = make([]int32, len(bodies))
-	next := x.watchFrom[:len(e.vars)] // advances to each fact's end, then shifts back
-	for ri, n := range x.pendingInit {
-		for _, b := range bodies[:n] {
-			x.watchers[next[b]] = int32(ri)
-			next[b]++
-		}
-		bodies = bodies[n:]
-	}
-	copy(x.watchFrom[1:], x.watchFrom[:len(e.vars)])
-	x.watchFrom[0] = 0
+	x.watchFrom, x.watchers = invert(len(e.vars), bodies, x.pendingInit)
+	var vioLens []int32
+	bodies = bodies[:0]
 	for _, vi := range e.violations {
 		body, _ := e.locals(nil, e.prov.Violations[vi].Body)
 		x.violations = append(x.violations, body)
+		bodies = append(bodies, body...)
+		vioLens = append(vioLens, int32(len(body)))
 	}
+	x.vioFrom, x.vioWatchers = invert(len(e.vars), bodies, vioLens)
 	return x
+}
+
+// invert returns, for sets over n local facts given back to back in flat
+// with their lengths in lens, the sets holding each fact: those of fact f
+// are watchers[from[f]:from[f+1]], ascending, once per occurrence.
+func invert(n int, flat, lens []int32) (from, watchers []int32) {
+	from = make([]int32, n+1)
+	for _, f := range flat {
+		from[f+1]++
+	}
+	// Counting sort of the occurrences by fact: sets are visited in
+	// ascending order, so each fact's sets come out ascending.
+	for f := 1; f <= n; f++ {
+		from[f] += from[f-1]
+	}
+	watchers = make([]int32, len(flat))
+	next := from[:n] // advances to each fact's end, then shifts back
+	for si, k := range lens {
+		for _, f := range flat[:k] {
+			watchers[next[f]] = int32(si)
+			next[f]++
+		}
+		flat = flat[k:]
+	}
+	copy(from[1:], from[:n])
+	from[0] = 0
+	return from, watchers
 }
 
 // stampSet is a set of local fact ids stamped with a generation: an id is
@@ -455,13 +479,14 @@ func (x *maxIndex) derivableWith(wk *maxWork, out *stampSet, restored int32) boo
 }
 
 // acceptorWithIndex wires the maximality check onto a solver using a
-// prebuilt derivation index (nil index means nothing to check). onLearn,
+// prebuilt derivation index; with no deletable fact there is nothing to
+// check, and it returns nil. onLearn,
 // when non-nil, is called once per distinct clause a rejection learns: two
 // deleted facts that could each be restored alone yield the same clause
 // twice, and both copies still go to the solver. The acceptor owns its
 // working stamp sets; the index stays shared and read-only.
 func (e *encoder) acceptorWithIndex(x *maxIndex, s *asp.StableSolver, onLearn func()) func(m []bool) [][]asp.Lit {
-	if x == nil {
+	if len(e.deletable) == 0 {
 		return nil
 	}
 

@@ -140,6 +140,7 @@ func TestExplainDegradedCause(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		withoutGreedy(t, ex, q) // the greedy repairs would decide every group within any budget
 		res, err := ex.AnswerOpts(q, Options{MaxDecisions: 1, Partial: true, Explain: true})
 		if err != nil {
 			t.Fatal(err)

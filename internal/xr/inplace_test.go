@@ -23,14 +23,32 @@ import (
 // caller sees exactly what the job path would show: answers, Unknown
 // sets, stats and one TraceEvent per group.
 
-// unpublishWirings drops the published wiring of every cached plan group,
-// so the next ask of each group runs it as a job, which wires it again.
+// unpublishWirings drops the published wiring and greedy decisions of
+// every cached plan group, so the next ask of each group runs it as a job,
+// which decides and wires it again.
 func unpublishWirings(ex *Exchange) {
 	for _, p := range cachedEntries[*queryPlan](ex) {
 		for _, g := range p.groups {
 			g.wired.Store(nil)
+			g.decided(false).Store(nil)
+			g.decided(true).Store(nil)
 		}
 	}
+}
+
+// greedyDecided reports whether the greedy repairs decide the group
+// entirely under the semantics.
+func greedyDecided(g *sigGroup, brave bool) bool {
+	d := g.decided(brave).Load()
+	return d != nil && d.complete
+}
+
+// decidedInPlace reports whether a warm ask decides the group in place:
+// the greedy repairs decide it, or a job asked them and it wires some
+// atom.
+func decidedInPlace(g *sigGroup, brave bool) bool {
+	w := g.wired.Load()
+	return greedyDecided(g, brave) || g.decided(brave).Load() != nil && w != nil && len(w.atoms) > 0
 }
 
 // planOf returns the cached plan of q on ex.
@@ -89,30 +107,41 @@ func requireSameEvents(t *testing.T, label string, want, got []TraceEvent) {
 // TestInPlaceTakesNoLane answers every query of genome M3 and of random
 // weakly-acyclic scenarios cold, in both semantics, and then warm while a
 // test holds the only lane of a 1-lane pool, in both semantics at
-// Parallelism 1, 4 and 8. Every ask whose groups all wire some atom is
-// decided in place: it returns without the lane, the pool times no lane
-// wait, and its answers, Unknown set, stats and per-group trace events
-// equal those of the job path, forced on a twin exchange with the same
-// history. A done context still fails it. After every solver is poisoned,
-// or a cache fault evicts a group's program, the group needs a job again.
+// Parallelism 1, 4 and 8. Every ask whose groups all have a greedy
+// decision or wire some atom is decided in place: it returns without the
+// lane, the pool times no lane wait, and its answers, Unknown set, stats
+// and per-group trace events equal those of the job path, forced on a twin
+// exchange with the same history. A done context still fails it. After
+// every solver is poisoned, or a cache fault evicts a group's program, a
+// group without a greedy decision needs a job again. It runs each scenario
+// twice: with the greedy repairs forgotten, so that every group is decided
+// on a persistent solver and the verdict memo decides it in place, and
+// with them, so that greedy decisions are read in place too.
 func TestInPlaceTakesNoLane(t *testing.T) {
-	var decided int
+	decided := map[bool]int{}
 	for _, sc := range memoScenarios(t) {
 		if sc.name == "genome-S3" {
 			continue
 		}
 		t.Run(sc.name, func(t *testing.T) {
-			decided += runInPlace(t, sc)
+			for _, greedy := range []bool{false, true} {
+				t.Run(fmt.Sprintf("greedy=%v", greedy), func(t *testing.T) {
+					decided[greedy] += runInPlace(t, sc, greedy)
+				})
+			}
 		})
 	}
-	if decided == 0 {
-		t.Fatal("no ask was decided in place")
+	for _, greedy := range []bool{false, true} {
+		if decided[greedy] == 0 {
+			t.Fatalf("greedy=%v: no ask was decided in place", greedy)
+		}
 	}
 }
 
 // runInPlace drives one scenario and returns the number of warm asks it
-// saw decided in place.
-func runInPlace(t *testing.T, sc memoScenario) (decided int) {
+// saw decided in place. Unless greedy, the greedy repairs of both
+// exchanges are forgotten before the first ask.
+func runInPlace(t *testing.T, sc memoScenario, greedy bool) (decided int) {
 	reg := telemetry.NewRegistry()
 	ex, err := NewExchangeOpts(sc.m, sc.src, Options{Metrics: reg})
 	if err != nil {
@@ -125,6 +154,10 @@ func runInPlace(t *testing.T, sc memoScenario) (decided int) {
 	fresh, err := NewExchange(sc.m, sc.src)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !greedy {
+		withoutGreedy(t, ex, sc.queries...)
+		withoutGreedy(t, twin, sc.queries...)
 	}
 	for _, q := range sc.queries {
 		for _, brave := range []bool{false, true} {
@@ -145,13 +178,10 @@ func runInPlace(t *testing.T, sc memoScenario) (decided int) {
 	held := waits.Count()
 	for _, q := range sc.queries {
 		groups := planOf(t, ex, q).groups
-		if slices.ContainsFunc(groups, func(g *sigGroup) bool {
-			w := g.wired.Load()
-			return w == nil || len(w.atoms) == 0
-		}) {
-			continue // a group without a wired atom always runs a session
-		}
 		for _, brave := range []bool{false, true} {
+			if slices.ContainsFunc(groups, func(g *sigGroup) bool { return !decidedInPlace(g, brave) }) {
+				continue // a group with no greedy decision and no wired atom runs a session
+			}
 			for _, par := range []int{1, 4, 8} {
 				label := fmt.Sprintf("%s brave=%v par=%d", q.Name, brave, par)
 				ctx, cancel := context.WithTimeout(lanes, 10*time.Second)
@@ -206,17 +236,22 @@ func runInPlace(t *testing.T, sc memoScenario) (decided int) {
 	}
 
 	// After a poison no wiring belongs to a live solver: with the lane
-	// held, an ask with groups waits for it.
+	// held, an ask with a group not decided by the greedy repairs waits
+	// for it. A greedy decision outlives the solver.
 	eachSigProgram(ex, (*sigProgram).poison)
 	for _, q := range sc.queries {
-		if len(planOf(t, ex, q).groups) == 0 {
+		groups := planOf(t, ex, q).groups
+		if len(groups) == 0 {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(lanes, 20*time.Millisecond)
 		_, err := ex.query(q, false, Options{Ctx: ctx})
 		cancel()
-		if !errors.Is(err, ErrTimeout) {
+		switch waits := slices.ContainsFunc(groups, func(g *sigGroup) bool { return !greedyDecided(g, false) }); {
+		case waits && !errors.Is(err, ErrTimeout):
 			t.Fatalf("%s after a poison with the lane held: %v, want a lane wait cut short", q.Name, err)
+		case !waits && err != nil:
+			t.Fatalf("%s after a poison, every group decided by greedy repairs: %v", q.Name, err)
 		}
 	}
 	pool.Release()
@@ -228,13 +263,19 @@ func runInPlace(t *testing.T, sc memoScenario) (decided int) {
 	for i := len(sc.queries) - 1; i >= 0; i-- {
 		q := sc.queries[i]
 		plan := planOf(t, ex, q)
+		jobs := 0
+		for _, g := range plan.groups {
+			if !greedyDecided(g, false) {
+				jobs++
+			}
+		}
 		got, err := askTraced(ex, q, false, Options{Ctx: lanes, Parallelism: 4})
 		if err != nil {
 			t.Fatalf("%s after a poison: %v", q.Name, err)
 		}
 		requireSameExceptCacheHits(t, q.Name+" after a poison", freshResult(t, fresh, q, false, 1), got.res)
-		if !asked[plan] && (got.sigs != len(plan.groups) || got.memo != 0) {
-			t.Fatalf("%s after a poison: %d jobs and %d memo spans for %d groups, want every group a job", q.Name, got.sigs, got.memo, len(plan.groups))
+		if !asked[plan] && (got.sigs != jobs || got.memo != min(len(plan.groups)-jobs, 1)) {
+			t.Fatalf("%s after a poison: %d jobs and %d memo spans for %d groups, want every group without a greedy decision a job", q.Name, got.sigs, got.memo, len(plan.groups))
 		}
 		asked[plan] = true
 	}
@@ -255,7 +296,7 @@ func runInPlace(t *testing.T, sc memoScenario) (decided int) {
 	}
 	for _, q := range sc.queries {
 		groups := planOf(t, ex, q).groups
-		if len(groups) < 2 || slices.ContainsFunc(groups[:2], func(g *sigGroup) bool { return len(g.wired.Load().atoms) == 0 }) {
+		if len(groups) < 2 || slices.ContainsFunc(groups[:2], func(g *sigGroup) bool { return !decidedInPlace(g, false) }) {
 			continue
 		}
 		key := groups[0].key

@@ -61,6 +61,7 @@ func TestMetricsMatchTraceEvents(t *testing.T) {
 	}
 
 	var events []TraceEvent
+	withoutGreedy(t, ex, q) // so that the groups reach the solver
 	res, err := ex.AnswerOpts(q, Options{
 		Parallelism: 4,
 		Trace:       func(ev TraceEvent) { events = append(events, ev) },

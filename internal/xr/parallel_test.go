@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,59 +235,96 @@ func TestSecondAnswerHitsCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesShareCache hammers one Exchange from many goroutines
-// — certain, possible and explain asks mixed — to exercise the signature
-// programs under the race detector: persistent solvers read their frozen
-// base programs under incMu while explain passes read the same bases
-// without it. Every run must agree with a sequential baseline, and
-// afterwards every cached base must equal a fresh build of its key.
+// TestConcurrentQueriesShareCache hammers one cold Exchange from many
+// goroutines — certain, possible and explain asks of two queries mixed,
+// each asked twice in a row — to exercise the query state under the race
+// detector: greedy decisions are published on plan groups while other
+// asks read them in place, and persistent solvers read their frozen base
+// programs under incMu while explain passes read the same bases without
+// it. The greedy repairs decide every group of the key-conflict query q;
+// the certain groups of its projection onto the key only sessions decide.
+// Every ask must agree with a sequential baseline on a separate Exchange,
+// the mix must hold asks that read greedy decisions in place and asks that
+// ran sessions, and afterwards every cached base must equal a fresh build
+// of its key.
 func TestConcurrentQueriesShareCache(t *testing.T) {
 	w, q := conflictFarm(12)
+	tt, _ := w.cat.ByName("T")
+	keys := &logic.UCQ{Name: "keys", Arity: 1, Clauses: []logic.CQ{{
+		Head: []logic.Term{logic.V("x")},
+		Body: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("v"))},
+	}}}
 	ex, err := NewExchange(w.m, w.src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type kind struct{ brave, explain bool }
-	kinds := []kind{{false, false}, {true, false}, {false, true}, {true, true}}
-	render := func(k kind, res *Result) string {
+	ref, err := NewExchange(w.m, w.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type kind struct {
+		q              *logic.UCQ
+		brave, explain bool
+	}
+	var kinds []kind
+	for _, uq := range []*logic.UCQ{q, keys} {
+		for _, k := range []kind{{uq, false, false}, {uq, true, false}, {uq, false, true}, {uq, true, true}} {
+			kinds = append(kinds, k)
+		}
+	}
+	render := func(e *Exchange, k kind, res *Result) string {
 		if k.explain {
-			return renderAll(w.cat, w.u, ex, res)
+			return renderAll(w.cat, w.u, e, res)
 		}
 		return strings.Join(tupleStrings(res), "\n")
 	}
-	ask := func(k kind, par int) (*Result, error) {
-		opts := Options{Parallelism: par, Explain: k.explain}
-		if k.brave {
-			return ex.PossibleOpts(q, opts)
-		}
-		return ex.AnswerOpts(q, opts)
-	}
 	want := map[kind]string{}
 	for _, k := range kinds {
-		res, err := ask(k, 1)
+		res, err := ref.query(k.q, k.brave, Options{Explain: k.explain})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if k.explain && len(res.Explanations) != res.Stats.Candidates {
 			t.Fatalf("%d explanations for %d candidates", len(res.Explanations), res.Stats.Candidates)
 		}
-		want[k] = render(k, res)
+		want[k] = render(ref, k, res)
 	}
 
+	var inPlace, sessions atomic.Int64
 	var wg sync.WaitGroup
-	errCh := make(chan error, 16)
-	for g := 0; g < 12; g++ {
+	errCh := make(chan error, 32)
+	for g := 0; g < 16; g++ {
 		k := kinds[g%len(kinds)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := ask(k, 3)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if got := render(k, res); got != want[k] {
-				errCh <- fmt.Errorf("concurrent ask (possible %v, explain %v) diverges:\n%s\n-- want --\n%s", k.brave, k.explain, got, want[k])
+			for range 2 {
+				tr := telemetry.NewTracer()
+				searched := false
+				res, err := ex.query(k.q, k.brave, Options{Parallelism: 3, Explain: k.explain, Tracer: tr, Trace: func(ev TraceEvent) {
+					searched = searched || ev.AssumptionSolves > 0
+				}})
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if got := render(ex, k, res); got != want[k] {
+					errCh <- fmt.Errorf("concurrent ask (%s, possible %v, explain %v) diverges:\n%s\n-- want --\n%s", k.q.Name, k.brave, k.explain, got, want[k])
+				}
+				if searched {
+					sessions.Add(1)
+				}
+				// Every group of q has a greedy decision, so one decided
+				// in place, without a signature span, read it.
+				jobs := 0
+				for _, s := range tr.Spans() {
+					if strings.HasPrefix(s.Name, "signature {") {
+						jobs++
+					}
+				}
+				if k.q == q && jobs < res.Stats.Programs {
+					inPlace.Add(1)
+				}
 			}
 		}()
 	}
@@ -294,6 +332,9 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	if inPlace.Load() == 0 || sessions.Load() == 0 {
+		t.Fatalf("%d asks read greedy decisions in place and %d ran sessions; the mix needs both", inPlace.Load(), sessions.Load())
 	}
 
 	programs := cachedEntries[*sigProgram](ex)

@@ -45,6 +45,19 @@ type sigGroup struct {
 	// wired caches the query atoms of cands on the last persistent solver
 	// that wired them (see incSolver.wireCandidates).
 	wired atomic.Pointer[groupWiring]
+	// decisions holds what the greedy repairs decided about the group,
+	// certain then possible, once a job asked them
+	// (sigProgram.greedyDecision).
+	decisions [2]atomic.Pointer[groupDecision]
+}
+
+// decided returns the slot of the group's greedy decision under the
+// semantics.
+func (g *sigGroup) decided(brave bool) *atomic.Pointer[groupDecision] {
+	if brave {
+		return &g.decisions[1]
+	}
+	return &g.decisions[0]
 }
 
 // groupWiring is a group resolved to query atoms on one persistent solver:
@@ -144,8 +157,10 @@ func planKey(rq *logic.UCQ) string {
 
 // bytes estimates the memory a plan holds: the capacity of each of its
 // slices (safe-tuple, tuple, support-set, signature and group values;
-// slice headers in their parents), the candidate structs, and a group's
-// wiring at one atom id and one pointer per candidate.
+// slice headers in their parents), the candidate structs, a group's
+// wiring at one atom id and one pointer per candidate, and its greedy
+// decision at one verdict and one pointer per candidate (a workload that
+// asks both semantics keeps two).
 func (p *queryPlan) bytes() int64 {
 	const (
 		header    = 24 // slice header
@@ -157,12 +172,13 @@ func (p *queryPlan) bytes() int64 {
 	for _, g := range p.groups {
 		n += int64(len(g.key)) + int64(cap(g.sig))*word + int64(cap(g.cands))*word
 		n += 2*header + 4*word // the sigGroup and its wiring
+		n += 2*header + 6*word // its greedy decision
 		for _, c := range g.cands {
 			n += candidate + int64(cap(c.tuple))*value + int64(cap(c.supports))*header
 			for _, s := range c.supports {
 				n += int64(cap(s)) * value
 			}
-			n += value + word
+			n += value + word + 1 + word
 		}
 	}
 	return n

@@ -37,16 +37,21 @@ type stateValue interface{ bytes() int64 }
 
 // maxQueryStateBytes bounds each Exchange's query state by the estimated
 // size of its entries; the least recently used are evicted past it. A
-// certain and a possible pass of the genome suite leave about 18 MB on the
-// genome-read shape and 2 MB on the genome-churn shape.
+// certain pass of the genome suite, which the greedy repairs decide
+// without a persistent solver, leaves about 3.4 MiB on the genome-read
+// shape and 0.4 MiB on the genome-churn shape; a certain and a possible
+// pass, whose open groups build solvers, about 16.5 MiB and 1.7 MiB.
 const maxQueryStateBytes = 64 << 20
 
-// bytesPerRule is the live heap a signature program holds per rule of its
-// largest program, solver and memos included: the heap that dropping every
-// program frees over their rules, 423 B on the genome-read shape after a
-// certain and a possible pass of the genome suite and 422 B on the
-// genome-churn shape after one served pass (TestBytesPerRuleCalibration).
-const bytesPerRule = 420
+// bytesPerRule is the live heap a signature program with a persistent
+// solver holds per rule of the solver's program, memos included, and
+// bytesPerBaseRule what one without a solver holds per base rule, greedy
+// repairs included: the heap that dropping the programs frees over their
+// rules (TestBytesPerRuleCalibration).
+const (
+	bytesPerRule     = 420
+	bytesPerBaseRule = 58
+)
 
 // stateEntry is one slot of the owner.
 type stateEntry struct {
@@ -171,18 +176,23 @@ func (ex *Exchange) QueryStateBytes() int64 {
 }
 
 // sigProgram is one signature program: the base grounding of the Theorem
-// 4 sub-world restricted to a signature's clusters, plus the signature's
-// persistent solver. The base program is frozen once built and stored
-// once: candidate atoms are wired into tails of it (encoder.specialize) —
-// the persistent solver's, which grows with every new candidate, and the
-// explain pass's throwaway ones — which read it in place. The base tables
-// are complete once newEncoder returns, so candidate wiring only reads
-// them, and a frozen program has no lazily filled field, so the explain
-// pass reads the base without incMu while the persistent solver reads it
-// under that lock.
+// 4 sub-world restricted to a signature's clusters, two greedy repairs of
+// that sub-world, plus the signature's persistent solver, built only when
+// the repairs leave some candidate open. The base program is frozen once
+// built and stored once: candidate atoms are wired into tails of it
+// (encoder.specialize) — the persistent solver's, which grows with every
+// new candidate, and the explain pass's throwaway ones — which read it in
+// place. The base tables and the repairs are complete once newSigProgram
+// returns, so candidate wiring and greedy decisions only read them, and a
+// frozen program has no lazily filled field, so the explain pass reads
+// the base without incMu while the persistent solver reads it under that
+// lock.
 type sigProgram struct {
 	enc *encoder  // base encoder (program without candidates)
-	idx *maxIndex // derivation index for the maximality acceptor
+	idx *maxIndex // derivation index for the maximality acceptor and the greedy repairs
+	// repairs are the two shared greedy repairs of the signature's
+	// sub-world (greedy.go), nil when it has none.
+	repairs []repairSet
 
 	// incMu guards inc, the signature's persistent incremental solver
 	// (see incremental.go). Jobs hold it for writing for the duration of
@@ -223,16 +233,16 @@ func (ex *Exchange) newSigProgram(sig []int) *sigProgram {
 	slices.Sort(violations)
 	enc := newEncoder(ex.Prov, slices.Clip(slices.Compact(vars)), ex.safeDerivable, violations)
 	enc.gp.Freeze()
-	return &sigProgram{enc: enc, idx: newMaxIndex(enc)}
+	idx := newMaxIndex(enc)
+	return &sigProgram{enc: enc, idx: idx, repairs: sharedRepairs(enc, idx)}
 }
 
-// bytes estimates the memory the program holds: bytesPerRule per rule of
-// its largest program, the persistent solver's once built. The caller
-// holds incMu, or the program is not yet shared.
+// bytes estimates the memory the program holds: bytesPerBaseRule per base
+// rule, or once the persistent solver is built, bytesPerRule per rule of
+// its program. The caller holds incMu, or the program is not yet shared.
 func (sp *sigProgram) bytes() int64 {
-	gp := sp.enc.gp
 	if sp.inc != nil {
-		gp = sp.inc.spec.gp
+		return int64(sp.inc.spec.gp.NumRules()) * bytesPerRule
 	}
-	return int64(gp.NumRules()) * bytesPerRule
+	return int64(sp.enc.gp.NumRules()) * bytesPerBaseRule
 }
