@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -55,11 +56,6 @@ func (f Fact) String(cat *schema.Catalog, u *symtab.Universe) string {
 // keeps ground-program atom numbering and rule order — and with them solver
 // effort and telemetry counters — identical from run to run.
 //
-// The tuple set (slots) is an open-addressing table of tuple positions,
-// probed linearly from a seeded hash of the tuple's values. Nothing ranges
-// over it — order comes from tuples alone — so its per-process random seed
-// never reaches an output, and a tenant cannot pick tuples that collide.
-//
 // Indexes are persistent: once a column index exists it is updated
 // incrementally on every add and remove instead of being dropped and rebuilt
 // from scratch (the semi-naive chase probes the same columns every round, so
@@ -69,11 +65,7 @@ func (f Fact) String(cat *schema.Catalog, u *symtab.Universe) string {
 // add-only workloads; removals swap-move the tail tuple, which is itself
 // deterministic).
 type relation struct {
-	// slots[i] is a position in tuples plus one, or 0 for an empty slot.
-	// Its length is a power of two, at least twice len(tuples) (nil while
-	// the relation has never held a tuple).
-	slots  []int32
-	tuples [][]symtab.Value // ordered; the single source of iteration order
+	tupleTable
 	// gens[i] is the instance generation at which tuples[i] was inserted;
 	// it is the tuple's identity for delta tracking and for the old/delta
 	// split of semi-naive evaluation.
@@ -86,9 +78,29 @@ type relation struct {
 	// not lower it). RelGen uses it as a cheap "anything new?" test.
 	maxGen uint64
 	// idx[col] maps a value to the positions of the tuples having that
-	// value in column col, in insertion order; nil until the column is
-	// first probed, then maintained incrementally.
-	idx []map[symtab.Value][]int32
+	// value in column col, in insertion order; one entry per column, nil
+	// until the column is first probed, then maintained incrementally. A
+	// reader that finds a column missing builds it under idxMu and
+	// publishes it whole, so readers of an instance no one mutates may
+	// probe at once, and a built index costs a reader no lock.
+	idx   []atomic.Pointer[columnIndex]
+	idxMu sync.Mutex
+}
+
+// columnIndex is one column's index: the positions of the tuples having
+// each value there, in insertion order.
+type columnIndex map[symtab.Value][]int32
+
+// tupleTable is a set of tuples: an ordered tuple list and an
+// open-addressing table of positions in it, probed linearly from a seeded
+// hash of the tuple's values. slots[i] is a position plus one, or 0 for an
+// empty slot; its length is a power of two, at least twice len(tuples)
+// (nil while the table has never held a tuple). Nothing ranges over slots
+// — order comes from tuples alone — so its per-process random seed never
+// reaches an output, and a tenant cannot pick tuples that collide.
+type tupleTable struct {
+	slots  []int32
+	tuples [][]symtab.Value // ordered; the single source of iteration order
 }
 
 // tupleSeed keys hashTuple; it is drawn once per process.
@@ -102,7 +114,7 @@ func hashTuple(args []symtab.Value) int {
 
 // lookup returns the slot holding args and true, or the empty slot that
 // ends args' probe chain and false. The table must not be empty.
-func (r *relation) lookup(args []symtab.Value) (int, bool) {
+func (r *tupleTable) lookup(args []symtab.Value) (int, bool) {
 	mask := len(r.slots) - 1
 	for i := hashTuple(args) & mask; ; i = (i + 1) & mask {
 		s := r.slots[i]
@@ -116,7 +128,7 @@ func (r *relation) lookup(args []symtab.Value) (int, bool) {
 }
 
 // find returns the position of args, or -1 when absent.
-func (r *relation) find(args []symtab.Value) int {
+func (r *tupleTable) find(args []symtab.Value) int {
 	if len(r.slots) == 0 {
 		return -1
 	}
@@ -128,7 +140,7 @@ func (r *relation) find(args []symtab.Value) int {
 
 // rehash rebuilds the table at the smallest power-of-two size, at least 8,
 // that holds n tuples at a load of one half.
-func (r *relation) rehash(n int) {
+func (r *tupleTable) rehash(n int) {
 	size := 8
 	for size < 2*n {
 		size *= 2
@@ -148,7 +160,7 @@ func (r *relation) rehash(n int) {
 // the probe run moves into the hole when its home slot does not lie
 // cyclically after the hole, so every remaining entry stays reachable from
 // its home without crossing an empty slot.
-func (r *relation) deleteSlot(i int) {
+func (r *tupleTable) deleteSlot(i int) {
 	mask := len(r.slots) - 1
 	for j := (i + 1) & mask; r.slots[j] != 0; j = (j + 1) & mask {
 		home := hashTuple(r.tuples[r.slots[j]-1]) & mask
@@ -160,30 +172,78 @@ func (r *relation) deleteSlot(i int) {
 	r.slots[i] = 0
 }
 
-// index returns the column index, building it on first use.
-func (r *relation) index(col int, builds *atomic.Uint64) map[symtab.Value][]int32 {
-	if col >= len(r.idx) {
-		r.idx = append(r.idx, make([]map[symtab.Value][]int32, col+1-len(r.idx))...)
+// grow makes room for one more tuple, rehashing at a load of one half.
+func (r *tupleTable) grow() {
+	if 2*(len(r.tuples)+1) > len(r.slots) {
+		r.rehash(len(r.tuples) + 1)
 	}
-	if m := r.idx[col]; m != nil {
-		return m
+}
+
+// TupleSet is a set of tuples numbered densely in insertion order, kept in
+// the hashed table each relation dedups its tuples in. Add copies a new
+// tuple into storage of the set's own, so a caller may pass one buffer to
+// every call. The zero value is an empty set; it is not safe for
+// concurrent use.
+type TupleSet struct {
+	tab   tupleTable
+	arena []symtab.Value // spare room the next new tuples are copied into
+}
+
+// Add returns the number of args in the set and whether args was new, in
+// which case it is copied in and numbered Len()-1.
+func (s *TupleSet) Add(args []symtab.Value) (int, bool) {
+	s.tab.grow()
+	slot, dup := s.tab.lookup(args)
+	if dup {
+		return int(s.tab.slots[slot] - 1), false
+	}
+	if cap(s.arena)-len(s.arena) < len(args) {
+		s.arena = make([]symtab.Value, 0, max(2*cap(s.arena), 64*len(args)))
+	}
+	k := len(s.arena)
+	s.arena = append(s.arena, args...)
+	pos := len(s.tab.tuples)
+	s.tab.slots[slot] = int32(pos + 1)
+	s.tab.tuples = append(s.tab.tuples, s.arena[k:len(s.arena):len(s.arena)])
+	return pos, true
+}
+
+// Tuple returns tuple i. Do not mutate it.
+func (s *TupleSet) Tuple(i int) []symtab.Value { return s.tab.tuples[i] }
+
+// Len returns the number of tuples.
+func (s *TupleSet) Len() int { return len(s.tab.tuples) }
+
+// index returns the column index, building it on first use.
+func (r *relation) index(col int, builds *atomic.Uint64) columnIndex {
+	if m := r.idx[col].Load(); m != nil {
+		return *m
+	}
+	return r.buildIndex(col, builds)
+}
+
+// buildIndex builds the index of column col unless another reader has
+// meanwhile, and returns it. Each column is built once: builds counts it.
+func (r *relation) buildIndex(col int, builds *atomic.Uint64) columnIndex {
+	r.idxMu.Lock()
+	defer r.idxMu.Unlock()
+	if m := r.idx[col].Load(); m != nil {
+		return *m
 	}
 	builds.Add(1)
-	m := make(map[symtab.Value][]int32)
+	m := make(columnIndex)
 	for i, tup := range r.tuples {
 		v := tup[col]
 		m[v] = append(m[v], int32(i))
 	}
-	r.idx[col] = m
+	r.idx[col].Store(&m)
 	return m
 }
 
 // add inserts args unless present. It returns the tuple's position and
 // whether it was new. Existing column indexes are extended in place.
 func (r *relation) add(args []symtab.Value, gen uint64) (int, bool) {
-	if 2*(len(r.tuples)+1) > len(r.slots) {
-		r.rehash(len(r.tuples) + 1)
-	}
+	r.grow()
 	slot, dup := r.lookup(args)
 	if dup {
 		return int(r.slots[slot] - 1), false
@@ -193,10 +253,10 @@ func (r *relation) add(args []symtab.Value, gen uint64) (int, bool) {
 	r.tuples = append(r.tuples, args)
 	r.gens = append(r.gens, gen)
 	r.maxGen = gen
-	for col, m := range r.idx {
-		if m != nil {
+	for col := range r.idx {
+		if m := r.idx[col].Load(); m != nil {
 			v := args[col]
-			m[v] = append(m[v], int32(pos))
+			(*m)[v] = append((*m)[v], int32(pos))
 		}
 	}
 	return pos, true
@@ -219,9 +279,9 @@ func (r *relation) remove(args []symtab.Value) bool {
 	i := int(r.slots[slot] - 1)
 	r.deleteSlot(slot)
 	removed := r.tuples[i]
-	for col, m := range r.idx {
-		if m != nil {
-			bucketDelete(m, removed[col], int32(i))
+	for col := range r.idx {
+		if m := r.idx[col].Load(); m != nil {
+			bucketDelete(*m, removed[col], int32(i))
 		}
 	}
 	last := len(r.tuples) - 1
@@ -231,9 +291,9 @@ func (r *relation) remove(args []symtab.Value) bool {
 		r.slots[ms] = int32(i + 1)
 		r.tuples[i] = moved
 		r.gens[i] = r.gens[last]
-		for col, m := range r.idx {
-			if m != nil {
-				bucketRepoint(m, moved[col], int32(last), int32(i))
+		for col := range r.idx {
+			if m := r.idx[col].Load(); m != nil {
+				bucketRepoint(*m, moved[col], int32(last), int32(i))
 			}
 		}
 		r.sorted = false
@@ -246,7 +306,7 @@ func (r *relation) remove(args []symtab.Value) bool {
 
 // bucketDelete removes position pos from the bucket of v, preserving the
 // relative order of the remaining entries.
-func bucketDelete(m map[symtab.Value][]int32, v symtab.Value, pos int32) {
+func bucketDelete(m columnIndex, v symtab.Value, pos int32) {
 	b := m[v]
 	for j, p := range b {
 		if p == pos {
@@ -262,7 +322,7 @@ func bucketDelete(m map[symtab.Value][]int32, v symtab.Value, pos int32) {
 }
 
 // bucketRepoint rewrites position from to to in the bucket of v.
-func bucketRepoint(m map[symtab.Value][]int32, v symtab.Value, from, to int32) {
+func bucketRepoint(m columnIndex, v symtab.Value, from, to int32) {
 	b := m[v]
 	for j, p := range b {
 		if p == from {
@@ -274,10 +334,11 @@ func bucketRepoint(m map[symtab.Value][]int32, v symtab.Value, from, to int32) {
 
 // Instance is a mutable set of facts. The zero value is not usable; call New.
 //
-// An Instance is not safe for concurrent mutation. Concurrent reads are safe
-// only once every column index touched by the readers has been built (index
-// construction is lazy); the chase builds all indexes its plans need, so
-// instances it returns can be read concurrently by the query phase.
+// An Instance is not safe for concurrent mutation. Concurrent reads are
+// safe, including the first probe of a column, which builds its index under
+// a lock and publishes it whole: the query phase probes columns the chase
+// never indexed (a query's self-join on a non-key column, say) from many
+// asks at once.
 type Instance struct {
 	cat *schema.Catalog
 	// rels is indexed by the catalog's dense RelID, nil for a relation that
@@ -394,7 +455,7 @@ func (in *Instance) addTuple(rel schema.RelID, args []symtab.Value) (uint64, boo
 	}
 	r := in.rels[rel]
 	if r == nil {
-		r = &relation{sorted: true}
+		r = &relation{sorted: true, idx: make([]atomic.Pointer[columnIndex], len(args))}
 		in.rels[rel] = r
 	}
 	pos, added := r.add(args, in.gen+1)
@@ -657,11 +718,11 @@ func (in *Instance) Clone() *Instance {
 			continue
 		}
 		cp.rels[id] = &relation{
-			slots:  slices.Clone(r.slots),
-			tuples: slices.Clone(r.tuples),
-			gens:   slices.Clone(r.gens),
-			sorted: r.sorted,
-			maxGen: r.maxGen,
+			tupleTable: tupleTable{slots: slices.Clone(r.slots), tuples: slices.Clone(r.tuples)},
+			gens:       slices.Clone(r.gens),
+			sorted:     r.sorted,
+			maxGen:     r.maxGen,
+			idx:        make([]atomic.Pointer[columnIndex], len(r.idx)),
 		}
 	}
 	return cp

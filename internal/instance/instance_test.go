@@ -2,7 +2,9 @@ package instance
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/schema"
@@ -255,4 +257,37 @@ func TestInsertArityError(t *testing.T) {
 		}
 	}()
 	in.Add(r.ID, []symtab.Value{1})
+}
+
+// TestConcurrentFirstProbes probes one unindexed column of an instance no
+// one mutates from several goroutines at once, as concurrent query plans
+// do: under the race detector the lazy index build must not race, every
+// reader must see the whole index, and the column is built once.
+func TestConcurrentFirstProbes(t *testing.T) {
+	cat, u, r, _ := fixture()
+	in := New(cat)
+	vals := []symtab.Value{u.Const("a"), u.Const("b"), u.Const("c")}
+	for i := 0; i < 300; i++ {
+		in.Add(r.ID, []symtab.Value{u.Const(fmt.Sprintf("k%d", i)), vals[i%3]})
+	}
+	want := len(in.Match(r.ID, []symtab.Value{symtab.None, vals[1]}))
+	in = in.Clone() // no column indexed
+	var wg sync.WaitGroup
+	counts := make([]int, 8)
+	for g := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[g] = len(in.Match(r.ID, []symtab.Value{symtab.None, vals[1]}))
+		}()
+	}
+	wg.Wait()
+	for g, n := range counts {
+		if n != want {
+			t.Errorf("reader %d matched %d tuples, want %d", g, n, want)
+		}
+	}
+	if b := in.IndexBuilds(); b != 1 {
+		t.Fatalf("%d index builds for one column", b)
+	}
 }

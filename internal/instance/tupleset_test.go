@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -107,40 +108,45 @@ func (ref *refInstance) clone() *refInstance {
 	return cp
 }
 
-// checkTupleSet asserts the table invariant of every relation: a power-of-two
-// table at most half full, every position in exactly one slot, and every
-// entry reachable from its home slot without crossing an empty slot.
+// checkTupleSet asserts the table invariant of every relation.
 func checkTupleSet(t *testing.T, step int, in *Instance) {
 	t.Helper()
 	for id, r := range in.rels {
-		if r == nil {
+		if r != nil {
+			checkTable(t, fmt.Sprintf("step %d rel %d", step, id), &r.tupleTable)
+		}
+	}
+}
+
+// checkTable asserts the table invariant: a power-of-two table at most half
+// full, every position in exactly one slot, and every entry reachable from
+// its home slot without crossing an empty slot.
+func checkTable(t *testing.T, label string, r *tupleTable) {
+	t.Helper()
+	n := len(r.slots)
+	if n&(n-1) != 0 || 2*len(r.tuples) > n {
+		t.Fatalf("%s: %d slots for %d tuples", label, n, len(r.tuples))
+	}
+	seen := make([]bool, len(r.tuples))
+	mask := n - 1
+	for j, s := range r.slots {
+		if s == 0 {
 			continue
 		}
-		n := len(r.slots)
-		if n&(n-1) != 0 || 2*len(r.tuples) > n {
-			t.Fatalf("step %d rel %d: %d slots for %d tuples", step, id, n, len(r.tuples))
+		pos := int(s - 1)
+		if pos >= len(r.tuples) || seen[pos] {
+			t.Fatalf("%s: slot %d holds bad or repeated position %d", label, j, pos)
 		}
-		seen := make([]bool, len(r.tuples))
-		mask := n - 1
-		for j, s := range r.slots {
-			if s == 0 {
-				continue
-			}
-			pos := int(s - 1)
-			if pos >= len(r.tuples) || seen[pos] {
-				t.Fatalf("step %d rel %d: slot %d holds bad or repeated position %d", step, id, j, pos)
-			}
-			seen[pos] = true
-			for i := hashTuple(r.tuples[pos]) & mask; i != j; i = (i + 1) & mask {
-				if r.slots[i] == 0 {
-					t.Fatalf("step %d rel %d: position %d at slot %d is cut off from its home by empty slot %d", step, id, pos, j, i)
-				}
+		seen[pos] = true
+		for i := hashTuple(r.tuples[pos]) & mask; i != j; i = (i + 1) & mask {
+			if r.slots[i] == 0 {
+				t.Fatalf("%s: position %d at slot %d is cut off from its home by empty slot %d", label, pos, j, i)
 			}
 		}
-		for pos, ok := range seen {
-			if !ok {
-				t.Fatalf("step %d rel %d: position %d has no slot", step, id, pos)
-			}
+	}
+	for pos, ok := range seen {
+		if !ok {
+			t.Fatalf("%s: position %d has no slot", label, pos)
 		}
 	}
 }
@@ -250,5 +256,46 @@ func TestTupleSetMatchesReference(t *testing.T) {
 				checkAgainstRef(t, step, frozen, frozenRef, rels, dom, rng)
 			}
 		}
+	}
+}
+
+// TestTupleSetAddCopies drives a TupleSet with random tuples of arity 0, 1
+// and 3 over the same small domain, through one buffer that is overwritten
+// after every call: Add must number new tuples densely in insertion order,
+// find repeated ones, keep its own copies, and keep the table invariant.
+func TestTupleSetAddCopies(t *testing.T) {
+	dom := []symtab.Value{1, 2, 3, 1 | 1<<16, 1 | 1<<24, 1 | 1<<30, -1, -1 - 1<<30}
+	rng := rand.New(rand.NewSource(9100))
+	for _, arity := range []int{0, 1, 3} {
+		var s TupleSet
+		pos := map[string]int{}
+		var want [][]symtab.Value
+		buf := make([]symtab.Value, arity)
+		for step := 0; step < 2000; step++ {
+			for i := range buf {
+				buf[i] = dom[rng.Intn(len(dom))]
+			}
+			wantPos, seen := pos[EncodeTuple(buf)]
+			if !seen {
+				wantPos = len(want)
+				pos[EncodeTuple(buf)] = wantPos
+				want = append(want, slices.Clone(buf))
+			}
+			if got, added := s.Add(buf); got != wantPos || added == seen {
+				t.Fatalf("arity %d step %d: Add(%v) = %d, %v; want %d, %v", arity, step, buf, got, added, wantPos, !seen)
+			}
+			for i := range buf {
+				buf[i] = symtab.None
+			}
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("arity %d: Len %d, want %d", arity, s.Len(), len(want))
+		}
+		for i, w := range want {
+			if !slices.Equal(s.Tuple(i), w) {
+				t.Fatalf("arity %d: tuple %d is %v, want %v", arity, i, s.Tuple(i), w)
+			}
+		}
+		checkTable(t, fmt.Sprintf("arity %d", arity), &s.tab)
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"repro/internal/testkit"
 )
 
-// referenceCandidates is the reference for collectCandidates, written the
+// referenceCandidates is the reference for the collector, written the
 // direct way: each support fact is found by a string key built from the
 // body atom's arguments, and each support set is deduplicated by a linear
 // scan over the candidate's sets before the canonical sort.
@@ -98,17 +98,58 @@ func referenceCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
 	return out
 }
 
-// requireReferenceCandidates rewrites q on ex and requires collectCandidates
-// to return exactly what the reference collector returns: the same
-// candidates with the same support sets, both in the same order. It returns
-// the candidates.
+// referencePlan is the reference for newPlan, written the direct way: it
+// accepts each candidate with a support set lying entirely in the safe
+// part, and groups the others by fact signature.
+func referencePlan(ex *Exchange, cands []*candidate) *queryPlan {
+	p := &queryPlan{candidates: len(cands)}
+	byKey := make(map[string]*sigGroup)
+	for _, c := range cands {
+		if slices.ContainsFunc(c.supports, func(set []chase.FactID) bool {
+			return !slices.ContainsFunc(set, func(f chase.FactID) bool { return !ex.safeDerivable[f] })
+		}) {
+			p.safe = append(p.safe, c.tuple...)
+			p.nsafe++
+			continue
+		}
+		sig, key := ex.signature(c, nil, nil)
+		g, ok := byKey[string(key)]
+		if !ok {
+			g = &sigGroup{key: string(key), sig: sig}
+			byKey[g.key] = g
+			p.groups = append(p.groups, g)
+		}
+		g.cands = append(g.cands, c)
+	}
+	sort.Slice(p.groups, func(i, j int) bool { return p.groups[i].key < p.groups[j].key })
+	return p
+}
+
+// requireReferenceCandidates rewrites q on ex and requires the collector to
+// return exactly what the reference collector returns — the same
+// candidates with the same support sets, both in the same order — when it
+// keeps every support set, with the safe part (an explain ask) and without
+// (the monolithic pipeline). It then requires the plan planFor builds, and
+// an explain ask's plan, to equal the reference plan of the reference
+// candidates field by field. It returns the reference candidates.
 func requireReferenceCandidates(t *testing.T, label string, ex *Exchange, q *logic.UCQ) []*candidate {
 	t.Helper()
 	rq, err := ex.Red.RewriteQuery(q)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	got, want := collectCandidates(rq, ex.Prov), referenceCandidates(rq, ex.Prov)
+	want := referenceCandidates(rq, ex.Prov)
+	requireSameCandidates(t, label+" (monolithic)", collect(rq, ex.Prov, nil, true).candidates(), want)
+	explainPlan, explainCands := ex.newPlan(collect(rq, ex.Prov, ex.safeDerivable, true))
+	requireSameCandidates(t, label+" (explain)", explainCands, want)
+	wantPlan := referencePlan(ex, want)
+	requireSamePlan(t, label+" (explain)", explainPlan, wantPlan)
+	requireSamePlan(t, label, ex.planFor(rq, nil), wantPlan)
+	return want
+}
+
+func requireSameCandidates(t *testing.T, label string, got, want []*candidate) {
+	t.Helper()
 	if !reflect.DeepEqual(got, want) {
 		i := 0
 		for i < len(got) && i < len(want) && reflect.DeepEqual(got[i], want[i]) {
@@ -117,7 +158,6 @@ func requireReferenceCandidates(t *testing.T, label string, ex *Exchange, q *log
 		t.Fatalf("%s: %d candidates, reference %d; first difference at candidate %d:\n got %s\nwant %s",
 			label, len(got), len(want), i, candidateAt(got, i), candidateAt(want, i))
 	}
-	return got
 }
 
 func candidateAt(cs []*candidate, i int) string {
@@ -127,11 +167,81 @@ func candidateAt(cs []*candidate, i int) string {
 	return fmt.Sprintf("%v %v", cs[i].tuple, cs[i].supports)
 }
 
-// TestCollectCandidatesMatchesReference pins collectCandidates to the
-// string-key, linear-dedup reference on the genome suite, on random
-// mappings, and on hand-built UCQs whose support sets repeat: a self-join
-// matched both ways round (the xr4 shape), a repeated clause, and a body
-// constant.
+// requireSamePlan compares two fresh plans field by field: the candidate
+// count, the safe tuples, and each group's key, signature and candidates.
+func requireSamePlan(t *testing.T, label string, got, want *queryPlan) {
+	t.Helper()
+	if got.candidates != want.candidates || got.nsafe != want.nsafe || !slices.Equal(got.safe, want.safe) {
+		t.Fatalf("%s: plan has %d candidates, %d safe %v; reference %d, %d safe %v",
+			label, got.candidates, got.nsafe, got.safe, want.candidates, want.nsafe, want.safe)
+	}
+	if len(got.groups) != len(want.groups) {
+		t.Fatalf("%s: plan has %d groups, reference %d", label, len(got.groups), len(want.groups))
+	}
+	for i, g := range got.groups {
+		w := want.groups[i]
+		if g.key != w.key || !slices.Equal(g.sig, w.sig) {
+			t.Fatalf("%s: group %d is {%s} %v, reference {%s} %v", label, i, g.key, g.sig, w.key, w.sig)
+		}
+		requireSameCandidates(t, fmt.Sprintf("%s: group {%s}", label, g.key), g.cands, w.cands)
+	}
+}
+
+// safeOrder counts, over the matches of rq in collection order, the tuples
+// whose first support set lies in the safe part and which have a later one
+// that does not (first), and the tuples with a set outside the safe part
+// enumerated before their first safe one (last): the collector skips the
+// later matches of the first kind and drops the sets it has kept of the
+// second.
+func safeOrder(rq *logic.UCQ, ex *Exchange) (first, last int) {
+	type seen struct{ safe, unsafe, counted bool }
+	tuples := make(map[string]*seen)
+	for ci := range rq.Clauses {
+		c := &rq.Clauses[ci]
+		plan := cq.Compile(c.Body)
+		plan.ForEachDelta(ex.Prov.Instance, 0, func(env []symtab.Value, rank []uint64, _ []int) bool {
+			tuple := make([]symtab.Value, len(c.Head))
+			for i, t := range c.Head {
+				if t.IsVar() {
+					tuple[i] = env[plan.VarSlot[t.Var]]
+				} else {
+					tuple[i] = t.Val
+				}
+			}
+			safe := true
+			for _, g := range rank {
+				id, _ := ex.Prov.FactIDOfGen(g)
+				safe = safe && ex.safeDerivable[id]
+			}
+			k := instance.EncodeTuple(tuple)
+			s := tuples[k]
+			if s == nil {
+				s = &seen{}
+				tuples[k] = s
+			}
+			switch {
+			case s.counted:
+			case safe && s.unsafe:
+				last++
+				s.counted = true
+			case !safe && s.safe:
+				first++
+				s.counted = true
+			}
+			s.safe = s.safe || safe
+			s.unsafe = s.unsafe || !safe
+			return true
+		})
+	}
+	return first, last
+}
+
+// TestCollectCandidatesMatchesReference pins the collector, and the plans
+// built from it, to the string-key, linear-dedup reference on the genome
+// suite, on random mappings, and on hand-built UCQs whose support sets
+// repeat — a self-join matched both ways round (the xr4 shape), a repeated
+// clause, and a body constant — or whose tuples have support sets both in
+// the safe part and outside it, the safe one enumerated first or last.
 func TestCollectCandidatesMatchesReference(t *testing.T) {
 	t.Run("genome", func(t *testing.T) {
 		w, err := genome.NewWorld()
@@ -184,9 +294,12 @@ func TestCollectCandidatesMatchesReference(t *testing.T) {
 		w, err := parser.ParseMapping(`
 source A(x, v).
 source B(x, v).
+source S(x).
 target T(x, v).
+target U(x).
 tgd A(x, v) -> T(x, v).
 tgd B(x, v) -> T(x, v).
+tgd S(x) -> U(x).
 egd T(x, v) & T(x, w) -> v = w.
 `)
 		if err != nil {
@@ -196,6 +309,7 @@ egd T(x, v) & T(x, w) -> v = w.
 A(t1, a). B(t1, b). A(t1, c).
 A(t2, a). B(t2, a).
 A(t3, c).
+S(t1).
 `, w)
 		if err != nil {
 			t.Fatal(err)
@@ -205,6 +319,10 @@ selfjoin() :- T(x, v), T(x, w).
 repeated(x) :- T(x, v).
 repeated(x) :- T(x, v).
 constant(x) :- T(x, 'a'), T(x, v).
+safefirst(x) :- U(x).
+safefirst(x) :- T(x, v).
+safelast(x) :- T(x, v).
+safelast(x) :- U(x).
 `, w)
 		if err != nil {
 			t.Fatal(err)
@@ -217,12 +335,17 @@ constant(x) :- T(x, 'a'), T(x, v).
 		// self-join pairs each T fact with every T fact of its key,
 		// unordered (t1: 3 facts, 6 sets; t2, t3: one each); the repeated
 		// clause adds nothing to its first copy; the constant pairs T(x, a)
-		// with each T fact of its key (t1: 3 sets; t2: 1).
+		// with each T fact of its key (t1: 3 sets; t2: 1). The U fact of t1
+		// is safe and its T facts are not, so safefirst and safelast give
+		// t1 a safe set and three others, in the two clause orders.
 		wantSets := map[string][]int{
-			"selfjoin": {8},
-			"repeated": {3, 1, 1},
-			"constant": {3, 1},
+			"selfjoin":  {8},
+			"repeated":  {3, 1, 1},
+			"constant":  {3, 1},
+			"safefirst": {4, 1, 1},
+			"safelast":  {4, 1, 1},
 		}
+		first, last := 0, 0
 		for _, q := range queries {
 			cands := requireReferenceCandidates(t, q.Name, ex, q)
 			var sets []int
@@ -232,17 +355,38 @@ constant(x) :- T(x, 'a'), T(x, v).
 			if !slices.Equal(sets, wantSets[q.Name]) {
 				t.Fatalf("%s: support sets per candidate = %v, want %v", q.Name, sets, wantSets[q.Name])
 			}
+			rq, err := ex.Red.RewriteQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, l := safeOrder(rq, ex)
+			first, last = first+f, last+l
+		}
+		if first == 0 || last == 0 {
+			t.Fatalf("%d tuples met a safe support set first and %d last; the cases need both", first, last)
 		}
 	})
 }
 
-// collectSink keeps BenchmarkCollectCandidates' result live.
-var collectSink []*candidate
+// planSink keeps BenchmarkCollectCandidates' result live.
+var planSink *queryPlan
 
-// readShape builds the exchange of the genome-read shape of the xrperf
-// benchmark (1,600 transcripts, 20% suspect) with opts and returns it with
-// the genome query suite.
+// The exchange shapes of the xrperf workloads: genome-churn loads, asks and
+// deletes small tenants, genome-read asks one large tenant.
+var (
+	churnProfile = genome.Profile{Name: "churn", Transcripts: 360, SuspectRate: 0.09, Seed: 1000}
+	readProfile  = genome.Profile{Name: "read", Transcripts: 1600, SuspectRate: 0.20, Seed: 7004}
+)
+
+// readShape builds the exchange of the genome-read shape with opts and
+// returns it with the genome query suite.
 func readShape(b testing.TB, opts Options) (*Exchange, []*logic.UCQ) {
+	return genomeShape(b, readProfile, opts)
+}
+
+// genomeShape builds the exchange of a genome profile with opts and
+// returns it with the genome query suite.
+func genomeShape(b testing.TB, p genome.Profile, opts Options) (*Exchange, []*logic.UCQ) {
 	b.Helper()
 	w, err := genome.NewWorld()
 	if err != nil {
@@ -252,31 +396,33 @@ func readShape(b testing.TB, opts Options) (*Exchange, []*logic.UCQ) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := genome.Generate(w, genome.Profile{Name: "read", Transcripts: 1600, SuspectRate: 0.20, Seed: 7004})
-	ex, err := NewExchangeOpts(w.M, src, opts)
+	ex, err := NewExchangeOpts(w.M, genome.Generate(w, p), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return ex, queries
 }
 
-// BenchmarkCollectCandidates measures candidate collection, one
-// sub-benchmark per query of the genome suite, on the genome-read shape.
-// The exchange is built once; each iteration collects the candidates of
-// one rewritten query.
+// BenchmarkCollectCandidates measures the plan build a planFor miss runs
+// (candidate collection, the safe split and the signature groups), one
+// sub-benchmark per query of the genome suite on each of the genome-churn
+// and genome-read shapes. Each exchange is built once; each iteration
+// builds the plan of one rewritten query.
 func BenchmarkCollectCandidates(b *testing.B) {
-	ex, queries := readShape(b, Options{})
-	for _, q := range queries {
-		rq, err := ex.Red.RewriteQuery(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(q.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				collectSink = collectCandidates(rq, ex.Prov)
+	for _, p := range []genome.Profile{churnProfile, readProfile} {
+		ex, queries := genomeShape(b, p, Options{})
+		for _, q := range queries {
+			rq, err := ex.Red.RewriteQuery(q)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(p.Name+"/"+q.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					planSink = ex.buildPlan(rq)
+				}
+			})
+		}
 	}
 }
 
@@ -345,7 +491,7 @@ func BenchmarkColdSuite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := genome.Generate(w, genome.Profile{Name: "churn", Transcripts: 360, SuspectRate: 0.09, Seed: 1000})
+	src := genome.Generate(w, churnProfile)
 	reg := telemetry.NewRegistry()
 	ask := servedAsk(reg)
 	counter := func(name string) int64 { return reg.Counter(name).Value() }

@@ -117,7 +117,7 @@ func monolithicOne(ctx context.Context, gm *mapping.Mapping, src *instance.Insta
 // candidates, and runs cautious reasoning under ctx.
 func solveProgram(ctx context.Context, prov *chase.Provenance, rq *logic.UCQ, res *Result, trace func(TraceEvent), mt *meters, qname string) (*Result, error) {
 	start := time.Now()
-	cands := collectCandidates(rq, prov)
+	cands := collect(rq, prov, nil, true).candidates()
 	res.Stats.Candidates += len(cands)
 	if len(cands) == 0 {
 		return res, nil

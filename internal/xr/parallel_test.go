@@ -236,13 +236,15 @@ func TestSecondAnswerHitsCache(t *testing.T) {
 }
 
 // TestConcurrentQueriesShareCache hammers one cold Exchange from many
-// goroutines — certain, possible and explain asks of two queries mixed,
+// goroutines — certain, possible and explain asks of three queries mixed,
 // each asked twice in a row — to exercise the query state under the race
 // detector: greedy decisions are published on plan groups while other
 // asks read them in place, and persistent solvers read their frozen base
 // programs under incMu while explain passes read the same bases without
 // it. The greedy repairs decide every group of the key-conflict query q;
 // the certain groups of its projection onto the key only sessions decide.
+// The self-join same probes T's value column, which the chase never
+// indexed, so its first asks build that index at once.
 // Every ask must agree with a sequential baseline on a separate Exchange,
 // the mix must hold asks that read greedy decisions in place and asks that
 // ran sessions, and afterwards every cached base must equal a fresh build
@@ -253,6 +255,10 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 	keys := &logic.UCQ{Name: "keys", Arity: 1, Clauses: []logic.CQ{{
 		Head: []logic.Term{logic.V("x")},
 		Body: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("v"))},
+	}}}
+	same := &logic.UCQ{Name: "same", Arity: 2, Clauses: []logic.CQ{{
+		Head: []logic.Term{logic.V("x"), logic.V("y")},
+		Body: []logic.Atom{newAtom(w.cat, tt, logic.V("x"), logic.V("v")), newAtom(w.cat, tt, logic.V("y"), logic.V("v"))},
 	}}}
 	ex, err := NewExchange(w.m, w.src)
 	if err != nil {
@@ -267,7 +273,7 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 		brave, explain bool
 	}
 	var kinds []kind
-	for _, uq := range []*logic.UCQ{q, keys} {
+	for _, uq := range []*logic.UCQ{q, keys, same} {
 		for _, k := range []kind{{uq, false, false}, {uq, true, false}, {uq, false, true}, {uq, true, true}} {
 			kinds = append(kinds, k)
 		}
@@ -279,6 +285,7 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 		return strings.Join(tupleStrings(res), "\n")
 	}
 	want := map[kind]string{}
+	refBuilds := ref.Prov.Instance.IndexBuilds()
 	for _, k := range kinds {
 		res, err := ref.query(k.q, k.brave, Options{Explain: k.explain})
 		if err != nil {
@@ -290,10 +297,11 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 		want[k] = render(ref, k, res)
 	}
 
+	builds := ex.Prov.Instance.IndexBuilds()
 	var inPlace, sessions atomic.Int64
 	var wg sync.WaitGroup
-	errCh := make(chan error, 32)
-	for g := 0; g < 16; g++ {
+	errCh := make(chan error, 4*len(kinds)) // two goroutines per kind, one error per ask
+	for g := 0; g < 2*len(kinds); g++ {
 		k := kinds[g%len(kinds)]
 		wg.Add(1)
 		go func() {
@@ -335,6 +343,9 @@ func TestConcurrentQueriesShareCache(t *testing.T) {
 	}
 	if inPlace.Load() == 0 || sessions.Load() == 0 {
 		t.Fatalf("%d asks read greedy decisions in place and %d ran sessions; the mix needs both", inPlace.Load(), sessions.Load())
+	}
+	if got, want := ex.Prov.Instance.IndexBuilds()-builds, ref.Prov.Instance.IndexBuilds()-refBuilds; got != want {
+		t.Fatalf("the concurrent asks built %d column indexes, the sequential ones %d", got, want)
 	}
 
 	programs := cachedEntries[*sigProgram](ex)

@@ -70,17 +70,30 @@ type groupWiring struct {
 	distinct int // distinct atoms: two candidates may share one
 }
 
-// newPlan accepts the safe candidates and groups the rest by fact
-// signature.
-func (ex *Exchange) newPlan(cands []*candidate) *queryPlan {
-	p := &queryPlan{candidates: len(cands)}
+// newPlan accepts the collection's proven tuples and groups the candidates
+// of the others by fact signature. It also returns every candidate the
+// collection built, in key order: with keepAll, the proven ones too.
+func (ex *Exchange) newPlan(cl *collector) (*queryPlan, []*candidate) {
+	cands := cl.candidates()
+	p := &queryPlan{candidates: len(cl.order)}
+	size := 0
+	for _, t := range cl.order {
+		if cl.proven[t] {
+			size += len(cl.tuples.Tuple(int(t)))
+			p.nsafe++
+		}
+	}
+	p.safe = slices.Grow(p.safe, size)
+	for _, t := range cl.order {
+		if cl.proven[t] {
+			p.safe = append(p.safe, cl.tuples.Tuple(int(t))...)
+		}
+	}
 	byKey := make(map[string]*sigGroup)
 	var sig []int
 	var key []byte
 	for _, c := range cands {
-		if ex.safeCandidate(c) {
-			p.safe = append(p.safe, c.tuple...)
-			p.nsafe++
+		if cl.proven[cl.order[c.rank]] {
 			continue
 		}
 		sig, key = ex.signature(c, sig[:0], key[:0])
@@ -93,20 +106,25 @@ func (ex *Exchange) newPlan(cands []*candidate) *queryPlan {
 		g.cands = append(g.cands, c)
 	}
 	slices.SortFunc(p.groups, func(a, b *sigGroup) int { return strings.Compare(a.key, b.key) })
-	return p
+	return p, cands
 }
 
 // planFor returns the plan of a rewritten query, building it on the first
 // ask (queryState.get). Like the candidate collection each ask would
 // otherwise run itself, the build has no cancellation point.
 func (ex *Exchange) planFor(rq *logic.UCQ, mt *meters) *queryPlan {
-	v, hit := ex.state.get(ex.state.plans, planKey(rq), mt, func() stateValue {
-		return ex.newPlan(collectCandidates(rq, ex.Prov))
-	})
+	v, hit := ex.state.get(ex.state.plans, planKey(rq), mt, func() stateValue { return ex.buildPlan(rq) })
 	if hit {
 		mt.recordPlanHit()
 	}
 	return v.(*queryPlan)
+}
+
+// buildPlan collects the candidates of a rewritten query and builds its
+// plan: what a planFor miss runs.
+func (ex *Exchange) buildPlan(rq *logic.UCQ) *queryPlan {
+	p, _ := ex.newPlan(collect(rq, ex.Prov, ex.safeDerivable, false))
+	return p
 }
 
 // planKey returns the canonical encoding of a rewritten UCQ. Each clause
@@ -114,7 +132,7 @@ func (ex *Exchange) planFor(rq *logic.UCQ, mt *meters) *queryPlan {
 // value ids as they are, and variables numbered by first occurrence; the
 // clause encodings are sorted and deduplicated. Candidates do not depend
 // on the query's name, its variable names, or the order and repetition of
-// its clauses (collectCandidates sorts and dedups them), so queries that
+// its clauses (collect sorts and dedups them), so queries that
 // differ only in those share a plan — a preloaded query and the same text
 // sent inline, say. The encoding is prefix-free, so the concatenation is
 // unambiguous.

@@ -39,7 +39,7 @@ func benchGroups(b *testing.B, profile string) (*Exchange, []*sigGroup) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	groups := ex.newPlan(collectCandidates(rq, ex.Prov)).groups
+	groups := ex.buildPlan(rq).groups
 	for _, g := range groups {
 		ex.sigProgramFor(g.key, g.sig, nil)
 	}

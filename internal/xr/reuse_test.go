@@ -35,7 +35,7 @@ func freshResult(t testing.TB, ex *Exchange, q *logic.UCQ, brave bool, par int) 
 		t.Fatal(err)
 	}
 	res := &Result{Query: q, Answers: cq.NewAnswerSet()}
-	plan := ex.newPlan(collectCandidates(rq, ex.Prov))
+	plan := ex.buildPlan(rq)
 	outs := make([]groupOutcome, len(plan.groups))
 	if err := forEachWorker(context.Background(), par, len(plan.groups), func(_ context.Context, _, i int) error {
 		outs[i] = freshSolve(t, ex, plan.groups[i], brave)

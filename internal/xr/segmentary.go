@@ -378,9 +378,9 @@ func (ex *Exchange) query(q *logic.UCQ, brave bool, opts Options) (*Result, erro
 	var cands []*candidate
 	if opts.Explain {
 		// Explanations name every candidate's support facts, which a cached
-		// plan does not keep for the safe ones: collect them afresh.
-		cands = collectCandidates(rq, ex.Prov)
-		plan = ex.newPlan(cands)
+		// plan does not keep for the safe ones: collect them afresh, keeping
+		// every set.
+		plan, cands = ex.newPlan(collect(rq, ex.Prov, ex.safeDerivable, true))
 	} else {
 		plan = ex.planFor(rq, mt)
 	}
@@ -948,24 +948,6 @@ func acceptedOf(w *groupWiring, holds map[asp.AtomID]bool) []*candidate {
 		}
 	}
 	return accepted
-}
-
-// safeCandidate reports whether some support set lies entirely in the safe
-// part (the candidate then appears in every XR-solution).
-func (ex *Exchange) safeCandidate(c *candidate) bool {
-	for _, set := range c.supports {
-		all := true
-		for _, f := range set {
-			if !ex.safeDerivable[f] {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
 }
 
 // signature appends to sig the clusters whose influences contain the

@@ -17,7 +17,6 @@ package xr
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/chase"
@@ -82,64 +81,186 @@ type QueryStats struct {
 type candidate struct {
 	tuple    []symtab.Value
 	supports [][]chase.FactID
-	rank     int // position in collection order, which is key order
+	rank     int // position of the tuple in its collection's key order
 }
 
-// collectCandidates evaluates the (rewritten) UCQ over the quasi-solution
-// and returns each distinct answer tuple with all of its support sets.
-func collectCandidates(rq *logic.UCQ, prov *chase.Provenance) []*candidate {
-	byKey := make(map[string]*candidate)
-	var order []string
+// collector gathers the distinct answer tuples of a rewritten UCQ over the
+// quasi-solution, each with its support sets (DESIGN.md §9.3). Given the
+// safe-derivable facts, it marks each tuple that has a support set lying
+// entirely in the safe part: proven, it appears in every XR-solution, and
+// unless keepAll is set its support sets are dropped and its later matches
+// cost one probe of the tuple set.
+type collector struct {
+	prov    *chase.Provenance
+	safe    []bool // safe-derivable facts by FactID; nil proves no tuple
+	keepAll bool   // keep the support sets of proven tuples too
+
+	tuples instance.TupleSet // the distinct tuples, numbered in first-match order
+	proven []bool            // per tuple: some support set lies in the safe part
+	last   []int32           // per tuple: its latest kept support set, -1 for none
+	// facts holds the kept support sets back to back, each sorted by fact
+	// id; set i ends at sets[i].end and starts where set i-1 ends.
+	facts []chase.FactID
+	sets  []supportSet
+	order []int32 // the tuples in key order, once collect has run
+}
+
+// supportSet is one kept support set in a collector's log.
+type supportSet struct {
+	end  int32 // end of the set in facts
+	prev int32 // the tuple's previous kept set, -1 for none
+}
+
+// collect evaluates the (rewritten) UCQ over the quasi-solution and sorts
+// its distinct answer tuples into key order (cq.CompareTuples). safe and
+// keepAll are as in collector: a query plan passes the Exchange's
+// safe-derivable facts and keeps only the sets of unproven tuples; an
+// explain ask keeps every set as well, and the monolithic pipeline, with no
+// safe part, passes nil.
+func collect(rq *logic.UCQ, prov *chase.Provenance, safe []bool, keepAll bool) *collector {
+	cl := &collector{prov: prov, safe: safe, keepAll: keepAll}
 	for ci := range rq.Clauses {
-		c := &rq.Clauses[ci]
-		plan := cq.Compile(c.Body)
-		plan.ForEachDelta(prov.Instance, 0, func(env []symtab.Value, rank []uint64, _ []int) bool {
-			tuple := make([]symtab.Value, len(c.Head))
-			for i, t := range c.Head {
-				if t.IsVar() {
-					tuple[i] = env[plan.VarSlot[t.Var]]
-				} else {
-					tuple[i] = t.Val
-				}
-			}
-			// rank holds the generation of the tuple matched at each body
-			// atom, which names its fact without re-encoding the arguments.
-			support := make([]chase.FactID, len(rank))
-			for i, g := range rank {
-				id, ok := prov.FactIDOfGen(g)
-				if !ok {
-					panic("xr: candidate support fact not in provenance")
-				}
-				support[i] = id
-			}
-			slices.Sort(support)
-			k := instance.EncodeTuple(tuple)
-			cand, ok := byKey[k]
-			if !ok {
-				cand = &candidate{tuple: tuple}
-				byKey[k] = cand
-				order = append(order, k)
-			}
-			cand.supports = append(cand.supports, support)
-			return true
-		})
+		cl.clause(&rq.Clauses[ci])
 	}
-	// Canonical order: plan iteration follows the instance's indexes, whose
-	// order is not stable run to run. Downstream the candidate order steers
-	// solver assumption testing and the Explanations slice, and the support
-	// order steers candidate rule wiring (and through clause watches, the
-	// effort counters the profiler records), so sort both: supports
-	// lexicographically (each set is sorted by fact id), which brings equal
-	// sets together (a repeated clause, or a self-join matched both ways) so
-	// one compaction pass dedups them.
-	sort.Strings(order)
-	out := make([]*candidate, len(order))
-	for i, k := range order {
-		c := byKey[k]
-		slices.SortFunc(c.supports, slices.Compare)
-		c.supports = slices.CompactFunc(c.supports, slices.Equal)
-		c.rank = i
-		out[i] = c
+	// Index buckets and relation scans follow insertion order, so the
+	// enumeration is deterministic, but it follows the order of the
+	// clauses and of their atoms, and a plan is shared by every query that
+	// differs from this one only in those, in variable names or in
+	// repeated clauses (planKey). So the tuples are sorted into a canonical
+	// order; downstream it steers solver assumption testing and the
+	// Explanations slice.
+	cl.order = make([]int32, cl.tuples.Len())
+	for i := range cl.order {
+		cl.order[i] = int32(i)
+	}
+	slices.SortFunc(cl.order, func(a, b int32) int {
+		return cq.CompareTuples(cl.tuples.Tuple(int(a)), cl.tuples.Tuple(int(b)))
+	})
+	return cl
+}
+
+// clause adds the matches of one clause. Each match's head tuple is looked
+// up in the tuple set through one buffer, and its support facts are named
+// by chase generation (the rank of the match) and checked against the safe
+// part as they are resolved.
+func (cl *collector) clause(c *logic.CQ) {
+	plan := cq.Compile(c.Body)
+	head := make([]symtab.Value, len(c.Head))
+	slots := make([]int, len(c.Head)) // env slot of each head variable, -1 for a constant
+	for i, t := range c.Head {
+		slots[i] = -1
+		if t.IsVar() {
+			slots[i] = plan.VarSlot[t.Var]
+		} else {
+			head[i] = t.Val
+		}
+	}
+	plan.ForEachDelta(cl.prov.Instance, 0, func(env []symtab.Value, rank []uint64, _ []int) bool {
+		for i, s := range slots {
+			if s >= 0 {
+				head[i] = env[s]
+			}
+		}
+		pos, added := cl.tuples.Add(head)
+		if added {
+			cl.proven = append(cl.proven, false)
+			cl.last = append(cl.last, -1)
+		}
+		if cl.proven[pos] && !cl.keepAll {
+			return true
+		}
+		start := len(cl.facts)
+		allSafe := cl.safe != nil
+		for _, g := range rank {
+			id, ok := cl.prov.FactIDOfGen(g)
+			if !ok {
+				panic("xr: candidate support fact not in provenance")
+			}
+			cl.facts = append(cl.facts, id)
+			allSafe = allSafe && cl.safe[id]
+		}
+		if allSafe {
+			cl.proven[pos] = true
+			if !cl.keepAll {
+				cl.facts = cl.facts[:start]
+				cl.last[pos] = -1
+				return true
+			}
+		}
+		slices.Sort(cl.facts[start:])
+		cl.sets = append(cl.sets, supportSet{end: int32(len(cl.facts)), prev: cl.last[pos]})
+		cl.last[pos] = int32(len(cl.sets) - 1)
+		return true
+	})
+}
+
+// set returns kept support set i.
+func (cl *collector) set(i int32) []chase.FactID {
+	start := int32(0)
+	if i > 0 {
+		start = cl.sets[i-1].end
+	}
+	return cl.facts[start:cl.sets[i].end]
+}
+
+// candidates returns, in key order, the candidate of every tuple whose
+// support sets were kept: every tuple with keepAll, else the unproven
+// ones. The support order steers candidate rule wiring (and through clause
+// watches, the effort counters the profiler records), so each candidate's
+// sets are sorted lexicographically (each set is sorted by fact id), which
+// brings equal sets together — a repeated clause, or a self-join matched
+// both ways — so one compaction pass dedups them. The candidates, their
+// tuples, their set lists and their sets share four backing arrays, sliced
+// with full slice expressions.
+func (cl *collector) candidates() []*candidate {
+	keep := func(t int32) bool { return cl.keepAll || !cl.proven[t] }
+	// First each candidate's distinct sets, as positions in the log, and
+	// the sizes of the backing arrays.
+	var ids []int32 // the candidates' distinct sets, candidate after candidate
+	var ends []int  // per candidate: the end of its sets in ids
+	values, facts := 0, 0
+	for _, t := range cl.order {
+		if !keep(t) {
+			continue
+		}
+		from := len(ids)
+		for s := cl.last[t]; s >= 0; s = cl.sets[s].prev {
+			ids = append(ids, s)
+		}
+		own := ids[from:]
+		slices.SortFunc(own, func(a, b int32) int { return slices.Compare(cl.set(a), cl.set(b)) })
+		own = slices.CompactFunc(own, func(a, b int32) bool { return slices.Equal(cl.set(a), cl.set(b)) })
+		ids = ids[:from+len(own)]
+		for _, s := range own {
+			facts += len(cl.set(s))
+		}
+		values += len(cl.tuples.Tuple(int(t)))
+		ends = append(ends, len(ids))
+	}
+	slab := make([]candidate, len(ends))
+	out := make([]*candidate, 0, len(ends))
+	tuples := make([]symtab.Value, 0, values)
+	lists := make([][]chase.FactID, len(ids))
+	sets := make([]chase.FactID, 0, facts)
+	from := 0
+	for rank, t := range cl.order {
+		if !keep(t) {
+			continue
+		}
+		c := &slab[len(out)]
+		end := ends[len(out)]
+		k := len(tuples)
+		tuples = append(tuples, cl.tuples.Tuple(int(t))...)
+		c.tuple = tuples[k:len(tuples):len(tuples)]
+		c.supports = lists[from:end:end]
+		for j, s := range ids[from:end] {
+			k := len(sets)
+			sets = append(sets, cl.set(s)...)
+			c.supports[j] = sets[k:len(sets):len(sets)]
+		}
+		c.rank = rank
+		from = end
+		out = append(out, c)
 	}
 	return out
 }
