@@ -148,6 +148,8 @@ func requireReferenceCandidates(t *testing.T, label string, ex *Exchange, q *log
 	return want
 }
 
+// requireSameCandidates requires got and want to hold equal candidates in
+// the same order.
 func requireSameCandidates(t *testing.T, label string, got, want []*candidate) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
@@ -378,12 +380,6 @@ var (
 	readProfile  = genome.Profile{Name: "read", Transcripts: 1600, SuspectRate: 0.20, Seed: 7004}
 )
 
-// readShape builds the exchange of the genome-read shape with opts and
-// returns it with the genome query suite.
-func readShape(b testing.TB, opts Options) (*Exchange, []*logic.UCQ) {
-	return genomeShape(b, readProfile, opts)
-}
-
 // genomeShape builds the exchange of a genome profile with opts and
 // returns it with the genome query suite.
 func genomeShape(b testing.TB, p genome.Profile, opts Options) (*Exchange, []*logic.UCQ) {
@@ -437,7 +433,7 @@ func BenchmarkCollectCandidates(b *testing.B) {
 //     2-lane pool in the context, Parallelism 2 and Partial.
 func BenchmarkWarmSuite(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
-		ex, queries := readShape(b, Options{})
+		ex, queries := genomeShape(b, readProfile, Options{})
 		benchWarmPasses(b, queries, func(q *logic.UCQ) error {
 			_, err := ex.Answer(q)
 			return err
@@ -445,7 +441,7 @@ func BenchmarkWarmSuite(b *testing.B) {
 	})
 	b.Run("served", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
-		ex, queries := readShape(b, Options{Metrics: reg, Profiling: true})
+		ex, queries := genomeShape(b, readProfile, Options{Metrics: reg, Profiling: true})
 		ask := servedAsk(reg)
 		benchWarmPasses(b, queries, func(q *logic.UCQ) error { return ask(ex, q) })
 	})

@@ -51,7 +51,7 @@ func TestSignatureProgramViolations(t *testing.T) {
 		}
 		check(sc.name, ex, sc.queries)
 	}
-	ex, queries := readShape(t, Options{})
+	ex, queries := genomeShape(t, readProfile, Options{})
 	check("genome-read", ex, queries)
 	t.Logf("%d programs, %d violations", programs, violations)
 	if violations == 0 {
